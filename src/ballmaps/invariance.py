@@ -16,7 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .maps import (
     MapConstructionError,
     RationalMap,
     compose_source,
-    compose_target,
+    stacked_coefficients,
 )
 from .polynomials import (
     MultiIndex,
@@ -37,7 +37,6 @@ from .polynomials import (
     grlex_key,
     homogenize,
     multinomial,
-    polys_close,
 )
 
 #: Tolerance for matrix-equality hashing in group closure.
@@ -113,29 +112,148 @@ def membership(
     return MembershipResult(member, c, deviation)
 
 
-def _permute_index(alpha: MultiIndex, perm: Sequence[int]) -> MultiIndex:
-    out = [0] * len(alpha)
-    for i, e in enumerate(alpha):
-        out[perm[i]] = e
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# coordinate permutations
+# ---------------------------------------------------------------------------
+#: Largest number of (candidate, entry) pairs the permutation search gathers
+#: at once; it bounds the search's temporary memory whatever the form size.
+_GATHER_BUDGET = 1 << 14
 
 
-def _form_permutation_invariant(
-    h: HermitianForm, perm: Sequence[int], tol: float
-) -> bool:
-    """Fast membership test for coordinate permutations via index relabeling."""
-    index = {b: i for i, b in enumerate(h.basis)}
-    scale = max(1.0, h.max_abs())
+def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in ``sorted_keys`` and whether each is present."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+class _PermutationSearch:
+    """Index tables testing coordinate permutations on one coefficient array.
+
+    The array is given by its support entries ``(row, col, value)``.  Columns
+    are indices into ``basis``; with ``permute_rows`` the rows are too (a
+    Hermitian form), otherwise they stay fixed (the components of a map).
+    sigma sends z^alpha to the monomial carrying alpha_i at position
+    sigma(i), and keeps entry e when |value - A[sigma row, sigma col]| <=
+    cut[e], where ``lookup(rows, cols)`` reads A and a permuted monomial
+    outside the basis reads 0.
+
+    Each monomial is keyed by its exponent vector read in base D + 1 (D the
+    largest exponent), so a permuted monomial is found by binary search.  The
+    depth of a monomial or entry is 1 + the largest variable index it uses:
+    once the images of variables 0..k-1 are fixed, so are exactly the
+    monomials and entries of depth <= k.  Both are stored sorted by depth, so
+    each level of the search reads one slice.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        basis: Sequence[MultiIndex],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        cut: float | np.ndarray,
+        lookup: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        permute_rows: bool,
+    ):
+        exps = np.array(basis, dtype=np.int64).reshape(len(basis), n)
+        base = int(exps.max(initial=0)) + 1
+        if base**n > np.iinfo(np.int64).max:
+            raise CapabilityError(
+                f"exponents up to {base - 1} in {n} variables overflow the monomial keys"
+            )
+        self.n = n
+        self.lookup = lookup
+        self.permute_rows = permute_rows
+        self.weights = base ** np.arange(n, dtype=np.int64)
+        keys = exps @ self.weights
+        self.key_order = np.argsort(keys)
+        self.sorted_keys = keys[self.key_order]
+
+        levels = np.arange(n + 1)
+        mono_depth = np.where(exps > 0, levels[1:], 0).max(axis=1, initial=0)
+        by_depth = np.argsort(mono_depth, kind="stable")
+        self.exps = exps[by_depth].T
+        # monomials of depth <= k are the first mono_count[k] columns of exps
+        self.mono_count = np.searchsorted(mono_depth[by_depth], levels, side="right")
+        position = np.empty_like(by_depth)
+        position[by_depth] = np.arange(len(by_depth))
+
+        depth = mono_depth[cols]
+        if permute_rows:
+            depth = np.maximum(depth, mono_depth[rows])
+            rows = position[rows]
+        entry_order = np.argsort(depth, kind="stable")
+        # entries of depth k are entry_bounds[k - 1]:entry_bounds[k]; depth 0 always passes
+        self.entry_bounds = np.searchsorted(depth[entry_order], levels, side="right")
+        self.rows = rows[entry_order]
+        self.cols = position[cols][entry_order]
+        self.values = values[entry_order]
+        self.cut = np.broadcast_to(cut, values.shape)[entry_order]
+
+    def _passes(self, perms: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Which rows of ``perms`` (the images of variables 0..k-1) keep
+        entries lo..hi, all of depth <= k; gathered in chunks of the budget."""
+        ok = np.ones(len(perms), dtype=bool)
+        if hi == lo:
+            return ok
+        k = perms.shape[1]
+        exps = self.exps[:k, : self.mono_count[k]]
+        rows, cols = self.rows[lo:hi], self.cols[lo:hi]
+        values, cut = self.values[lo:hi], self.cut[lo:hi]
+        step = max(1, _GATHER_BUDGET // (hi - lo + exps.shape[1]))
+        for start in range(0, len(perms), step):
+            keys = self.weights[perms[start : start + step]] @ exps
+            pos, found = _find_sorted(self.sorted_keys, keys)
+            image = self.key_order[pos]
+            ci, present = image[:, cols], found[:, cols]
+            ri = rows
+            if self.permute_rows:
+                ri = image[:, rows]
+                present &= found[:, rows]
+            target = np.where(present, self.lookup(ri, ci), 0.0)
+            ok[start : start + step] = (np.abs(values - target) <= cut).all(axis=1)
+        return ok
+
+    def search(self) -> np.ndarray:
+        """All permutations keeping every entry, as rows in lexicographic order.
+
+        Prefixes are extended one variable at a time, all together and in
+        increasing image order, and pruned as soon as an entry they fix fails.
+        """
+        n = self.n
+        perms = np.zeros((1, 0), dtype=np.int64)
+        for k in range(1, n + 1):
+            free = np.ones((len(perms), n), dtype=bool)
+            free[np.arange(len(perms))[:, None], perms] = False
+            images = np.nonzero(free)[1]
+            perms = np.column_stack([np.repeat(perms, n - k + 1, axis=0), images])
+            perms = perms[self._passes(perms, self.entry_bounds[k - 1], self.entry_bounds[k])]
+        return perms
+
+    def keeps(self, perms: np.ndarray) -> np.ndarray:
+        """Mask of the given permutations (rows) that keep every entry."""
+        return self._passes(perms, self.entry_bounds[0], self.entry_bounds[-1])
+
+
+def _form_search(h: HermitianForm, tol: float) -> _PermutationSearch:
+    """Permutation search on a form: sigma keeps it when every support entry
+    satisfies |h[a, b] - h[sigma a, sigma b]| <= tol * max(1, max|h|)."""
     rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        a = _permute_index(h.basis[i], perm)
-        b = _permute_index(h.basis[j], perm)
-        ii = index.get(a)
-        jj = index.get(b)
-        target = h.mat[ii, jj] if ii is not None and jj is not None else 0.0
-        if abs(h.mat[i, j] - target) > tol * scale:
-            return False
-    return True
+    return _PermutationSearch(
+        h.nvars,
+        h.basis,
+        rows,
+        cols,
+        h.mat[rows, cols],
+        tol * max(1.0, h.max_abs()),
+        lambda r, c: h.mat[r, c],
+        permute_rows=True,
+    )
+
+
+def _as_tuples(perms: np.ndarray) -> list[tuple[int, ...]]:
+    return list(map(tuple, perms.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +369,18 @@ def diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
 
 
 def permutation_stabilizer(f: RationalMap, tol: float = TAU_EQ) -> list[tuple[int, ...]]:
-    """All coordinate permutations preserving the form (n <= 8)."""
+    """All coordinate permutations preserving the form (n <= 8).
+
+    sigma belongs when every support entry of the form satisfies
+    |h[a, b] - h[sigma a, sigma b]| <= tol * max(1, max|h|).  The list equals
+    full enumeration, in the order of ``itertools.permutations(range(n))``
+    (lexicographic); a pruned search only skips prefixes that already fail.
+    """
     if f.n > MAX_PERMUTATION_DIM:
         raise CapabilityError(
             f"permutation enumeration is capped at n <= {MAX_PERMUTATION_DIM}"
         )
-    h = form_of(f)
-    return [
-        perm
-        for perm in itertools.permutations(range(f.n))
-        if _form_permutation_invariant(h, perm, tol)
-    ]
+    return _as_tuples(_form_search(form_of(f), tol).search())
 
 
 def strict_diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
@@ -277,20 +396,39 @@ def strict_diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
 def strict_permutation_stabilizer(
     f: RationalMap, tol: float = TAU_EQ
 ) -> list[tuple[int, ...]]:
-    """Coordinate permutations with f o sigma = f componentwise (n <= 8)."""
+    """Coordinate permutations with f o sigma = f componentwise (n <= 8).
+
+    Each numerator component and the denominator p must satisfy
+    ``polys_close(p o sigma, p, tol)``: coefficients agree to tol * max(1,
+    max|p|) over the union of both supports.  The list equals full
+    enumeration, in the order of ``itertools.permutations(range(n))``
+    (lexicographic).
+    """
     if f.n > MAX_PERMUTATION_DIM:
         raise CapabilityError(
             f"permutation enumeration is capped at n <= {MAX_PERMUTATION_DIM}"
         )
-    out = []
-    for perm in itertools.permutations(range(f.n)):
-        ok = all(
-            polys_close(p.permute_variables(perm), p, tol)
-            for p in list(f.numerator) + [f.denominator]
-        )
-        if ok:
-            out.append(perm)
-    return out
+    monos, A = stacked_coefficients(f)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    cols, values = A.indices.astype(np.int64), A.data
+    scale = np.ones(A.shape[0])
+    np.maximum.at(scale, rows, np.abs(values))
+    flat = rows * len(monos) + cols
+    order = np.argsort(flat)
+    flat, table = flat[order], values[order]
+
+    def lookup(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        pos, found = _find_sorted(flat, r * len(monos) + c)
+        return np.where(found, table[pos], 0.0)
+
+    search = _PermutationSearch(
+        f.n, monos, rows, cols, values, tol * scale[rows], lookup, permute_rows=False
+    )
+    # polys_close compares at every key of supp(p) and sigma(supp(p)): at
+    # sigma(a) that is |p[sigma a] - p[a]|, the entries the search checks; at a
+    # it is |p[a] - p[sigma^-1 a]|, the same check for the inverse permutation
+    perms = search.search()
+    return _as_tuples(perms[search.keeps(np.argsort(perms, axis=1))])
 
 
 @dataclass(frozen=True)
@@ -381,15 +519,17 @@ def full_unitary_test(f: RationalMap, tol: float = TAU_EQ) -> FullUnitaryTestRes
     Requires every off-diagonal entry to vanish and each total degree to
     carry diagonal entries proportional to the multinomial pattern.  The
     returned powers are the weights of the equivalent orthogonal sum of
-    tensor powers.  A true-ball map not fixing the origin is re-centered by a
-    target automorphism before testing.
+    tensor powers.  A true-ball map not fixing the origin is re-centered by
+    the target automorphism psi_b with b = f(0).  That only rescales the
+    form: |psi_b(w)|^2 - 1 = (1 - |b|^2)(|w|^2 - 1) / |1 - <w, b>|^2, so after
+    normalizing the denominator form(psi_b o f) = form(f) / (1 - |b|^2).
     """
-    g = f
+    h = form_of(f)
     if f.l == 0 and not f.maps_origin_to_zero(tol):
-        f0 = f.value_at([0.0] * f.n)
-        if float(np.linalg.norm(f0)) < 1.0:
-            g = compose_target(f, BallAutomorphism(np.eye(f.target_dim), f0))
-    h = form_of(g)
+        f0 = np.array([p.constant_term() for p in f.numerator])
+        b2 = float(np.vdot(f0, f0).real) / abs(f.denominator.constant_term()) ** 2
+        if b2 < 1.0:
+            h = h.scale(1.0 / (1.0 - b2))
     scale = max(1.0, h.max_abs())
     if not h.is_diagonal(tol * scale):
         return FullUnitaryTestResult(False, None)
@@ -404,7 +544,7 @@ def full_unitary_test(f: RationalMap, tol: float = TAU_EQ) -> FullUnitaryTestRes
         present = by_degree.get(t, {})
         values = [
             present.get(alpha, 0.0) / multinomial(alpha)
-            for alpha in degree_monomials(g.n, t)
+            for alpha in degree_monomials(f.n, t)
         ]
         lam = values[0]
         if any(abs(v - lam) > tol * scale for v in values):
@@ -744,11 +884,13 @@ def emit_invariance_system(f: RationalMap) -> dict:
     """Polynomial equations cutting out the invariant group in matrix entries.
 
     Equates the coefficients of z^alpha s^mu conj(z)^beta conj(s)^nu in
-    |p((z,s)U)|^2_l - |q((z,s)U)|^2 = -lambda(U) (|p(z,s)|^2_l - |q(z,s)|^2),
-    where lambda(U) is the value of the left side at the homogeneous origin
-    row (0, 1).  Each equation is a sesquilinear polynomial in the flattened
+    |p((z,s)U)|^2_l - |q((z,s)U)|^2 = (lambda(U) / h00) (|p(z,s)|^2_l - |q(z,s)|^2),
+    where lambda(U) is the left side's coefficient at the homogeneous origin
+    row (0, 1) and h00 = |p(0)|^2_l - |q(0)|^2 the right side's (-1 when
+    f(0) = 0).  Each equation is a sesquilinear polynomial in the flattened
     (n+1) x (n+1) matrix unknowns; metric and determinant constraints on the
-    matrix are emitted alongside.
+    matrix are emitted alongside.  Raises MapConstructionError when
+    |h00| <= TAU_ZERO, where the origin row cannot fix the constant.
     """
     hats, qhat, d = _homogenized(f)
     n1 = f.n + 1
@@ -770,6 +912,11 @@ def emit_invariance_system(f: RationalMap) -> dict:
             for e2, c2 in p.terms.items():
                 key = (e1, e2)
                 base[key] = base.get(key, 0.0) + sign * c1 * complex(c2).conjugate()
+    h00 = base.get((origin_key, origin_key), 0.0).real
+    if abs(h00) <= TAU_ZERO:
+        raise MapConstructionError(
+            "the form vanishes at the origin row; the invariance system is undefined"
+        )
 
     vsupport = sorted(
         {v for grp in grouped for v in grp} | {v for pair in base for v in pair},
@@ -786,7 +933,7 @@ def emit_invariance_system(f: RationalMap) -> dict:
                     _merge_terms(terms, _sesquilinear_terms(g1, g2, sign))
             h_value = base.get((v1, v2), 0.0)
             if abs(h_value) > TAU_ZERO:
-                _merge_terms(terms, lam, weight=h_value)
+                _merge_terms(terms, lam, weight=h_value * (-1.0 / h00))
             terms = {k: v for k, v in terms.items() if abs(v) > TAU_ZERO}
             if not terms:
                 continue

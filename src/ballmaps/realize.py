@@ -23,7 +23,7 @@ from .hermitian import (
     gram_form,
     norm_power_form,
 )
-from .invariance import CapabilityError, membership, _form_permutation_invariant
+from .invariance import CapabilityError, membership, _form_search
 from .maps import (
     MapConstructionError,
     RationalMap,
@@ -291,10 +291,10 @@ def symmetric_group_map_v2(n: int) -> RationalMap:
 def _verify_permutation_group(
     f: RationalMap, perms: Sequence[tuple[int, ...]]
 ) -> None:
-    h = form_of(f)
-    for perm in perms:
-        if not _form_permutation_invariant(h, perm, 1e-8):
-            raise RealizationError(f"constructed map lost the symmetry {perm}")
+    keep = _form_search(form_of(f), 1e-8).keeps(np.array(perms).reshape(len(perms), f.n))
+    lost = np.flatnonzero(~keep)
+    if lost.size:
+        raise RealizationError(f"constructed map lost the symmetry {perms[lost[0]]}")
 
 
 def realize_subgroup(

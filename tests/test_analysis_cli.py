@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ballmaps
 from ballmaps import (
     Polynomial,
     analyze_map,
@@ -89,6 +93,34 @@ def test_analyze_whitney_blocks():
     assert blocks == ((0, 1), (2,))
     assert bundle.report.source_rank_upper == 2
     assert bundle.report.origin_moving_excluded is True
+
+
+_CAPPED_ANALYSIS = """
+import resource, sys
+cap = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from ballmaps import analyze_map, realize_subgroup
+bundle = analyze_map(realize_subgroup([], 3))
+assert bundle.proper.proper and bundle.consistent
+assert bundle.report.permutation_stabilizer == ((0, 1, 2),)
+"""
+
+
+def test_analyze_realized_trivial_group_within_3gb():
+    # a 15,700-component map: full_unitary_test used to build a dense N x N
+    # recentering and run out of memory
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(ballmaps.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_ANALYSIS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

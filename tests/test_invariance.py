@@ -1,11 +1,13 @@
 """Membership, stabilizers, structural tests, and the equation system."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ballmaps import (
+    BallAutomorphism,
     CapabilityError,
     GroupClosureError,
     Polynomial,
@@ -14,8 +16,10 @@ from ballmaps import (
     catalog,
     compose_automorphisms,
     compose_source,
+    compose_target,
     diagonal_stabilizer,
     emit_invariance_system,
+    form_of,
     origin_move_residual,
     evaluate_invariance_system,
     full_unitary_test,
@@ -32,6 +36,7 @@ from ballmaps import (
     power_chain_check,
     source_rank_upper,
     strict_stabilizer,
+    symmetric_group_map,
     tensor,
     tensor_power,
     torus_test,
@@ -227,6 +232,26 @@ def test_full_unitary_recenters_maps_missing_the_origin():
     assert not full_unitary_test(g).is_unitary_invariant
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, None])
+def test_full_unitary_rescale_equals_target_recentering(n):
+    # recentering by psi_b, b = f(0), only divides the form by 1 - |b|^2
+    if n is None:
+        f = juxtapose_lambda([tensor_power(2, 0), tensor_power(2, 2)], [0.6, 0.8])
+    else:
+        f = symmetric_group_map(n)
+    b = f.value_at([0.0] * f.n)
+    g = compose_target(f, BallAutomorphism(np.eye(f.target_dim), b))
+    hg = form_of(g)
+    hf = form_of(f).scale(1.0 / (1.0 - float(np.vdot(b, b).real)))
+    assert hg.max_entry_diff(hf) <= 1e-14 * max(1.0, hg.max_abs())
+    res_f, res_g = full_unitary_test(f), full_unitary_test(g)
+    assert res_f.is_unitary_invariant == res_g.is_unitary_invariant
+    if res_f.powers is not None:
+        assert [m for _, m in res_f.powers] == [m for _, m in res_g.powers]
+        weights_g = [w for w, _ in res_g.powers]
+        assert [w for w, _ in res_f.powers] == pytest.approx(weights_g, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # blocks, source rank, power chains
 # ---------------------------------------------------------------------------
@@ -419,6 +444,34 @@ def test_system_members_of_cubic():
         dtype=complex,
     )
     assert evaluate_invariance_system(doc, rot) > 1e-3
+
+
+def _embedded(U):
+    M = np.eye(U.shape[0] + 1, dtype=complex)
+    M[:-1, :-1] = U
+    return M
+
+
+def test_system_for_map_missing_the_origin(rng):
+    # 0.6 (+) 0.8 z^(x)2 sends 0 to (0.6, 0, 0, 0): the constant comes from
+    # the origin-row coefficient h00 = 0.36 - 1, not from h00 = -1
+    f = juxtapose_lambda([tensor_power(2, 0), tensor_power(2, 2)], [0.6, 0.8])
+    doc = emit_invariance_system(f)
+    assert evaluate_invariance_system(doc, np.eye(3)) <= 1e-9
+    assert evaluate_invariance_system(doc, _embedded(random_unitary(rng, 2))) <= 1e-9
+
+
+def test_system_of_symmetric_group_map_keeps_every_permutation():
+    doc = emit_invariance_system(symmetric_group_map(3))
+    assert len(doc["equations"]) == 209  # the origin-row equation cancels exactly
+    for perm in itertools.permutations(range(3)):
+        P = np.eye(3, dtype=complex)[list(perm)]
+        assert evaluate_invariance_system(doc, _embedded(P)) <= 1e-9, perm
+
+
+def test_system_rejects_form_vanishing_at_the_origin_row():
+    with pytest.raises(MapConstructionError):
+        emit_invariance_system(tensor_power(2, 0))
 
 
 def test_metric_constraints_present():

@@ -1,0 +1,259 @@
+"""Permutation stabilizers: the pruned search against full enumeration.
+
+The reference functions below are the per-permutation, per-entry loops the
+library used before its level search; both stabilizers must return exactly
+their lists (same elements, same order).
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ballmaps import (
+    CapabilityError,
+    HermitianForm,
+    Polynomial,
+    RationalMap,
+    automorphism,
+    catalog,
+    close_permutation_group,
+    compose_source,
+    form_of,
+    identity_map,
+    juxtapose_theta,
+    permutation_automorphism,
+    permutation_stabilizer,
+    polynomial_map,
+    polys_close,
+    symmetric_group_map,
+    tensor,
+    tensor_power,
+    unitary_automorphism,
+    whitney_map,
+)
+from ballmaps.invariance import _form_search, strict_permutation_stabilizer
+from ballmaps.maps import CATALOG_NAMES
+from ballmaps.polynomials import TAU_EQ, TAU_ZERO
+
+from conftest import random_center, random_unitary
+
+
+# ---------------------------------------------------------------------------
+# reference: full enumeration with per-entry loops
+# ---------------------------------------------------------------------------
+def _permute_index(alpha, perm):
+    out = [0] * len(alpha)
+    for i, e in enumerate(alpha):
+        out[perm[i]] = e
+    return tuple(out)
+
+
+def _form_permutation_invariant(h, perm, tol):
+    index = {b: i for i, b in enumerate(h.basis)}
+    scale = max(1.0, h.max_abs())
+    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ii = index.get(_permute_index(h.basis[i], perm))
+        jj = index.get(_permute_index(h.basis[j], perm))
+        target = h.mat[ii, jj] if ii is not None and jj is not None else 0.0
+        if abs(h.mat[i, j] - target) > tol * scale:
+            return False
+    return True
+
+
+def reference_form_stabilizer(h, tol=TAU_EQ):
+    return [
+        perm
+        for perm in itertools.permutations(range(h.nvars))
+        if _form_permutation_invariant(h, perm, tol)
+    ]
+
+
+def reference_strict_stabilizer(f, tol=TAU_EQ):
+    return [
+        perm
+        for perm in itertools.permutations(range(f.n))
+        if all(
+            polys_close(p.permute_variables(perm), p, tol)
+            for p in list(f.numerator) + [f.denominator]
+        )
+    ]
+
+
+def search_form_stabilizer(h, tol=TAU_EQ):
+    return [tuple(p) for p in _form_search(h, tol).search().tolist()]
+
+
+# ---------------------------------------------------------------------------
+# random construction chains
+# ---------------------------------------------------------------------------
+def _variables(n):
+    return [Polynomial.variable(n, i) for i in range(n)]
+
+
+def _symmetric_pairs_map(n):
+    """Polynomial map whose form has a small, nontrivial permutation group."""
+    z = _variables(n)
+    comps = [z[0] * z[1], z[0] * z[0] + z[1] * z[1]]
+    comps += [z[i] ** (i % 2 + 1) for i in range(2, n)]
+    return polynomial_map(comps)
+
+
+def _power_sums_map(n):
+    """Components z_0^k + ... + z_{n-1}^k: each one is symmetric."""
+    z = _variables(n)
+    sums = [sum((x**k for x in z), Polynomial.zero(n)) for k in (1, 2)]
+    return polynomial_map([p.scale(0.5 / n) for p in sums])
+
+
+def _base_map(kind, n):
+    if kind == "sums":
+        return _power_sums_map(n)
+    if kind == "identity":
+        return identity_map(n)
+    if kind == "square":
+        return tensor_power(n, 2)
+    if kind == "whitney":
+        return whitney_map(n)
+    return _symmetric_pairs_map(n)
+
+
+@st.composite
+def construction_chains(draw):
+    """A map from a short random chain of constructions, n = 2..5.
+
+    Degrees stay small so the reference enumeration stays fast; the chain
+    covers tensor products, juxtaposition, source composition with random
+    unitaries, permutations and origin-moving automorphisms (rational maps),
+    generalized targets (l > 0) and maps with f(0) != 0.
+    """
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kinds = ["identity", "whitney", "pairs", "sums"] + (["square"] if n <= 4 else [])
+    f = _base_map(draw(st.sampled_from(kinds)), n)
+    steps = st.sampled_from(["tensor", "juxtapose", "permute", "unitary", "move"])
+    for step in draw(st.lists(steps, max_size=2)):
+        if step == "tensor" and f.degree < 2:
+            f = tensor(f, _base_map(draw(st.sampled_from(["identity", "pairs", "sums"])), n))
+        elif step == "juxtapose" and f.is_polynomial():
+            g = _base_map(draw(st.sampled_from(kinds)), n)
+            f = juxtapose_theta(f, g, draw(st.floats(0.2, 1.3)))
+        elif step == "permute":
+            perm = tuple(rng.permutation(n).tolist())
+            f = compose_source(f, permutation_automorphism(perm))
+        elif step == "unitary" and f.degree <= 2:
+            f = compose_source(f, unitary_automorphism(random_unitary(rng, n)))
+        elif step == "move" and f.degree <= 2 and n <= 3:
+            f = compose_source(f, automorphism(np.eye(n), random_center(rng, n, 0.5)))
+    ending = draw(st.sampled_from(["plain", "offset", "generalized"]))
+    if ending == "offset":
+        # 0.6 (+) 0.8 f, written over f's own denominator
+        comps = [f.denominator.scale(0.6)] + [p.scale(0.8) for p in f.numerator]
+        f = RationalMap(comps, f.denominator, l=f.l)
+    elif ending == "generalized":
+        extra = _variables(n)[0].scale(0.5)
+        f = RationalMap(list(f.numerator) + [extra], f.denominator, l=1)
+    return f
+
+
+def _perturbed(h, scale_of_cut, pick):
+    """h with one support entry (and its mirror) moved by scale_of_cut * cut."""
+    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    k = pick % len(rows)
+    i, j = int(rows[k]), int(cols[k])
+    delta = scale_of_cut * TAU_EQ * max(1.0, h.max_abs())
+    mat = np.array(h.mat)
+    mat[i, j] += delta
+    if i != j:
+        mat[j, i] += delta
+    return HermitianForm(h.nvars, h.basis, mat)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains())
+def test_stabilizers_equal_full_enumeration(f):
+    h = form_of(f)
+    assert search_form_stabilizer(h) == reference_form_stabilizer(h)
+    assert permutation_stabilizer(f) == reference_form_stabilizer(h)
+    assert strict_permutation_stabilizer(f) == reference_strict_stabilizer(f)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains(), st.sampled_from([0.5, 2.0]), st.integers(0, 10**6))
+def test_form_search_at_the_tolerance_boundary(f, scale_of_cut, pick):
+    h = _perturbed(form_of(f), scale_of_cut, pick)
+    assert search_form_stabilizer(h) == reference_form_stabilizer(h)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains(), st.sampled_from([0.5, 2.0]), st.integers(0, 10**6))
+def test_strict_search_at_the_tolerance_boundary(f, scale_of_cut, pick):
+    comps = list(f.numerator)
+    r = pick % len(comps)
+    p = comps[r]
+    if p.is_zero():
+        return
+    exp = sorted(p.terms)[pick % len(p.terms)]
+    delta = scale_of_cut * TAU_EQ * max(1.0, p.max_abs_coeff())
+    comps[r] = p + Polynomial.monomial(exp, delta)
+    g = RationalMap(comps, f.denominator, l=f.l)
+    assert strict_permutation_stabilizer(g) == reference_strict_stabilizer(g)
+
+
+def test_strict_stabilizer_checks_union_of_supports():
+    # p = 1.5 cut z0 + 0.75 cut z1: the 3-cycle z0 -> z1 -> z2 moves each
+    # coefficient by 0.75 cut, but at z0 compares 1.5 cut with p[z2] = 0
+    z = _variables(3)
+    p = z[0].scale(1.5 * TAU_EQ) + z[1].scale(0.75 * TAU_EQ)
+    f = polynomial_map([(z[0] + z[1] + z[2]).scale(0.5), p])
+    expected = reference_strict_stabilizer(f)
+    assert (1, 2, 0) not in expected
+    assert strict_permutation_stabilizer(f) == expected
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_stabilizers_equal_full_enumeration(name):
+    f = catalog(name)
+    assert permutation_stabilizer(f) == reference_form_stabilizer(form_of(f))
+    assert strict_permutation_stabilizer(f) == reference_strict_stabilizer(f)
+
+
+# ---------------------------------------------------------------------------
+# large n
+# ---------------------------------------------------------------------------
+def test_symmetric_group_map_seven_keeps_every_permutation_in_order():
+    perms = permutation_stabilizer(symmetric_group_map(7))
+    assert len(perms) == math.factorial(7)
+    assert perms == list(itertools.permutations(range(7)))
+
+
+def test_eight_variables_with_a_small_stabilizer():
+    # |z0 z1|^2 + |z2 z3|^2 + |z4^2 + z5^2|^2 + |z6^3|^2 + |z7^4|^2 - 1: swaps
+    # inside the pairs (0 1), (2 3), (4 5) and the block swap (0 2)(1 3)
+    z = _variables(8)
+    f = polynomial_map(
+        [z[0] * z[1], z[2] * z[3], z[4] * z[4] + z[5] * z[5], z[6] ** 3, z[7] ** 4]
+    )
+    gens = [
+        (1, 0, 2, 3, 4, 5, 6, 7),
+        (0, 1, 3, 2, 4, 5, 6, 7),
+        (0, 1, 2, 3, 5, 4, 6, 7),
+        (2, 3, 0, 1, 4, 5, 6, 7),
+    ]
+    expected = close_permutation_group(gens, 8)
+    assert len(expected) == 16
+    assert permutation_stabilizer(f) == expected
+
+
+def test_exponents_overflowing_the_monomial_keys_are_refused():
+    # keys read exponent vectors in base D + 1: 301**8 exceeds int64
+    f = polynomial_map([Polynomial.monomial([300] + [0] * 7)])
+    with pytest.raises(CapabilityError):
+        permutation_stabilizer(f)
+    with pytest.raises(CapabilityError):
+        strict_permutation_stabilizer(f)
