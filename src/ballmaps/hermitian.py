@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .maps import RationalMap, stacked_coefficients
+from .maps import RationalMap, coefficient_matrix, stacked_coefficients
 from .polynomials import (
     MultiIndex,
     Polynomial,
@@ -32,6 +32,9 @@ TAU_DIV = 1e-9
 
 #: Relative eigenvalue threshold for signature counting.
 TAU_SIG = 1e-8
+
+#: Entry pairs formed at once by a form product.
+_PRODUCT_CHUNK = 1 << 20
 
 
 class HermitianForm:
@@ -167,18 +170,42 @@ class HermitianForm:
         return HermitianForm(self.nvars, self.basis, self.mat * float(factor))
 
     def __mul__(self, other: "HermitianForm") -> "HermitianForm":
-        """Product as real polynomials in (z, conj z); for small forms."""
+        """Product as real polynomials in (z, conj z).
+
+        Monomials are keyed by their exponent vectors read in base D + 1 (D
+        the largest exponent of the product), so the monomial of a sum is
+        the sum of keys.  Every pair of support entries is formed, in chunks
+        of at most ``_PRODUCT_CHUNK`` pairs, and accumulated onto the basis of
+        all sums of one monomial of each form.
+        """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
-        acc: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-        for a1, b1, c1 in self.entries():
-            for a2, b2, c2 in other.entries():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                acc[key] = acc.get(key, 0.0 + 0.0j) + c1 * c2
-        return HermitianForm.from_entries(self.nvars, acc)
+        n = self.nvars
+        r1, c1 = np.nonzero(np.abs(self.mat) > TAU_ZERO)
+        r2, c2 = np.nonzero(np.abs(other.mat) > TAU_ZERO)
+        if not len(r1) or not len(r2):
+            return HermitianForm.zero(n)
+        e1 = np.array(self.basis, dtype=np.int64).reshape(self.size, n)
+        e2 = np.array(other.basis, dtype=np.int64).reshape(other.size, n)
+        base = int(e1.max(initial=0) + e2.max(initial=0)) + 1
+        if base**n > np.iinfo(np.int64).max:
+            raise ValueError(f"exponents below {base} in {n} variables overflow the monomial keys")
+        weights = base ** np.arange(n, dtype=np.int64)
+        sums = np.add.outer(e1 @ weights, e2 @ weights)
+        keys = np.unique(sums)
+        position = np.searchsorted(keys, sums)
+        size = len(keys)
+        v1, v2 = self.mat[r1, c1], other.mat[r2, c2]
+        acc = np.zeros(size * size, dtype=complex)
+        step = max(1, _PRODUCT_CHUNK // len(r2))
+        for start in range(0, len(r1), step):
+            chunk = slice(start, start + step)
+            rows = position[r1[chunk, None], r2]
+            cols = position[c1[chunk, None], c2]
+            np.add.at(acc, (rows * size + cols).ravel(), np.outer(v1[chunk], v2).ravel())
+        acc[np.abs(acc) <= TAU_ZERO] = 0.0
+        basis = (keys[:, None] // weights) % base
+        return HermitianForm(n, basis.tolist(), acc.reshape(size, size)).compressed()
 
     def power(self, exponent: int) -> "HermitianForm":
         if exponent < 0:
@@ -244,34 +271,23 @@ def norm_power_form(nvars: int, power: int) -> HermitianForm:
 
 
 def gram_form(polys: Sequence[Polynomial], signs: Sequence[float] | None = None) -> HermitianForm:
-    """sum_k signs_k p_k conj(p_k) as a Hermitian form (default all +1)."""
+    """sum_k signs_k p_k conj(p_k) as a Hermitian form (default all +1).
+
+    Computed as the sparse product A^T S conj(A) of the coefficient matrix A
+    (one row per polynomial) with the diagonal sign matrix S.
+    """
     if not polys:
         raise ValueError("gram_form needs at least one polynomial")
-    nvars = polys[0].nvars
-    support: set[MultiIndex] = set()
-    for p in polys:
-        support.update(p.terms)
-    basis = sorted(support, key=grlex_key)
-    index = {mono: i for i, mono in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    sgn = [1.0] * len(polys) if signs is None else list(signs)
-    for s, p in zip(sgn, polys):
-        if not p.terms:
-            continue
-        vec = np.zeros(len(basis), dtype=complex)
-        for exp, coeff in p.terms.items():
-            vec[index[exp]] = coeff
-        mat += s * np.outer(vec, vec.conj())
-    return HermitianForm(nvars, basis, mat).compressed()
+    monos, A = coefficient_matrix(polys)
+    sgn = np.ones(len(polys)) if signs is None else np.asarray(signs, dtype=float)
+    scaled = A.multiply(sgn[:, None]).tocsr()
+    gram = (scaled.T @ A.conj()).toarray()
+    return HermitianForm(polys[0].nvars, monos, gram).compressed()
 
 
 def form_of(f: RationalMap) -> HermitianForm:
     """Hermitian form |p|^2_l - |q|^2 of a normalized rational map."""
-    monos, A = stacked_coefficients(f)
-    signs = np.array([1.0] * f.m + [-1.0] * f.l + [-1.0])
-    scaled = A.multiply(signs[:, None]).tocsr()
-    gram = (scaled.T @ A.conj()).toarray()
-    return HermitianForm(f.n, monos, gram).compressed()
+    return gram_form(f.numerator + (f.denominator,), [1.0] * f.m + [-1.0] * (f.l + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -147,16 +147,15 @@ def polynomial_map(components: Sequence[Polynomial], l: int = 0) -> RationalMap:
     return make_rational_map(components, None, l=l)
 
 
-def stacked_coefficients(
-    f: RationalMap,
+def coefficient_matrix(
+    polys: Sequence[Polynomial],
 ) -> tuple[list[MultiIndex], sp.csr_matrix]:
-    """Coefficient matrix of (numerator components, denominator) rows.
+    """Sparse matrix with one row of coefficients per polynomial.
 
     Columns are indexed by the graded-lex sorted union of all monomial
-    supports; the denominator occupies the last row.
+    supports.
     """
     support: set[MultiIndex] = set()
-    polys = list(f.numerator) + [f.denominator]
     for p in polys:
         support.update(p.terms)
     monos = sorted(support, key=grlex_key)
@@ -172,6 +171,16 @@ def stacked_coefficients(
         shape=(len(polys), len(monos)),
     )
     return monos, mat
+
+
+def stacked_coefficients(
+    f: RationalMap,
+) -> tuple[list[MultiIndex], sp.csr_matrix]:
+    """Coefficient matrix of (numerator components, denominator) rows.
+
+    The denominator occupies the last row.
+    """
+    return coefficient_matrix(f.numerator + (f.denominator,))
 
 
 # ---------------------------------------------------------------------------

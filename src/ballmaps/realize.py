@@ -6,12 +6,23 @@ epsilon so that R - epsilon^2 |p|^2 stays positive semidefinite; factoring
 the remainder yields components q with epsilon p (+) q proper.  Stacked
 tensor powers then separate degrees so that the only surviving symmetries
 are the requested ones.
+
+The realizations are built form first.  Properness, the invariance group
+and both ranks depend only on the form |f|^2 - 1, and two polynomial maps
+with the same |f|^2 differ by a target isometry, so each construction
+assembles its positive form |f|^2 from Gram forms: a juxtaposition is a
+weighted sum and a tensor product with the power z^(x)k is a product with
+the norm power |z|^(2k).  :func:`factor_form` then splits that form once
+into rank-many sparse components.  :func:`symmetric_group_map` keeps its
+component construction: its components, and with them its strict
+(component-level) stabilizer, are analysed as they are built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +46,7 @@ from .maps import (
     tensor_power,
     unitary_automorphism,
 )
-from .polynomials import MultiIndex, Polynomial, TAU_ZERO
+from .polynomials import MultiIndex, Polynomial, TAU_ZERO, degree_monomials
 
 
 class RealizationError(RuntimeError):
@@ -60,30 +71,53 @@ class FactorizationResult:
         return gram_form(polys, signs)
 
 
-def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResult:
-    """Eigendecompose the coefficient matrix into holomorphic components.
+def _support_blocks(support: np.ndarray) -> np.ndarray:
+    """Connected-component label of each vertex of a symmetric adjacency matrix.
 
-    Eigenvectors scaled by sqrt(|eigenvalue|) become polynomial components,
-    split by eigenvalue sign; eigenvalues within the relative threshold of
-    zero are dropped.  The components are linearly independent because the
-    eigenvectors are orthogonal.
+    Every vertex points at a vertex of its component.  Each round hooks the
+    root of every edge's first end onto the smaller root of its second end,
+    then jumps pointers to pointers until every vertex points at a root;
+    rounds repeat until no root moves.
     """
-    if not h.size:
-        return FactorizationResult((), ())
-    eigvals, eigvecs = np.linalg.eigh(h.mat)
-    scale = float(np.max(np.abs(eigvals)))
-    cut = tol_sig * max(scale, 1e-300)
+    rows, cols = np.nonzero(support)
+    labels = np.arange(len(support))
+    while True:
+        before = labels.copy()
+        np.minimum.at(labels, labels[rows], labels[cols])
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
+
+
+def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResult:
+    """Eigendecompose the coefficient matrix into sparse holomorphic components.
+
+    The support graph (|h_ab| > TAU_ZERO) splits the matrix into connected
+    blocks, which are factored separately.  Each block is scaled by
+    d_a = sqrt(max_b |h_ab|) on both sides, a congruence that keeps its
+    inertia and brings every entry to at most 1, so rows of very different
+    magnitude are resolved to the same relative accuracy.  An eigenpair
+    (lambda, v) of the scaled block gives the component d o v sqrt|lambda|,
+    split by the sign of lambda; eigenvalues within the relative threshold
+    of the block's largest are dropped.  The components of a block are
+    linearly independent because its eigenvectors are.
+    """
+    support = np.abs(h.mat) > TAU_ZERO
     pos: list[Polynomial] = []
     neg: list[Polynomial] = []
-    for k in range(len(eigvals)):
-        lam = float(eigvals[k])
-        if abs(lam) <= cut:
-            continue
-        vec = eigvecs[:, k] * math.sqrt(abs(lam))
-        poly = Polynomial(
-            h.nvars, {h.basis[i]: vec[i] for i in range(len(vec)) if abs(vec[i]) > TAU_ZERO}
-        )
-        (pos if lam > 0 else neg).append(poly)
+    labels = _support_blocks(support)
+    for label in np.unique(labels[support.any(axis=1)]):
+        idx = np.flatnonzero(labels == label)
+        block = h.mat[np.ix_(idx, idx)]
+        d = np.sqrt(np.max(np.abs(block), axis=1))
+        eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
+        keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
+        comps = d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))
+        monos = [h.basis[i] for i in idx.tolist()]
+        for lam, vec, present in zip(eigvals[keep], comps.T, np.abs(comps.T) > TAU_ZERO):
+            terms = dict(zip(compress(monos, present), vec[present].tolist()))
+            (pos if lam > 0 else neg).append(Polynomial(h.nvars, terms))
     return FactorizationResult(tuple(pos), tuple(neg))
 
 
@@ -274,7 +308,11 @@ def symmetric_group_map(n: int) -> RationalMap:
 
 
 def symmetric_group_map_v2(n: int) -> RationalMap:
-    """Higher-degree alternative realization of S_n from prod (1 + z_j)."""
+    """Higher-degree alternative realization of S_n from prod (1 + z_j).
+
+    The positive form is eps^2 |prod|^2 |z|^2 + |q|^2 |z|^(2(n + 2)) for the
+    padding q of prod, factored once into the components of the map.
+    """
     if n < 1:
         raise MapConstructionError("n must be positive")
     zs = [Polynomial.variable(n, i) for i in range(n)]
@@ -283,9 +321,17 @@ def symmetric_group_map_v2(n: int) -> RationalMap:
         prod = prod * (Polynomial.constant(n, 1.0) + z)
     pad = pad_to_proper([prod])
     m = n + 2
-    left = tensor(polynomial_map([prod.scale(pad.epsilon)]), polynomial_map(zs))
-    right = tensor(polynomial_map(list(pad.components)), tensor_power(n, m))
-    return oplus(left, right)
+    positive = gram_form([prod]).scale(pad.epsilon**2) * norm_power_form(n, 1)
+    positive = positive + gram_form(pad.components) * norm_power_form(n, m)
+    return _map_of_positive_form(positive)
+
+
+def _map_of_positive_form(h: HermitianForm) -> RationalMap:
+    """The polynomial map whose components factor a positive semidefinite form."""
+    factored = factor_form(h)
+    if factored.negatives:
+        raise RealizationError("the positive form of the construction has a negative part")
+    return polynomial_map(factored.positives)
 
 
 def _verify_permutation_group(
@@ -306,7 +352,9 @@ def realize_subgroup(
     delegates to :func:`symmetric_group_map`.  Otherwise a group-averaged
     monomial with strictly increasing exponents (1, 2, ..., n) is padded and
     juxtaposed against the symmetric-group map behind degree-separating
-    tensor powers, so unitary symmetries must preserve both blocks.
+    tensor powers, so unitary symmetries must preserve both blocks.  The
+    positive form 1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + |q|^2 |z|^(2 k3))
+    |z|^(2 k4) is factored into the components of the returned map.
     """
     if n > 8:
         raise CapabilityError("subgroup realization is capped at n <= 8")
@@ -323,13 +371,12 @@ def realize_subgroup(
         tau = tau + Polynomial.monomial(exp, 1.0)
     pad = pad_to_proper([tau], omit_empty_degrees=True)
     k3 = sum(mu) + 1
-    g1 = oplus(
-        polynomial_map([tau.scale(pad.epsilon)]),
-        tensor(polynomial_map(list(pad.components)), tensor_power(n, k3)),
-    )
     f_sym = symmetric_group_map(n)
     k4 = f_sym.degree + 1
-    result = juxtapose_theta(f_sym, tensor(g1, tensor_power(n, k4)), math.pi / 4.0)
+    padded = gram_form([tau]).scale(pad.epsilon**2)
+    padded = padded + gram_form(pad.components) * norm_power_form(n, k3)
+    positive = (gram_form(f_sym.numerator) + padded * norm_power_form(n, k4)).scale(0.5)
+    result = _map_of_positive_form(positive)
     if verify:
         _verify_permutation_group(result, group)
     return result
@@ -341,16 +388,10 @@ def realize_subgroup(
 def _support_of_summand(h: Polynomial, m: int) -> set[MultiIndex]:
     base = set(h.terms) | {(0,) * h.nvars}
     out = set()
-    for beta in _degree_exponents(h.nvars, m):
+    for beta in degree_monomials(h.nvars, m):
         for alpha in base:
             out.add(tuple(a + b for a, b in zip(alpha, beta)))
     return out
-
-
-def _degree_exponents(nvars: int, degree: int) -> list[MultiIndex]:
-    from .polynomials import degree_monomials
-
-    return degree_monomials(nvars, degree)
 
 
 def realize_from_invariants(
@@ -364,7 +405,8 @@ def realize_from_invariants(
     algebra (each vanishing at the origin); a Noether basis is not computed
     here.  Each 1 + h_i is tensored with a power of the identity chosen so
     the summands' monomial supports are pairwise disjoint, then the whole
-    block is padded to a proper map and separated by one more tensor power.
+    block is padded to a proper map and separated by one more tensor power;
+    the positive form of that map is factored into its components.
     """
     invariants = list(invariants)
     if not invariants:
@@ -402,12 +444,10 @@ def realize_from_invariants(
         )
         summands.extend(block.numerator)
     pad = pad_to_proper(summands, omit_empty_degrees=True)
-    p_deg = max(q.degree for q in summands)
-    m_final = p_deg + 1
-    result = oplus(
-        polynomial_map([q.scale(pad.epsilon) for q in summands]),
-        tensor(polynomial_map(list(pad.components)), tensor_power(n, m_final)),
-    )
+    m_final = max(q.degree for q in summands) + 1
+    positive = gram_form(summands).scale(pad.epsilon**2)
+    positive = positive + gram_form(pad.components) * norm_power_form(n, m_final)
+    result = _map_of_positive_form(positive)
     if verify:
         for gmat in group:
             res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))
