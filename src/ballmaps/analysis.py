@@ -32,7 +32,7 @@ from .invariance import (
     strict_stabilizer,
 )
 from .maps import RationalMap, stacked_coefficients
-from .polynomials import TAU_EQ
+from .polynomials import TAU_EQ, monomial_values
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +69,7 @@ def _evaluate_components(
     """
     monos, A = stacked_coefficients(f)
     count = points.shape[0]
-    mono_arr = np.array(monos, dtype=np.int64)
-    vals = np.ones((count, len(monos)), dtype=complex)
-    for i in range(f.n):
-        exps = mono_arr[:, i]
-        nz = exps > 0
-        if np.any(nz):
-            vals[:, nz] *= points[:, i : i + 1] ** exps[nz][None, :]
-    vals = vals.T  # monomials x points
+    vals = monomial_values(monos, points).T  # monomials x points
 
     signs = np.array([1.0] * f.m + [-1.0] * f.l)
     num_norm = np.zeros(count)

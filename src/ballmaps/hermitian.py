@@ -19,11 +19,16 @@ import numpy as np
 
 from .maps import RationalMap, coefficient_matrix, stacked_coefficients
 from .polynomials import (
+    MonomialKeys,
     MultiIndex,
     Polynomial,
     TAU_ZERO,
+    degree_monomials,
+    exponent_array,
+    find_sorted,
     grlex_key,
     grlex_monomials,
+    monomial_values,
     multinomial,
 )
 
@@ -123,10 +128,8 @@ class HermitianForm:
         return float(np.max(np.abs(off))) <= tol
 
     def evaluate(self, z: Sequence[complex]) -> float:
-        vals = np.array(
-            [np.prod([zc**e for zc, e in zip(z, b)]) for b in self.basis],
-            dtype=complex,
-        )
+        """Value sum h_ab z^a conj(z^b) of the form at a point."""
+        vals = monomial_values(self.basis, [z])[0]
         return float((vals @ self.mat @ vals.conj()).real)
 
     def compressed(self, tol: float = TAU_ZERO) -> "HermitianForm":
@@ -172,11 +175,11 @@ class HermitianForm:
     def __mul__(self, other: "HermitianForm") -> "HermitianForm":
         """Product as real polynomials in (z, conj z).
 
-        Monomials are keyed by their exponent vectors read in base D + 1 (D
-        the largest exponent of the product), so the monomial of a sum is
-        the sum of keys.  Every pair of support entries is formed, in chunks
-        of at most ``_PRODUCT_CHUNK`` pairs, and accumulated onto the basis of
-        all sums of one monomial of each form.
+        Monomials are keyed by :class:`MonomialKeys` over the exponent range
+        of the product, so the monomial of a product is the sum of keys.
+        Every pair of support entries is formed, in chunks of at most
+        ``_PRODUCT_CHUNK`` pairs, and accumulated onto the basis of all sums
+        of one monomial of each form.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
@@ -185,13 +188,10 @@ class HermitianForm:
         r2, c2 = np.nonzero(np.abs(other.mat) > TAU_ZERO)
         if not len(r1) or not len(r2):
             return HermitianForm.zero(n)
-        e1 = np.array(self.basis, dtype=np.int64).reshape(self.size, n)
-        e2 = np.array(other.basis, dtype=np.int64).reshape(other.size, n)
-        base = int(e1.max(initial=0) + e2.max(initial=0)) + 1
-        if base**n > np.iinfo(np.int64).max:
-            raise ValueError(f"exponents below {base} in {n} variables overflow the monomial keys")
-        weights = base ** np.arange(n, dtype=np.int64)
-        sums = np.add.outer(e1 @ weights, e2 @ weights)
+        e1 = exponent_array(self.basis, n)
+        e2 = exponent_array(other.basis, n)
+        monomial_keys = MonomialKeys(n, e1.max(initial=0) + e2.max(initial=0))
+        sums = np.add.outer(monomial_keys.keys(e1), monomial_keys.keys(e2))
         keys = np.unique(sums)
         position = np.searchsorted(keys, sums)
         size = len(keys)
@@ -204,16 +204,8 @@ class HermitianForm:
             cols = position[c1[chunk, None], c2]
             np.add.at(acc, (rows * size + cols).ravel(), np.outer(v1[chunk], v2).ravel())
         acc[np.abs(acc) <= TAU_ZERO] = 0.0
-        basis = (keys[:, None] // weights) % base
+        basis = monomial_keys.exponents(keys)
         return HermitianForm(n, basis.tolist(), acc.reshape(size, size)).compressed()
-
-    def power(self, exponent: int) -> "HermitianForm":
-        if exponent < 0:
-            raise ValueError("negative form power")
-        result = HermitianForm.constant(self.nvars, 1.0)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def max_entry_diff(self, other: "HermitianForm") -> float:
         _, a, b = self._aligned(other)
@@ -263,9 +255,7 @@ def sphere_form(nvars: int) -> HermitianForm:
 def norm_power_form(nvars: int, power: int) -> HermitianForm:
     """|z|^(2 power) as a diagonal form with multinomial coefficients."""
     entries = {
-        (alpha, alpha): float(multinomial(alpha))
-        for alpha in grlex_monomials(nvars, power)
-        if sum(alpha) == power
+        (alpha, alpha): float(multinomial(alpha)) for alpha in degree_monomials(nvars, power)
     }
     return HermitianForm.from_entries(nvars, entries)
 
@@ -293,72 +283,62 @@ def form_of(f: RationalMap) -> HermitianForm:
 # ---------------------------------------------------------------------------
 # division by the sphere and properness
 # ---------------------------------------------------------------------------
-def _dense_on_simplex(
-    h: HermitianForm, max_deg: int
-) -> tuple[list[MultiIndex], dict[MultiIndex, int], np.ndarray]:
-    monos = grlex_monomials(h.nvars, max_deg)
-    index = {m: i for i, m in enumerate(monos)}
-    size = len(monos)
-    C = np.zeros((size, size), dtype=complex)
-    if h.size:
-        idx = np.array([index[b] for b in h.basis])
-        C[np.ix_(idx, idx)] = h.mat
-    return monos, index, C
-
-
 def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, HermitianForm]:
     """Divide h by |z|^2 - 1: returns (quotient u, remainder h - u*(|z|^2-1)).
 
     The quotient entries satisfy the ascending-bidegree recursion
     ``u[a, b] = sum_i u[a - e_i, b - e_i] - h[a, b]`` seeded with
     ``u[0, 0] = -h[0, 0]``; the remainder vanishes (to rounding) exactly when
-    h vanishes on the unit sphere.
+    h vanishes on the unit sphere.  Both live on the division simplex, all
+    monomials of degree <= D = max degree of h, where u has rows and columns
+    of degree < D only.  The maps a -> a - e_i are lookups of the keys
+    ``key(a) - weights[i]`` (:class:`MonomialKeys`), and the recursion runs
+    one total degree at a time: the rows of degree t read only rows of degree
+    t - 1, so each degree takes one gather per variable.
     """
     n = h.nvars
     if not h.size:
         return HermitianForm.zero(n), HermitianForm.zero(n)
     D = h.max_degree()
-    monos, index, C = _dense_on_simplex(h, D)
-    size = len(monos)
+    monos = grlex_monomials(n, D)
+    exps = exponent_array(monos, n)
+    monomial_keys = MonomialKeys(n, D)
+    keys = monomial_keys.keys(exps)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
 
-    # column gather maps: shift_i[j] = index of monos[j] - e_i (or -1)
-    shifts = []
+    def index_of(k: np.ndarray) -> np.ndarray:
+        return order[find_sorted(sorted_keys, k)[0]]
+
+    size = len(monos)
+    C = np.zeros((size, size), dtype=complex)
+    idx = index_of(monomial_keys.keys(exponent_array(h.basis, n)))
+    C[np.ix_(idx, idx)] = h.mat
+    # graded-lex order ascends in degree: degree t is rows bounds[t]:bounds[t + 1],
+    # and u lives on the first bounds[D] rows and columns
+    bounds = np.searchsorted(exps.sum(axis=1), np.arange(D + 1))
+    inner = bounds[D]
+    # per variable: the monomials containing z_i (dst), those monomials divided
+    # by z_i (src), and where each degree starts in dst
+    steps = []
     for i in range(n):
-        col = np.full(size, -1, dtype=np.int64)
-        for j, b in enumerate(monos):
-            if b[i]:
-                prev = list(b)
-                prev[i] -= 1
-                col[j] = index[tuple(prev)]
-        shifts.append(col)
+        dst = np.flatnonzero(exps[:, i] > 0)
+        src = index_of(keys[dst] - monomial_keys.weights[i])
+        steps.append((dst, src, np.searchsorted(dst, bounds)))
 
     U = np.zeros((size, size), dtype=complex)
-    interior = [j for j, b in enumerate(monos) if sum(b) <= D - 1]
-    interior_mask = np.zeros(size, dtype=bool)
-    interior_mask[interior] = True
-    for a in interior:  # graded-lex order is ascending in degree
-        alpha = monos[a]
-        row = -C[a, :].copy()
-        for i in range(n):
-            if alpha[i]:
-                prev = list(alpha)
-                prev[i] -= 1
-                pa = index[tuple(prev)]
-                valid = shifts[i] >= 0
-                row[valid] += U[pa, shifts[i][valid]]
-        row[~interior_mask] = 0.0
-        U[a, :] = row
+    for t in range(D):
+        lo, hi = bounds[t], bounds[t + 1]
+        block = -C[lo:hi, :inner]
+        for dst, src, starts in steps:
+            rows, cols = slice(starts[t], starts[t + 1]), slice(starts[D])
+            block[dst[rows, None] - lo, dst[cols]] += U[src[rows, None], src[cols]]
+        U[lo:hi, :inner] = block
 
     # remainder R = C - (u * (|z|^2 - 1)) over the full simplex
     R = C + U
-    for i in range(n):
-        valid = shifts[i] >= 0
-        rows_with_prev = [a for a in range(size) if monos[a][i]]
-        for a in rows_with_prev:
-            prev = list(monos[a])
-            prev[i] -= 1
-            pa = index[tuple(prev)]
-            R[a, valid] -= U[pa, shifts[i][valid]]
+    for dst, src, _ in steps:
+        R[dst[:, None], dst] -= U[src[:, None], src]
 
     quotient = HermitianForm(n, monos, U).compressed()
     remainder = HermitianForm(n, monos, R).compressed(tol=0.0)

@@ -30,24 +30,27 @@ from .maps import (
     stacked_coefficients,
 )
 from .polynomials import (
+    CapabilityError,
+    MonomialKeys,
     MultiIndex,
     Polynomial,
     TAU_EQ,
     TAU_ZERO,
+    degree_monomials,
+    exponent_array,
+    find_sorted,
     grlex_key,
     homogenize,
+    monomial_values,
     multinomial,
 )
 
 #: Tolerance for matrix-equality hashing in group closure.
 TAU_GROUP = 1e-7
 
-#: Permutation enumeration is capped at this source dimension.
+#: Permutation enumeration and the (n + 1)!-term determinant of the
+#: invariance system are capped at this source dimension.
 MAX_PERMUTATION_DIM = 8
-
-
-class CapabilityError(ValueError):
-    """Raised when a request exceeds a documented capability cap."""
 
 
 class GroupClosureError(RuntimeError):
@@ -120,12 +123,6 @@ def membership(
 _GATHER_BUDGET = 1 << 14
 
 
-def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``keys`` in ``sorted_keys`` and whether each is present."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return pos, sorted_keys[pos] == keys
-
-
 class _PermutationSearch:
     """Index tables testing coordinate permutations on one coefficient array.
 
@@ -137,12 +134,12 @@ class _PermutationSearch:
     cut[e], where ``lookup(rows, cols)`` reads A and a permuted monomial
     outside the basis reads 0.
 
-    Each monomial is keyed by its exponent vector read in base D + 1 (D the
-    largest exponent), so a permuted monomial is found by binary search.  The
-    depth of a monomial or entry is 1 + the largest variable index it uses:
-    once the images of variables 0..k-1 are fixed, so are exactly the
-    monomials and entries of depth <= k.  Both are stored sorted by depth, so
-    each level of the search reads one slice.
+    Each monomial is keyed by :class:`MonomialKeys` (its exponent vector read
+    in base D + 1, D the largest exponent), so a permuted monomial is found by
+    binary search.  The depth of a monomial or entry is 1 + the largest
+    variable index it uses: once the images of variables 0..k-1 are fixed, so
+    are exactly the monomials and entries of depth <= k.  Both are stored
+    sorted by depth, so each level of the search reads one slice.
     """
 
     def __init__(
@@ -156,17 +153,13 @@ class _PermutationSearch:
         lookup: Callable[[np.ndarray, np.ndarray], np.ndarray],
         permute_rows: bool,
     ):
-        exps = np.array(basis, dtype=np.int64).reshape(len(basis), n)
-        base = int(exps.max(initial=0)) + 1
-        if base**n > np.iinfo(np.int64).max:
-            raise CapabilityError(
-                f"exponents up to {base - 1} in {n} variables overflow the monomial keys"
-            )
+        exps = exponent_array(basis, n)
+        monomial_keys = MonomialKeys(n, exps.max(initial=0))
         self.n = n
         self.lookup = lookup
         self.permute_rows = permute_rows
-        self.weights = base ** np.arange(n, dtype=np.int64)
-        keys = exps @ self.weights
+        self.weights = monomial_keys.weights
+        keys = monomial_keys.keys(exps)
         self.key_order = np.argsort(keys)
         self.sorted_keys = keys[self.key_order]
 
@@ -204,7 +197,7 @@ class _PermutationSearch:
         step = max(1, _GATHER_BUDGET // (hi - lo + exps.shape[1]))
         for start in range(0, len(perms), step):
             keys = self.weights[perms[start : start + step]] @ exps
-            pos, found = _find_sorted(self.sorted_keys, keys)
+            pos, found = find_sorted(self.sorted_keys, keys)
             image = self.key_order[pos]
             ci, present = image[:, cols], found[:, cols]
             ri = rows
@@ -418,7 +411,7 @@ def strict_permutation_stabilizer(
     flat, table = flat[order], values[order]
 
     def lookup(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        pos, found = _find_sorted(flat, r * len(monos) + c)
+        pos, found = find_sorted(flat, r * len(monos) + c)
         return np.where(found, table[pos], 0.0)
 
     search = _PermutationSearch(
@@ -538,8 +531,6 @@ def full_unitary_test(f: RationalMap, tol: float = TAU_EQ) -> FullUnitaryTestRes
         by_degree.setdefault(sum(alpha), {})[alpha] = float(h.mat[i, i].real)
     max_deg = max(by_degree, default=0)
     powers: list[tuple[float, int]] = []
-    from .polynomials import degree_monomials
-
     for t in range(max_deg + 1):
         present = by_degree.get(t, {})
         values = [
@@ -672,14 +663,8 @@ def origin_move_residual(f: RationalMap, gamma: BallAutomorphism) -> float:
     if not f.maps_origin_to_zero():
         raise MapConstructionError("map must send the origin to zero")
     a = gamma.a
-    Ua = gamma.U @ a
-
-    def form_value(point: np.ndarray) -> float:
-        pv = np.array([p.evaluate(point) for p in f.numerator])
-        qv = f.denominator.evaluate(point)
-        return float(np.vdot(pv, pv).real - abs(qv) ** 2)
-
-    lhs = form_value(a) * form_value(Ua)
+    h = form_of(f)
+    lhs = h.evaluate(a) * h.evaluate(gamma.U @ a)
     rhs = (1.0 - float(np.vdot(a, a).real)) ** (2 * f.degree)
     return abs(lhs - rhs)
 
@@ -890,8 +875,15 @@ def emit_invariance_system(f: RationalMap) -> dict:
     f(0) = 0).  Each equation is a sesquilinear polynomial in the flattened
     (n+1) x (n+1) matrix unknowns; metric and determinant constraints on the
     matrix are emitted alongside.  Raises MapConstructionError when
-    |h00| <= TAU_ZERO, where the origin row cannot fix the constant.
+    |h00| <= TAU_ZERO, where the origin row cannot fix the constant, and
+    CapabilityError for n > MAX_PERMUTATION_DIM, before building anything:
+    the determinant constraint has (n + 1)! terms.
     """
+    if f.n > MAX_PERMUTATION_DIM:
+        raise CapabilityError(
+            f"the determinant constraint has (n + 1)! terms; emission is capped at "
+            f"n <= {MAX_PERMUTATION_DIM}"
+        )
     hats, qhat, d = _homogenized(f)
     n1 = f.n + 1
     signs = [1.0] * f.m + [-1.0] * f.l + [-1.0]
@@ -1013,23 +1005,21 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
     """Max residual of the main equations at a concrete matrix.
 
     The system is scale-covariant, so any nonzero multiple of a projective
-    automorphism matrix can be substituted directly.
+    automorphism matrix can be substituted directly.  Every term is a
+    monomial in (u, conj u) with exponents (u, ubar), evaluated by
+    :func:`monomial_values`, and summed into its equation in order.
     """
     n1 = system["unknowns"]["shape"][0]
     u = np.asarray(matrix, dtype=complex).reshape(-1)
     if u.shape[0] != n1 * n1:
         raise ValueError("matrix shape does not match the system unknowns")
-    worst = 0.0
-    for eq in system["equations"]:
-        total = 0.0 + 0.0j
-        for term in eq["terms"]:
-            val = complex(term["re"], term["im"])
-            for idx, e in enumerate(term["u"]):
-                if e:
-                    val *= u[idx] ** e
-            for idx, e in enumerate(term["ubar"]):
-                if e:
-                    val *= u[idx].conjugate() ** e
-            total += val
-        worst = max(worst, abs(total))
-    return worst
+    equations = system["equations"]
+    terms = [term for eq in equations for term in eq["terms"]]
+    coeffs = np.array([complex(term["re"], term["im"]) for term in terms], dtype=complex)
+    exps = [term["u"] + term["ubar"] for term in terms]
+    values = coeffs * monomial_values(exps, [np.concatenate([u, u.conj()])])[0]
+    eq = np.repeat(np.arange(len(equations)), [len(e["terms"]) for e in equations])
+    totals = np.bincount(eq, values.real, len(equations)) + 1j * np.bincount(
+        eq, values.imag, len(equations)
+    )
+    return float(np.max(np.abs(totals), initial=0.0))

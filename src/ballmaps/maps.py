@@ -26,6 +26,7 @@ from .polynomials import (
     TAU_ZERO,
     degree_monomials,
     grlex_key,
+    monomial_values,
     multinomial,
     polys_close,
     substitute_fractional,
@@ -100,8 +101,9 @@ class RationalMap:
         return polys_close(self.denominator, one, tol)
 
     def value_at(self, point: Sequence[complex]) -> np.ndarray:
-        q = self.denominator.evaluate(point)
-        return np.array([p.evaluate(point) for p in self.numerator]) / q
+        monos, A = stacked_coefficients(self)
+        values = A @ monomial_values(monos, [point])[0]
+        return values[:-1] / values[-1]
 
     def maps_origin_to_zero(self, tol: float = TAU_EQ) -> bool:
         return all(abs(p.constant_term()) <= tol for p in self.numerator)
@@ -129,22 +131,11 @@ class RationalMap:
         return cls(numerator, denominator, l=int(data.get("l", 0)))
 
 
-def make_rational_map(
-    numerator: Sequence[Polynomial],
-    denominator: Polynomial | None = None,
-    l: int = 0,
-) -> RationalMap:
-    """Build a normalized map; the lowest-terms status is caller-asserted."""
-    numerator = list(numerator)
-    if not numerator:
-        raise MapConstructionError("empty numerator")
-    if denominator is None:
-        denominator = Polynomial.constant(numerator[0].nvars, 1.0)
-    return RationalMap(numerator, denominator, l=l)
-
-
 def polynomial_map(components: Sequence[Polynomial], l: int = 0) -> RationalMap:
-    return make_rational_map(components, None, l=l)
+    """The map with the given components over the denominator 1."""
+    if not components:
+        raise MapConstructionError("a rational map needs at least one component")
+    return RationalMap(components, Polynomial.constant(components[0].nvars, 1.0), l=l)
 
 
 def coefficient_matrix(
@@ -281,7 +272,7 @@ class BallAutomorphism:
         return Polynomial(self.dim, terms)
 
     def as_rational_map(self) -> RationalMap:
-        return make_rational_map(self.numerator_polys(), self.denominator_poly())
+        return RationalMap(self.numerator_polys(), self.denominator_poly())
 
     def projective_matrix(self) -> np.ndarray:
         """(n+1)x(n+1) matrix M with (z, 1) M proportional to (gamma(z), 1).
@@ -299,10 +290,6 @@ class BallAutomorphism:
 
     def __repr__(self) -> str:
         return f"BallAutomorphism(dim={self.dim}, moves_origin={self.moves_origin()})"
-
-
-def automorphism(U: np.ndarray, a: Sequence[complex] | None = None) -> BallAutomorphism:
-    return BallAutomorphism(U, a)
 
 
 def identity_automorphism(n: int) -> BallAutomorphism:
@@ -324,10 +311,6 @@ def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
 
 def permutation_automorphism(perm: Sequence[int]) -> BallAutomorphism:
     return BallAutomorphism(permutation_matrix(perm))
-
-
-def apply_automorphism(gamma: BallAutomorphism, z: Sequence[complex]) -> np.ndarray:
-    return gamma.apply(z)
 
 
 def _decompose_projective(M: np.ndarray) -> BallAutomorphism:
@@ -500,23 +483,24 @@ def _common_denominator(maps: Sequence[RationalMap]) -> Polynomial:
     return den
 
 
+def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> RationalMap:
+    """Weighted orthogonal sum over a common denominator: the positive blocks
+    of all maps first, then their negative blocks."""
+    if any(f.n != maps[0].n for f in maps):
+        raise MapConstructionError("orthogonal sum requires a common source dimension")
+    den = _common_denominator(maps)
+    pos = [p.scale(c) for f, c in zip(maps, weights) for p in f.numerator[: f.m]]
+    neg = [p.scale(c) for f, c in zip(maps, weights) for p in f.numerator[f.m :]]
+    return RationalMap(pos + neg, den, l=sum(f.l for f in maps))
+
+
 def oplus(
     f: RationalMap,
     g: RationalMap,
     weights: tuple[complex, complex] | None = None,
 ) -> RationalMap:
     """Weighted orthogonal sum; positive blocks first, then negative blocks."""
-    if f.n != g.n:
-        raise MapConstructionError("orthogonal sum requires a common source dimension")
-    den = _common_denominator([f, g])
-    cf, cg = weights if weights is not None else (1.0, 1.0)
-    pos = [p.scale(cf) for p in f.numerator[: f.m]] + [
-        p.scale(cg) for p in g.numerator[: g.m]
-    ]
-    neg = [p.scale(cf) for p in f.numerator[f.m :]] + [
-        p.scale(cg) for p in g.numerator[g.m :]
-    ]
-    return RationalMap(pos + neg, den, l=f.l + g.l)
+    return _juxtapose([f, g], weights if weights is not None else (1.0, 1.0))
 
 
 def juxtapose_theta(f: RationalMap, g: RationalMap, theta: float) -> RationalMap:
@@ -533,24 +517,12 @@ def juxtapose_lambda(maps: Sequence[RationalMap], lam: Sequence[complex]) -> Rat
     norm2 = sum(abs(c) ** 2 for c in lam)
     if abs(norm2 - 1.0) > TAU_EQ:
         raise MapConstructionError(f"weights must have unit norm, got |lambda|^2={norm2}")
-    den = _common_denominator(list(maps))
-    pos: list[Polynomial] = []
-    neg: list[Polynomial] = []
-    total_l = 0
-    for f, c in zip(maps, lam):
-        pos.extend(p.scale(c) for p in f.numerator[: f.m])
-        neg.extend(p.scale(c) for p in f.numerator[f.m :])
-        total_l += f.l
-    return RationalMap(pos + neg, den, l=total_l)
-
-
-def zero_map(n: int, components: int = 1) -> RationalMap:
-    return polynomial_map([Polynomial.zero(n)] * components)
+    return _juxtapose(maps, lam)
 
 
 def pad_with_zeros(f: RationalMap, count: int) -> RationalMap:
     """f (+) 0 with the given number of zero components appended."""
-    return oplus(f, zero_map(f.n, count))
+    return oplus(f, polynomial_map([Polynomial.zero(f.n)] * count))
 
 
 def descend(f: RationalMap, A: Subspace, g: RationalMap) -> RationalMap:

@@ -10,12 +10,20 @@ matrix indexing and JSON dump deterministic.
 Values are immutable by convention: every operation returns a fresh
 polynomial and never mutates its operands, so instances are safe to share
 between threads.
+
+The module also holds the one monomial kernel every layer indexes and
+evaluates monomials with: :class:`MonomialKeys` (exponent vectors as int64
+keys, with the one overflow refusal), :func:`find_sorted` (lookup of keys in
+a sorted table) and :func:`monomial_values` (monomials evaluated at points).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -26,33 +34,89 @@ TAU_ZERO = 1e-13
 TAU_EQ = 1e-9
 
 
+class CapabilityError(ValueError):
+    """Raised when a request exceeds a documented capability cap."""
+
+
+# ---------------------------------------------------------------------------
+# the monomial kernel
+# ---------------------------------------------------------------------------
+def exponent_array(monos: Sequence[Sequence[int]], nvars: int) -> np.ndarray:
+    """Exponent tuples as the rows of an int64 array of shape (len, nvars)."""
+    return np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+
+
+class MonomialKeys:
+    """int64 keys of exponent vectors with every entry in 0..max_exponent.
+
+    An exponent vector is read as a number in base ``max_exponent + 1``, so
+    the key of a product of monomials is the sum of their keys and dividing
+    a monomial by z_i subtracts ``weights[i]``.  A range whose keys would
+    overflow int64 is refused with :class:`CapabilityError`.
+    """
+
+    __slots__ = ("base", "weights")
+
+    def __init__(self, nvars: int, max_exponent: int):
+        base = int(max_exponent) + 1
+        if base**nvars > np.iinfo(np.int64).max:
+            raise CapabilityError(
+                f"exponents up to {base - 1} in {nvars} variables overflow the monomial keys"
+            )
+        self.base = base
+        self.weights = base ** np.arange(nvars, dtype=np.int64)
+
+    def keys(self, exps: np.ndarray) -> np.ndarray:
+        """Key of each row of an exponent array."""
+        return exps @ self.weights
+
+    def exponents(self, keys: np.ndarray) -> np.ndarray:
+        """Exponent array (one row per key) of the given keys."""
+        return (keys[:, None] // self.weights) % self.base
+
+
+def find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in ``sorted_keys`` and whether each is present."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+def monomial_values(monos: Sequence[Sequence[int]], points: np.ndarray) -> np.ndarray:
+    """Values z^alpha of the monomials at the points, shape (points, monomials).
+
+    ``points`` has one row per point.  The values start at 1 and are
+    multiplied, one variable at a time, by the power of that coordinate.
+    """
+    points = np.asarray(points, dtype=complex)
+    count, nvars = points.shape
+    exps = exponent_array(monos, nvars)
+    vals = np.ones((count, len(exps)), dtype=complex)
+    for i in range(nvars):
+        nz = exps[:, i] > 0
+        if np.any(nz):
+            vals[:, nz] *= points[:, i : i + 1] ** exps[nz, i][None, :]
+    return vals
+
+
 def grlex_key(alpha: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Sort key realizing ascending graded lexicographic order."""
     return (sum(alpha), tuple(alpha))
 
 
+def degree_monomials(nvars: int, degree: int) -> list[MultiIndex]:
+    """All exponent tuples of total degree exactly ``degree``, lex sorted."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return sorted(out)
+
+
 def grlex_monomials(nvars: int, max_degree: int) -> list[MultiIndex]:
     """All exponent tuples of total degree <= max_degree, graded-lex sorted."""
-    out: list[MultiIndex] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int) -> None:
-        if remaining == 1:
-            for e in range(budget + 1):
-                out.append(tuple(prefix + [e]))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    if nvars == 0:
-        return [()]
-    rec([], nvars, max_degree)
-    out.sort(key=grlex_key)
-    return out
-
-
-def degree_monomials(nvars: int, degree: int) -> list[MultiIndex]:
-    """All exponent tuples of total degree exactly ``degree``, graded-lex."""
-    return [a for a in grlex_monomials(nvars, degree) if sum(a) == degree]
+    return [a for t in range(max_degree + 1) for a in degree_monomials(nvars, t)]
 
 
 class Polynomial:
@@ -236,20 +300,15 @@ class Polynomial:
     # evaluation and substitution
     # ------------------------------------------------------------------
     def evaluate(self, point: Sequence[complex]) -> complex:
-        """Evaluate at a point, summing monomials in graded-lex order."""
+        """Evaluate at a point: the coefficient vector dotted with the
+        values of the monomials there, from :func:`monomial_values`."""
         if len(point) != self.nvars:
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
-        pt = [complex(x) for x in point]
-        total = 0.0 + 0.0j
-        for exp, coeff in self.sorted_terms():
-            val = coeff
-            for x, e in zip(pt, exp):
-                if e:
-                    val *= x**e
-            total += val
-        return total
+        monos = list(self.terms)
+        coeffs = np.array([self.terms[m] for m in monos], dtype=complex)
+        return complex(monomial_values(monos, [point])[0] @ coeffs)
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Return p(sigma(z)) where sigma(z)_i = z_{perm[i]} for the inverse view.

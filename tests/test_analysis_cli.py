@@ -21,6 +21,7 @@ from ballmaps import (
     tensor_power,
     whitney_map,
 )
+from ballmaps import invariance
 from ballmaps.cli import main
 from ballmaps.maps import CATALOG_NAMES
 
@@ -59,9 +60,9 @@ def test_sampler_agrees_with_certificate():
 
 
 def test_sampler_rational_map():
-    from ballmaps import automorphism
+    from ballmaps import BallAutomorphism
 
-    f = automorphism(np.eye(2), [0.4, 0.2j]).as_rational_map()
+    f = BallAutomorphism(np.eye(2), [0.4, 0.2j]).as_rational_map()
     res = sphere_sample_check(f, 300, 1e-9, seed=8)
     assert res.passed
     assert res.min_abs_denominator > 0.1
@@ -194,6 +195,17 @@ def test_cli_emit_system_schema(tmp_path):
     assert doc["equations"] and doc["metric_constraints"]
     for eq in doc["equations"]:
         assert set(eq) == {"alpha", "mu", "beta", "nu", "terms"}
+
+
+def test_cli_emit_system_refuses_nine_variables(tmp_path, capsys, monkeypatch):
+    # building the system would raise here: the refusal must come first
+    monkeypatch.setattr(invariance, "_homogenized", lambda f: 1 / 0)
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(identity_map(9).to_dict()))
+    out = tmp_path / "sys.json"
+    assert main(["emit-system", str(mp), "-o", str(out)]) == 4
+    assert not out.exists()
+    assert "emission is capped at n <= 8" in capsys.readouterr().err
 
 
 def test_cli_sample_pass_and_fail(tmp_path):

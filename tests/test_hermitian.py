@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ballmaps import (
+    BallAutomorphism,
     HermitianForm,
     Polynomial,
-    automorphism,
+    RationalMap,
     automorphism_tensor_form,
     automorphism_tensor_rho_expansion,
     catalog,
@@ -17,7 +18,6 @@ from ballmaps import (
     identity_map,
     image_rank,
     is_proper,
-    make_rational_map,
     norm_power_form,
     polynomial_map,
     quotient_by_sphere,
@@ -36,6 +36,14 @@ def rho_plus_one(n):
     return sphere_form(n) + HermitianForm.constant(n, 1.0)
 
 
+def form_power(h, k):
+    """h to the power k, multiplied out one factor at a time."""
+    out = HermitianForm.constant(h.nvars, 1.0)
+    for _ in range(k):
+        out = out * h
+    return out
+
+
 # ---------------------------------------------------------------------------
 # form_of
 # ---------------------------------------------------------------------------
@@ -52,7 +60,7 @@ def test_form_of_cubic_planar_map():
     h = form_of(catalog("faran-4"))
     one = HermitianForm.constant(2, 1.0)
     cross = gram_form([Polynomial.monomial((1, 1))])
-    expected = rho_plus_one(2).power(3) - one - (sphere_form(2) * cross).scale(3.0)
+    expected = form_power(rho_plus_one(2), 3) - one - (sphere_form(2) * cross).scale(3.0)
     assert h.max_entry_diff(expected) <= 1e-12
 
 
@@ -60,13 +68,13 @@ def test_form_of_cubic_planar_map():
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_tensor_power_form_is_norm_power(n, m):
     h = form_of(tensor_power(n, m))
-    expected = rho_plus_one(n).power(m) - HermitianForm.constant(n, 1.0)
+    expected = form_power(rho_plus_one(n), m) - HermitianForm.constant(n, 1.0)
     assert h.max_entry_diff(expected) <= 1e-10
 
 
 def test_form_of_generalized_target_signs():
     z = Polynomial.variable(1, 0)
-    f = make_rational_map([z, z], l=1)
+    f = polynomial_map([z, z], l=1)
     h = form_of(f)
     # |z|^2 - |z|^2 - 1 = -1
     assert h.size == 1
@@ -130,18 +138,18 @@ def test_is_proper_warns_on_degenerate_representation():
     # q/q with q = 1 - z/2: the form vanishes identically, so the certificate
     # is vacuous and the representation cannot be in lowest terms
     q = Polynomial(1, {(0,): 1.0, (1,): -0.5})
-    f = make_rational_map([q], q)
+    f = RationalMap([q], q)
     with pytest.warns(UserWarning, match="identically zero"):
         cert = is_proper(f)
     assert cert.proper
 
 
 def test_is_proper_composed_map_does_not_warn(rng):
-    from ballmaps import automorphism, compose_source
+    from ballmaps import compose_source
     import warnings as _warnings
 
     f = catalog("faran-2")
-    g = compose_source(f, automorphism(np.eye(2), random_center(rng, 2, 0.4)))
+    g = compose_source(f, BallAutomorphism(np.eye(2), random_center(rng, 2, 0.4)))
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
         assert is_proper(g).proper
@@ -158,7 +166,7 @@ def test_signature_of_identity_form():
 
 def test_signature_of_cancelling_generalized_map():
     z = Polynomial.variable(1, 0)
-    f = make_rational_map([z, z], l=1)
+    f = polynomial_map([z, z], l=1)
     sig = signature(form_of(f))
     assert sig.rank == 1 and sig.negative == 1
 
@@ -180,7 +188,7 @@ def test_image_rank_examples():
 def test_image_rank_rejects_generalized_targets():
     z = Polynomial.variable(1, 0)
     with pytest.raises(ValueError):
-        image_rank(make_rational_map([z, z], l=1))
+        image_rank(polynomial_map([z, z], l=1))
 
 
 def test_hermitian_rank_equals_image_rank_plus_one():
@@ -193,7 +201,7 @@ def test_signature_invariant_under_target_automorphisms(rng):
     f = catalog("faran-2")
     base = signature(form_of(f))
     for _ in range(5):
-        psi = automorphism(
+        psi = BallAutomorphism(
             random_unitary(rng, f.target_dim), random_center(rng, f.target_dim)
         )
         sig = signature(form_of(compose_target(f, psi)))
@@ -216,7 +224,7 @@ def test_target_scaling_when_fixing_origin(rng):
     ]
     for f in fixtures:
         a = random_center(rng, f.target_dim, 0.5)
-        psi = automorphism(np.eye(f.target_dim), a)
+        psi = BallAutomorphism(np.eye(f.target_dim), a)
         c = 1.0 - float(np.vdot(a, a).real)
         hf, hg = form_of(f), form_of(compose_target(f, psi))
         assert hg.max_entry_diff(hf.scale(c)) <= 1e-9 * max(1.0, hf.max_abs())
@@ -232,7 +240,7 @@ def test_single_factor_form():
 
 def test_all_origin_centers_give_norm_powers():
     h = automorphism_tensor_form([[0.0], [0.0], [0.0]])
-    expected = rho_plus_one(1).power(3) - HermitianForm.constant(1, 1.0)
+    expected = form_power(rho_plus_one(1), 3) - HermitianForm.constant(1, 1.0)
     assert h.max_entry_diff(expected) < 1e-14
 
 
@@ -241,8 +249,8 @@ def test_tensor_form_matches_explicit_tensor(rng):
         pts = [random_center(rng, 2, 0.6) for _ in range(2)]
         lhs = automorphism_tensor_form(pts)
         f = tensor(
-            automorphism(np.eye(2), pts[0]).as_rational_map(),
-            automorphism(np.eye(2), pts[1]).as_rational_map(),
+            BallAutomorphism(np.eye(2), pts[0]).as_rational_map(),
+            BallAutomorphism(np.eye(2), pts[1]).as_rational_map(),
         )
         assert lhs.max_entry_diff(form_of(f)) <= 1e-8
 
@@ -259,7 +267,7 @@ def test_rho_expansion_extremes(rng):
     rho = sphere_form(2)
     total = HermitianForm.zero(2)
     for k, B in enumerate(coeffs):
-        total = total + B * rho.power(k)
+        total = total + B * form_power(rho, k)
     assert total.max_entry_diff(automorphism_tensor_form(pts)) < 1e-10
 
 
@@ -290,7 +298,7 @@ def test_rho_expansion_linear_coefficient_closed_form(rng):
     omegas = []
     cs = []
     for a in pts:
-        gamma = automorphism(np.eye(2), a)
+        gamma = BallAutomorphism(np.eye(2), a)
         omegas.append(gram_form([gamma.denominator_poly()]))
         cs.append(1.0 - float(np.vdot(a, a).real))
     expected = omegas[1].scale(cs[0]) + omegas[0].scale(cs[1])

@@ -11,7 +11,6 @@ from ballmaps import (
     CapabilityError,
     GroupClosureError,
     Polynomial,
-    automorphism,
     block_partition,
     catalog,
     compose_automorphisms,
@@ -43,6 +42,7 @@ from ballmaps import (
     unitary_automorphism,
     whitney_map,
 )
+from ballmaps import invariance
 from ballmaps.maps import CATALOG_NAMES, MapConstructionError
 
 from conftest import random_center, random_diagonal_unitary, random_unitary
@@ -68,14 +68,14 @@ def test_swap_fails_for_planar_whitney():
 def test_identity_map_accepts_any_center(rng):
     f = identity_map(2)
     a = random_center(rng, 2)
-    res = membership(f, automorphism(np.eye(2), a))
+    res = membership(f, BallAutomorphism(np.eye(2), a))
     assert res.member
     assert res.c_gamma == pytest.approx(1.0 - float(np.vdot(a, a).real))
 
 
 def test_square_map_rejects_disc_move():
     f = polynomial_map([Polynomial.monomial((2,), 1.0)])
-    assert not membership(f, automorphism(np.eye(1), [0.5])).member
+    assert not membership(f, BallAutomorphism(np.eye(1), [0.5])).member
 
 
 def test_membership_is_group_predicate(rng):
@@ -93,11 +93,11 @@ def test_membership_is_group_predicate(rng):
 def test_membership_conjugation_covariance(rng):
     # moving f by phi relocates its group by conjugation
     f = catalog("faran-3")
-    phi = automorphism(random_unitary(rng, 2), random_center(rng, 2, 0.4))
+    phi = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2, 0.4))
     g = compose_source(f, phi)
     probes = [
         unitary_automorphism(random_unitary(rng, 2)),
-        automorphism(np.eye(2), random_center(rng, 2, 0.4)),
+        BallAutomorphism(np.eye(2), random_center(rng, 2, 0.4)),
         unitary_automorphism(SWAP),
     ]
     for gamma in probes:
@@ -109,12 +109,10 @@ def test_membership_conjugation_covariance(rng):
 
 def test_membership_generalized_target_unitary_only():
     z = Polynomial.variable(1, 0)
-    from ballmaps import make_rational_map
-
-    f = make_rational_map([z, z * z, z * z], l=1)
+    f = polynomial_map([z, z * z, z * z], l=1)
     assert membership(f, unitary_automorphism(np.eye(1))).member
     with pytest.raises(MapConstructionError):
-        membership(f, automorphism(np.eye(1), [0.3]))
+        membership(f, BallAutomorphism(np.eye(1), [0.3]))
 
 
 def test_stabilizers_unchanged_by_zero_padding():
@@ -226,8 +224,8 @@ def test_full_unitary_recenters_maps_missing_the_origin():
     # a conjugated group is not detected: phi_a (x) phi_a has a conjugate of
     # the unitary group, not the unitary group itself
     g = tensor(
-        automorphism(np.eye(2), [0.4, 0.1]).as_rational_map(),
-        automorphism(np.eye(2), [0.4, 0.1]).as_rational_map(),
+        BallAutomorphism(np.eye(2), [0.4, 0.1]).as_rational_map(),
+        BallAutomorphism(np.eye(2), [0.4, 0.1]).as_rational_map(),
     )
     assert not full_unitary_test(g).is_unitary_invariant
 
@@ -278,7 +276,7 @@ def test_power_chain_fixtures():
 
 
 def test_power_chain_rejects_rational():
-    f = automorphism(np.eye(1), [0.5]).as_rational_map()
+    f = BallAutomorphism(np.eye(1), [0.5]).as_rational_map()
     with pytest.raises(MapConstructionError):
         power_chain_check(f)
 
@@ -289,7 +287,7 @@ def test_empty_power_chain_excludes_origin_moves(rng):
     for f in (whitney_map(2), catalog("faran-4"), catalog("example-7-2")):
         assert power_chain_check(f) == set()
         for _ in range(3):
-            gamma = automorphism(random_unitary(rng, 2), random_center(rng, 2, 0.5))
+            gamma = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2, 0.5))
             assert not membership(f, gamma).member
 
 
@@ -299,27 +297,27 @@ def test_empty_power_chain_excludes_origin_moves(rng):
 def test_origin_move_residual_zero_for_linear_embedding(rng):
     f = pad_with_zeros(identity_map(2), 3)
     for _ in range(5):
-        gamma = automorphism(random_unitary(rng, 2), random_center(rng, 2))
+        gamma = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
         assert origin_move_residual(f, gamma) <= 1e-10
 
 
 def test_origin_move_residual_nonzero_for_quadratic():
     # frozen: (15/16)^2 - (3/4)^4 = 144/256
-    val = origin_move_residual(catalog("faran-3"), automorphism(np.eye(2), [0.5, 0.0]))
+    val = origin_move_residual(catalog("faran-3"), BallAutomorphism(np.eye(2), [0.5, 0.0]))
     assert val == pytest.approx(0.5625, abs=1e-12)
     assert val >= 1e-3
 
 
 def test_origin_move_residual_zero_for_identity_map(rng):
     f = identity_map(2)
-    gamma = automorphism(random_unitary(rng, 2), random_center(rng, 2))
+    gamma = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
     assert origin_move_residual(f, gamma) <= 1e-12
 
 
 def test_origin_move_residual_requires_origin_fixed():
-    f = automorphism(np.eye(1), [0.5]).as_rational_map()
+    f = BallAutomorphism(np.eye(1), [0.5]).as_rational_map()
     with pytest.raises(MapConstructionError):
-        origin_move_residual(f, automorphism(np.eye(1), [0.2]))
+        origin_move_residual(f, BallAutomorphism(np.eye(1), [0.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +390,16 @@ def test_group_report_well_formed():
 # ---------------------------------------------------------------------------
 # invariance equation system
 # ---------------------------------------------------------------------------
+def test_system_refuses_nine_variables_before_building(monkeypatch):
+    # the determinant constraint alone would have 10! = 3,628,800 terms
+    def unreachable(f):
+        raise AssertionError("the system was built past the cap")
+
+    monkeypatch.setattr(invariance, "_homogenized", unreachable)
+    with pytest.raises(CapabilityError):
+        emit_invariance_system(identity_map(9))
+
+
 def test_system_unknown_count_for_disc_identity():
     doc = emit_invariance_system(identity_map(1))
     assert doc["unknowns"]["shape"] == [2, 2]
@@ -404,9 +412,9 @@ def test_system_satisfied_by_members(rng):
     for theta in (0.0, 0.7, 2.1):
         M = np.diag([np.exp(1j * theta), 1.0])
         assert evaluate_invariance_system(doc, M) <= 1e-9
-    gamma = automorphism(np.eye(1), [0.5])
+    gamma = BallAutomorphism(np.eye(1), [0.5])
     assert evaluate_invariance_system(doc, gamma.projective_matrix()) <= 1e-9
-    g2 = automorphism(random_unitary(rng, 1), random_center(rng, 1))
+    g2 = BallAutomorphism(random_unitary(rng, 1), random_center(rng, 1))
     assert evaluate_invariance_system(doc, g2.projective_matrix()) <= 1e-9
 
 
@@ -488,7 +496,7 @@ def test_constant_padding_preserves_the_group(rng):
         unitary_automorphism(random_diagonal_unitary(rng, 2)),
         unitary_automorphism(SWAP),
         unitary_automorphism(random_unitary(rng, 2)),
-        automorphism(np.eye(2), random_center(rng, 2, 0.4)),
+        BallAutomorphism(np.eye(2), random_center(rng, 2, 0.4)),
     ]
     for gamma in probes:
         assert membership(f, gamma).member == membership(h, gamma).member

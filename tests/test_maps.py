@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ballmaps import (
+    BallAutomorphism,
     MapConstructionError,
     Polynomial,
     RationalMap,
     Subspace,
-    automorphism,
     catalog,
     compose_automorphisms,
     compose_source,
@@ -25,14 +25,12 @@ from ballmaps import (
     juxtapose_lambda,
     juxtapose_theta,
     lowest_order_subspace,
-    make_rational_map,
     max_coeff_diff,
     oplus,
     polynomial_map,
     tensor,
     tensor_power,
     whitney_map,
-    zero_map,
 )
 from ballmaps.maps import CATALOG_NAMES
 
@@ -50,9 +48,9 @@ def maps_equal(f: RationalMap, g: RationalMap, tol=1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
-def test_make_rational_map_scales_constant_denominator():
+def test_rational_map_scales_constant_denominator():
     z = Polynomial.variable(1, 0)
-    f = make_rational_map([z], Polynomial.constant(1, 2.0))
+    f = RationalMap([z], Polynomial.constant(1, 2.0))
     assert max_coeff_diff(f.numerator[0], z.scale(0.5)) < 1e-15
     assert max_coeff_diff(f.denominator, Polynomial.constant(1, 1.0)) < 1e-15
 
@@ -65,12 +63,12 @@ def test_identity_map_shape():
 def test_denominator_vanishing_at_zero_rejected():
     z = Polynomial.variable(1, 0)
     with pytest.raises(MapConstructionError):
-        make_rational_map([z], z)
+        RationalMap([z], z)
 
 
 def test_empty_numerator_rejected():
     with pytest.raises(MapConstructionError):
-        make_rational_map([])
+        polynomial_map([])
 
 
 def test_map_json_round_trip():
@@ -83,7 +81,7 @@ def test_map_json_round_trip():
 # ball automorphisms
 # ---------------------------------------------------------------------------
 def test_disc_automorphism_values():
-    gamma = automorphism(np.eye(1), [0.5])
+    gamma = BallAutomorphism(np.eye(1), [0.5])
     assert gamma.apply([0.0])[0] == pytest.approx(0.5)
     # z -> (1/2 - z) / (1 - z/2) pointwise
     for z in [0.3, -0.2 + 0.1j, 0.5j]:
@@ -94,19 +92,19 @@ def test_disc_automorphism_values():
 def test_apply_at_origin_is_Ua(rng):
     U = random_unitary(rng, 3)
     a = random_center(rng, 3)
-    gamma = automorphism(U, a)
+    gamma = BallAutomorphism(U, a)
     assert np.allclose(gamma.apply(np.zeros(3)), U @ a)
 
 
 def test_linear_part_fixes_center():
     a = np.array([0.5, 0.0])
-    gamma = automorphism(np.eye(2), a)
+    gamma = BallAutomorphism(np.eye(2), a)
     assert np.allclose(gamma.linear_part() @ a, a)
 
 
 def test_zero_center_is_linear():
     U = np.diag([1j, -1.0])
-    gamma = automorphism(U)
+    gamma = BallAutomorphism(U)
     z = np.array([0.2, 0.3j])
     assert np.allclose(gamma.apply(z), U @ z)
     assert not gamma.moves_origin()
@@ -114,18 +112,18 @@ def test_zero_center_is_linear():
 
 def test_center_outside_ball_rejected():
     with pytest.raises(MapConstructionError):
-        automorphism(np.eye(1), [1.0])
+        BallAutomorphism(np.eye(1), [1.0])
 
 
 def test_non_unitary_rejected():
     with pytest.raises(MapConstructionError):
-        automorphism(np.array([[2.0]]), [0.0])
+        BallAutomorphism(np.array([[2.0]]), [0.0])
 
 
 def test_compose_and_inverse_automorphisms(rng):
     for _ in range(5):
-        g1 = automorphism(random_unitary(rng, 2), random_center(rng, 2))
-        g2 = automorphism(random_unitary(rng, 2), random_center(rng, 2))
+        g1 = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
+        g2 = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
         g12 = compose_automorphisms(g1, g2)
         z = random_center(rng, 2, 0.5)
         assert np.allclose(g12.apply(z), g1.apply(g2.apply(z)), atol=1e-12)
@@ -139,7 +137,7 @@ def test_compose_and_inverse_automorphisms(rng):
 def test_compose_source_square_with_disc_move():
     # frozen by hand expansion: numerator (1/2 - z)^2, denominator (1 - z/2)^2
     f = polynomial_map([Polynomial.monomial((2,), 1.0)])
-    gamma = automorphism(np.eye(1), [0.5])
+    gamma = BallAutomorphism(np.eye(1), [0.5])
     g = compose_source(f, gamma)
     num_expected = Polynomial(1, {(0,): 0.25, (1,): -1.0, (2,): 1.0})
     den_expected = Polynomial(1, {(0,): 1.0, (1,): -1.0, (2,): 0.25})
@@ -154,7 +152,7 @@ def test_compose_source_with_identity_is_identity():
 
 
 def test_compose_identity_map_gives_automorphism(rng):
-    gamma = automorphism(random_unitary(rng, 2), random_center(rng, 2))
+    gamma = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
     f = compose_source(identity_map(2), gamma)
     for _ in range(4):
         z = random_center(rng, 2, 0.5)
@@ -164,8 +162,8 @@ def test_compose_identity_map_gives_automorphism(rng):
 def test_compose_source_is_group_action(rng):
     f = catalog("faran-2")
     for _ in range(3):
-        g1 = automorphism(random_unitary(rng, 2), random_center(rng, 2))
-        g2 = automorphism(random_unitary(rng, 2), random_center(rng, 2))
+        g1 = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
+        g2 = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
         lhs = compose_source(compose_source(f, g1), g2)
         rhs = compose_source(f, compose_automorphisms(g1, g2))
         assert maps_equal(lhs, rhs, tol=1e-10)
@@ -176,7 +174,7 @@ def test_compose_source_is_group_action(rng):
 # ---------------------------------------------------------------------------
 def test_compose_target_disc_scaling():
     f = identity_map(1)
-    psi = automorphism(np.eye(1), [0.5])
+    psi = BallAutomorphism(np.eye(1), [0.5])
     g = compose_target(f, psi)
     hf, hg = form_of(f), form_of(g)
     assert hg.max_entry_diff(hf.scale(0.75)) < 1e-12
@@ -184,16 +182,16 @@ def test_compose_target_disc_scaling():
 
 def test_compose_target_unitary_keeps_denominator(rng):
     f = catalog("faran-2")
-    psi = automorphism(random_unitary(rng, 3))
+    psi = BallAutomorphism(random_unitary(rng, 3))
     g = compose_target(f, psi)
     assert max_coeff_diff(g.denominator, f.denominator) < 1e-12
 
 
 def test_compose_target_rejects_generalized_targets():
     z = Polynomial.variable(1, 0)
-    f = make_rational_map([z, z], l=1)
+    f = polynomial_map([z, z], l=1)
     with pytest.raises(MapConstructionError):
-        compose_target(f, automorphism(np.eye(2), [0.1, 0.0]))
+        compose_target(f, BallAutomorphism(np.eye(2), [0.1, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +252,7 @@ def test_juxtapose_theta_zero_keeps_first_map():
     f = catalog("faran-2")
     g = catalog("faran-3")
     j = juxtapose_theta(f, g, 0.0)
-    assert maps_equal(j, oplus(f, zero_map(2, 3)))
+    assert maps_equal(j, oplus(f, polynomial_map([Polynomial.zero(2)] * 3)))
 
 
 def test_juxtapose_lambda_tensor_powers():
@@ -276,7 +274,7 @@ def test_juxtapose_lambda_rejects_non_unit_weights():
 
 def test_juxtapose_rejects_mixed_denominators():
     f = identity_map(1)
-    gamma = automorphism(np.eye(1), [0.5])
+    gamma = BallAutomorphism(np.eye(1), [0.5])
     g = compose_source(f, gamma)
     with pytest.raises(MapConstructionError):
         oplus(f, g)
@@ -284,8 +282,8 @@ def test_juxtapose_rejects_mixed_denominators():
 
 def test_oplus_signature_layout():
     z = Polynomial.variable(1, 0)
-    f = make_rational_map([z, z * z], l=1)  # (m, l) = (1, 1)
-    g = make_rational_map([z * z * z, z], l=1)
+    f = polynomial_map([z, z * z], l=1)  # (m, l) = (1, 1)
+    g = polynomial_map([z * z * z, z], l=1)
     h = oplus(f, g)
     assert (h.m, h.l) == (2, 2)
     # positive blocks first (z, z^3), then negative blocks (z^2, z)
@@ -377,9 +375,9 @@ def test_compose_source_rejects_denominator_pole_at_center(rng):
     # a rational (non-proper) map whose denominator vanishes at the center
     z = Polynomial.variable(1, 0)
     den = Polynomial(1, {(0,): 1.0, (1,): -1.0 / 0.3})
-    f = make_rational_map([z], den)
+    f = RationalMap([z], den)
     with pytest.raises(MapConstructionError):
-        compose_source(f, automorphism(np.eye(1), [0.3]))
+        compose_source(f, BallAutomorphism(np.eye(1), [0.3]))
 
 
 def test_descend_dimension_mismatch():
@@ -391,7 +389,7 @@ def test_descend_dimension_mismatch():
 
 def test_generalized_map_json_round_trip():
     z = Polynomial.variable(1, 0)
-    f = make_rational_map([z, z * z, z], l=1)
+    f = polynomial_map([z, z * z, z], l=1)
     g = RationalMap.from_dict(f.to_dict())
     assert (g.m, g.l) == (2, 1)
     assert maps_equal(f, g)

@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ballmaps import (
+    BallAutomorphism,
     CapabilityError,
     HermitianForm,
     Polynomial,
     RationalMap,
-    automorphism,
     catalog,
     close_permutation_group,
     compose_source,
@@ -149,7 +149,7 @@ def construction_chains(draw):
         elif step == "unitary" and f.degree <= 2:
             f = compose_source(f, unitary_automorphism(random_unitary(rng, n)))
         elif step == "move" and f.degree <= 2 and n <= 3:
-            f = compose_source(f, automorphism(np.eye(n), random_center(rng, n, 0.5)))
+            f = compose_source(f, BallAutomorphism(np.eye(n), random_center(rng, n, 0.5)))
     ending = draw(st.sampled_from(["plain", "offset", "generalized"]))
     if ending == "offset":
         # 0.6 (+) 0.8 f, written over f's own denominator
