@@ -78,8 +78,7 @@ def _evaluate_components(
         stop = min(start + chunk, nrows)
         block = A[start:stop, :] @ vals
         num_norm += (signs[start:stop, None] * (np.abs(block) ** 2)).sum(axis=0)
-    qvals = np.asarray(A[nrows, :] @ vals).reshape(-1)
-    return num_norm, np.abs(qvals)
+    return num_norm, np.abs(A[nrows] @ vals)
 
 
 def sphere_sample_check(

@@ -177,10 +177,9 @@ def _cmd_compose(args) -> int:
 
 
 def _finish_map(result: RationalMap, args) -> int:
-    skip = getattr(args, "skip_proper_check", False)
     payload = result.to_dict()
-    if not skip:
-        cert = is_proper(result, getattr(args, "tol_div", TAU_DIV))
+    if not args.skip_proper_check:
+        cert = is_proper(result, args.tol_div)
         payload["properness"] = {
             "proper": cert.proper,
             "residual": cert.residual,
@@ -197,7 +196,11 @@ def _cmd_realize(args) -> int:
             if args.variant == 2
             else realize.symmetric_group_map(args.n)
         )
-        group = sorted(itertools.permutations(range(args.n)))
+        group = (
+            sorted(itertools.permutations(range(args.n)))
+            if args.n <= invariance.MAX_PERMUTATION_DIM
+            else None
+        )
     elif args.kind == "subgroup":
         spec = _read_json(args.group)
         n = int(spec["n"])
@@ -223,7 +226,7 @@ def _cmd_realize(args) -> int:
         group = None
 
     payload = result.to_dict()
-    cert = is_proper(result)
+    cert = is_proper(result, args.tol_div)
     summary = {
         "proper": cert.proper,
         "residual": cert.residual,
@@ -251,7 +254,7 @@ def _cmd_pad(args) -> int:
         omit_empty_degrees=args.omit_empty_degrees,
     )
     padded = realize.padded_map(polys, pad)
-    cert = is_proper(padded)
+    cert = is_proper(padded, args.tol_div)
     _write_json(
         {
             "epsilon": pad.epsilon,
@@ -298,11 +301,16 @@ def _cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_TOLERANCES = {"eq": TAU_EQ, "div": TAU_DIV, "sig": TAU_SIG}
+
+
+def _add_common(parser: argparse.ArgumentParser, *tolerances: str) -> None:
+    """The output option and the ``--tol-*`` options the subcommand reads."""
     parser.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    parser.add_argument("--tol-eq", type=float, default=TAU_EQ, dest="tol_eq")
-    parser.add_argument("--tol-div", type=float, default=TAU_DIV, dest="tol_div")
-    parser.add_argument("--tol-sig", type=float, default=TAU_SIG, dest="tol_sig")
+    for name in tolerances:
+        parser.add_argument(
+            f"--tol-{name}", type=float, default=_TOLERANCES[name], dest=f"tol_{name}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail (exit 4) instead of skipping permutation steps above the cap",
     )
-    _add_common(p)
+    _add_common(p, "eq", "div", "sig")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build maps from known constructions")
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--name", default="faran-2")
     p.add_argument("--skip-proper-check", action="store_true")
-    _add_common(p)
+    _add_common(p, "div")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("compose", help="compose with a ball automorphism")
@@ -348,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitary", help="JSON file with a complex matrix")
     p.add_argument("--center", help="JSON file with a complex vector")
     p.add_argument("--skip-proper-check", action="store_true")
-    _add_common(p)
+    _add_common(p, "div")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("realize", help="construct maps with prescribed symmetry")
@@ -356,21 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--variant", type=int, choices=[1, 2], default=1)
     p.add_argument("--group", help="group spec JSON file")
-    _add_common(p)
+    _add_common(p, "div")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("pad", help="pad a polynomial map to a proper map")
     p.add_argument("polynomials", help='JSON {"components": [Polynomial...]}')
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--omit-empty-degrees", action="store_true")
-    _add_common(p)
+    _add_common(p, "div")
     p.set_defaults(func=_cmd_pad)
 
     p = sub.add_parser("member", help="test membership in the invariant group")
     p.add_argument("map")
     p.add_argument("--unitary")
     p.add_argument("--center")
-    _add_common(p)
+    _add_common(p, "eq")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("emit-system", help="emit the invariance equation system")

@@ -43,6 +43,7 @@ from .polynomials import (
     homogenize,
     monomial_values,
     multinomial,
+    substitute_fractional,
 )
 
 #: Tolerance for matrix-equality hashing in group closure.
@@ -402,20 +403,17 @@ def strict_permutation_stabilizer(
             f"permutation enumeration is capped at n <= {MAX_PERMUTATION_DIM}"
         )
     monos, A = stacked_coefficients(f)
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    cols, values = A.indices.astype(np.int64), A.data
-    scale = np.ones(A.shape[0])
-    np.maximum.at(scale, rows, np.abs(values))
-    flat = rows * len(monos) + cols
-    order = np.argsort(flat)
-    flat, table = flat[order], values[order]
-
-    def lookup(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        pos, found = find_sorted(flat, r * len(monos) + c)
-        return np.where(found, table[pos], 0.0)
-
+    rows, cols = np.nonzero(A)
+    scale = np.maximum(1.0, np.abs(A).max(axis=1, initial=0.0))
     search = _PermutationSearch(
-        f.n, monos, rows, cols, values, tol * scale[rows], lookup, permute_rows=False
+        f.n,
+        monos,
+        rows,
+        cols,
+        A[rows, cols],
+        tol * scale[rows],
+        lambda r, c: A[r, c],
+        permute_rows=False,
     )
     # polys_close compares at every key of supp(p) and sigma(supp(p)): at
     # sigma(a) that is |p[sigma a] - p[a]|, the entries the search checks; at a
@@ -821,20 +819,7 @@ def _grouped_substitution(
             exp[n1 + i * n1 + j] = 1
             terms[tuple(exp)] = 1.0
         w.append(Polynomial(total, terms))
-    composed = Polynomial.zero(total)
-    cache: dict[tuple[int, int], Polynomial] = {}
-
-    def wpow(j: int, e: int) -> Polynomial:
-        if (j, e) not in cache:
-            cache[(j, e)] = w[j] ** e
-        return cache[(j, e)]
-
-    for exp, coeff in hat.sorted_terms():
-        term = Polynomial.constant(total, coeff)
-        for j, e in enumerate(exp):
-            if e:
-                term = term * wpow(j, e)
-        composed = composed + term
+    composed = substitute_fractional(hat, w, Polynomial.constant(total, 1.0), hat.degree)
     grouped: dict[MultiIndex, dict[MultiIndex, complex]] = {}
     for exp, coeff in composed.terms.items():
         vpart = exp[:n1]

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .polynomials import (
     MultiIndex,
@@ -25,6 +25,7 @@ from .polynomials import (
     TAU_EQ,
     TAU_ZERO,
     degree_monomials,
+    exponent_array,
     grlex_key,
     monomial_values,
     multinomial,
@@ -140,38 +141,46 @@ def polynomial_map(components: Sequence[Polynomial], l: int = 0) -> RationalMap:
 
 def coefficient_matrix(
     polys: Sequence[Polynomial],
-) -> tuple[list[MultiIndex], sp.csr_matrix]:
-    """Sparse matrix with one row of coefficients per polynomial.
+) -> tuple[list[MultiIndex], np.ndarray]:
+    """Dense complex matrix with one row of coefficients per polynomial.
 
     Columns are indexed by the graded-lex sorted union of all monomial
-    supports.
+    supports.  :func:`polynomials_of_rows` is the inverse.
     """
     support: set[MultiIndex] = set()
     for p in polys:
         support.update(p.terms)
     monos = sorted(support, key=grlex_key)
     index = {mono: i for i, mono in enumerate(monos)}
-    data, rows, cols = [], [], []
-    for r, p in enumerate(polys):
-        for exp, coeff in p.terms.items():
-            rows.append(r)
-            cols.append(index[exp])
-            data.append(coeff)
-    mat = sp.csr_matrix(
-        (np.array(data, dtype=complex), (rows, cols)),
-        shape=(len(polys), len(monos)),
-    )
+    rows = [r for r, p in enumerate(polys) for _ in p.terms]
+    cols = [index[exp] for p in polys for exp in p.terms]
+    mat = np.zeros((len(polys), len(monos)), dtype=complex)
+    mat[rows, cols] = [c for p in polys for c in p.terms.values()]
     return monos, mat
 
 
 def stacked_coefficients(
     f: RationalMap,
-) -> tuple[list[MultiIndex], sp.csr_matrix]:
+) -> tuple[list[MultiIndex], np.ndarray]:
     """Coefficient matrix of (numerator components, denominator) rows.
 
     The denominator occupies the last row.
     """
     return coefficient_matrix(f.numerator + (f.denominator,))
+
+
+def polynomials_of_rows(
+    nvars: int, monos: Sequence[MultiIndex], mat: np.ndarray
+) -> list[Polynomial]:
+    """One polynomial per row of a coefficient array over ``monos``.
+
+    Coefficients at or below ``TAU_ZERO`` are dropped.
+    """
+    present = np.abs(mat) > TAU_ZERO
+    return [
+        Polynomial(nvars, dict(zip(compress(monos, keep), row[keep].tolist())))
+        for row, keep in zip(mat, present)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,33 +427,13 @@ def compose_target(f: RationalMap, psi: BallAutomorphism) -> RationalMap:
         raise MapConstructionError(
             "target-automorphism composition is supported only for true balls (l = 0)"
         )
-    N = f.target_dim
-    if psi.dim != N:
+    if psi.dim != f.target_dim:
         raise MapConstructionError("target automorphism dimension differs from map target")
-    L = psi.linear_part()
-    q = f.denominator
-    # numerator components of U (a q - L p); denominator q - <p, a>
-    Lp = []
-    for k in range(N):
-        acc = Polynomial.zero(f.n)
-        for i in range(N):
-            if abs(L[k, i]) > TAU_ZERO:
-                acc = acc + f.numerator[i].scale(L[k, i])
-        Lp.append(acc)
-    comps = []
-    for j in range(N):
-        acc = Polynomial.zero(f.n)
-        for k in range(N):
-            u = psi.U[j, k]
-            if abs(u) <= TAU_ZERO:
-                continue
-            acc = acc + q.scale(u * psi.a[k]) - Lp[k].scale(u)
-        comps.append(acc)
-    den = q
-    for k in range(N):
-        ak = complex(psi.a[k])
-        if abs(ak) > TAU_ZERO:
-            den = den - f.numerator[k].scale(ak.conjugate())
+    monos, A = stacked_coefficients(f)
+    p, q = A[:-1], A[-1]
+    # numerator components U (a q - L p), denominator q - <p, a>
+    numerator = np.outer(psi.U @ psi.a, q) - psi.U @ (psi.linear_part() @ p)
+    *comps, den = polynomials_of_rows(f.n, monos, np.vstack([numerator, q - psi.a.conj() @ p]))
     if abs(den.constant_term()) <= TAU_ZERO:
         raise MapConstructionError("composed denominator vanishes at the origin")
     return RationalMap(comps, den, l=0)
@@ -539,19 +528,9 @@ def descend(f: RationalMap, A: Subspace, g: RationalMap) -> RationalMap:
     if A.ambient_dim != f.target_dim:
         raise MapConstructionError("subspace ambient dimension differs from map target")
 
-    def coords(basis: np.ndarray) -> list[Polynomial]:
-        out = []
-        for k in range(basis.shape[0]):
-            acc = Polynomial.zero(f.n)
-            for j in range(f.target_dim):
-                w = complex(basis[k, j]).conjugate()
-                if abs(w) > TAU_ZERO:
-                    acc = acc + f.numerator[j].scale(w)
-            out.append(acc)
-        return out
-
-    inside = coords(A.basis)
-    outside = coords(A.orthogonal_complement_basis())
+    monos, coeffs = coefficient_matrix(f.numerator)
+    inside = polynomials_of_rows(f.n, monos, A.basis.conj() @ coeffs)
+    outside = polynomials_of_rows(f.n, monos, A.orthogonal_complement_basis().conj() @ coeffs)
     pairs = _tensor_pair_order(len(inside), g.target_dim)
     comps = [inside[i] * g.numerator[j] for i, j in pairs]
     comps += [p * g.denominator for p in outside]
@@ -562,16 +541,11 @@ def lowest_order_subspace(f: RationalMap) -> Subspace:
     """Span of the coefficient vectors of the lowest-order homogeneous part."""
     if not f.is_polynomial():
         raise MapConstructionError("lowest-order subspace requires a polynomial map")
-    degrees = [sum(exp) for p in f.numerator for exp in p.terms]
-    if not degrees:
+    monos, coeffs = coefficient_matrix(f.numerator)
+    if not monos:
         raise MapConstructionError("zero map has no lowest-order part")
-    nu = min(degrees)
-    vectors = []
-    for alpha in degree_monomials(f.n, nu):
-        vec = [p.coefficient(alpha) for p in f.numerator]
-        if max(abs(c) for c in vec) > TAU_ZERO:
-            vectors.append(vec)
-    return Subspace.from_vectors(f.target_dim, vectors)
+    degrees = exponent_array(monos, f.n).sum(axis=1)
+    return Subspace.from_vectors(f.target_dim, coeffs[:, degrees == degrees.min()].T)
 
 
 def first_descendant(f: RationalMap) -> RationalMap:

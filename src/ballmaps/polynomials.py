@@ -379,9 +379,8 @@ def substitute_fractional(
     if denominator.nvars != nvars_out:
         raise ValueError("denominator variable count differs from numerators")
 
-    one = Polynomial.constant(nvars_out, 1.0)
     num_pow_cache: dict[tuple[int, int], Polynomial] = {}
-    den_pow_cache: dict[int, Polynomial] = {0: one}
+    den_pow_cache: dict[int, Polynomial] = {}
 
     def num_power(i: int, e: int) -> Polynomial:
         key = (i, e)
@@ -400,7 +399,9 @@ def substitute_fractional(
         for i, e in enumerate(exp):
             if e:
                 term = term * num_power(i, e)
-        term = term * den_power(degree_bound - sum(exp))
+        power = degree_bound - sum(exp)
+        if power:
+            term = term * den_power(power)
         result = result + term
     return result
 

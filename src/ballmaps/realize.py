@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .hermitian import (
     gram_form,
     norm_power_form,
 )
-from .invariance import CapabilityError, membership, _form_search
+from .invariance import MAX_PERMUTATION_DIM, CapabilityError, membership, _form_search
 from .maps import (
     MapConstructionError,
     RationalMap,
@@ -42,6 +41,7 @@ from .maps import (
     juxtapose_theta,
     oplus,
     polynomial_map,
+    polynomials_of_rows,
     tensor,
     tensor_power,
     unitary_automorphism,
@@ -115,9 +115,8 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
         keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
         comps = d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))
         monos = [h.basis[i] for i in idx.tolist()]
-        for lam, vec, present in zip(eigvals[keep], comps.T, np.abs(comps.T) > TAU_ZERO):
-            terms = dict(zip(compress(monos, present), vec[present].tolist()))
-            (pos if lam > 0 else neg).append(Polynomial(h.nvars, terms))
+        for lam, comp in zip(eigvals[keep], polynomials_of_rows(h.nvars, monos, comps.T)):
+            (pos if lam > 0 else neg).append(comp)
     return FactorizationResult(tuple(pos), tuple(neg))
 
 
@@ -153,13 +152,11 @@ def _min_eig(h: HermitianForm) -> float:
 def pad_to_proper(
     p: Sequence[Polynomial],
     epsilon: float | None = None,
-    weights: Sequence[float] | None = None,
-    powers: Sequence[int] | None = None,
     omit_empty_degrees: bool = False,
 ) -> PadResult:
     """Pad a polynomial map to a proper map via norm-power targets.
 
-    The target form uses powers 0..deg(p) with equal weights by default;
+    The target form uses powers 0..deg(p) with equal weights;
     ``omit_empty_degrees`` drops powers where p has no monomials of that
     degree (the remainder then stays positive semidefinite on its support).
     When epsilon is not supplied it is set to half the supremum of the
@@ -172,20 +169,11 @@ def pad_to_proper(
     degree = max((q.degree for q in p), default=0)
     nonzero = [q for q in p if not q.is_zero()]
 
-    if powers is None:
-        powers = list(range(degree + 1))
-        if omit_empty_degrees:
-            present = _present_degrees(nonzero)
-            powers = [j for j in powers if j in present] or [0]
-    powers = sorted(set(int(j) for j in powers))
-    if weights is None:
-        weights = [1.0 / math.sqrt(len(powers))] * len(powers)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(powers):
-        raise MapConstructionError("one weight per power is required")
-    total = sum(w * w for w in weights)
-    if abs(total - 1.0) > 1e-9:
-        raise MapConstructionError("squared weights must sum to 1")
+    powers = list(range(degree + 1))
+    if omit_empty_degrees:
+        present = _present_degrees(nonzero)
+        powers = [j for j in powers if j in present] or [0]
+    weights = [1.0 / math.sqrt(len(powers))] * len(powers)
 
     target = HermitianForm.zero(nvars)
     for lam, m in zip(weights, powers):
@@ -343,9 +331,7 @@ def _verify_permutation_group(
         raise RealizationError(f"constructed map lost the symmetry {perms[lost[0]]}")
 
 
-def realize_subgroup(
-    generators: Iterable[Sequence[int]], n: int, verify: bool = True
-) -> RationalMap:
+def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap:
     """Proper polynomial map whose permutation symmetries are exactly the group.
 
     The group is closed from the generators; the full symmetric group
@@ -356,8 +342,8 @@ def realize_subgroup(
     positive form 1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + |q|^2 |z|^(2 k3))
     |z|^(2 k4) is factored into the components of the returned map.
     """
-    if n > 8:
-        raise CapabilityError("subgroup realization is capped at n <= 8")
+    if n > MAX_PERMUTATION_DIM:
+        raise CapabilityError(f"subgroup realization is capped at n <= {MAX_PERMUTATION_DIM}")
     group = close_permutation_group(generators, n)
     if len(group) == math.factorial(n):
         return symmetric_group_map(n)
@@ -377,8 +363,7 @@ def realize_subgroup(
     padded = padded + gram_form(pad.components) * norm_power_form(n, k3)
     positive = (gram_form(f_sym.numerator) + padded * norm_power_form(n, k4)).scale(0.5)
     result = _map_of_positive_form(positive)
-    if verify:
-        _verify_permutation_group(result, group)
+    _verify_permutation_group(result, group)
     return result
 
 
@@ -397,7 +382,6 @@ def _support_of_summand(h: Polynomial, m: int) -> set[MultiIndex]:
 def realize_from_invariants(
     invariants: Sequence[Polynomial],
     group: Sequence[np.ndarray],
-    verify: bool = True,
 ) -> RationalMap:
     """Proper polynomial map invariant exactly under the supplied unitary group.
 
@@ -448,11 +432,10 @@ def realize_from_invariants(
     positive = gram_form(summands).scale(pad.epsilon**2)
     positive = positive + gram_form(pad.components) * norm_power_form(n, m_final)
     result = _map_of_positive_form(positive)
-    if verify:
-        for gmat in group:
-            res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))
-            if not res.member:
-                raise RealizationError(
-                    "constructed map is not invariant under a supplied group element"
-                )
+    for gmat in group:
+        res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))
+        if not res.member:
+            raise RealizationError(
+                "constructed map is not invariant under a supplied group element"
+            )
     return result

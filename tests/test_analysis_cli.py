@@ -21,7 +21,7 @@ from ballmaps import (
     tensor_power,
     whitney_map,
 )
-from ballmaps import invariance
+from ballmaps import cli, invariance
 from ballmaps.cli import main
 from ballmaps.maps import CATALOG_NAMES
 
@@ -344,3 +344,46 @@ def test_cli_realize_above_cap_is_capability_error(tmp_path):
     spec = tmp_path / "g.json"
     spec.write_text(json.dumps({"n": 9, "generators": [list(range(2, 10)) + [1]]}))
     assert main(["realize", "subgroup", "--group", str(spec)]) == 4
+
+
+def test_cli_realize_symmetric_above_cap_builds_no_group(tmp_path, monkeypatch):
+    # the n! group is only compared with the stabilizer, which is skipped above the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symmetric group was enumerated")
+
+    monkeypatch.setattr(cli.itertools, "permutations", refuse)
+    out = tmp_path / "s9.json"
+    assert main(["realize", "symmetric", "--n", "9", "-o", str(out)]) == 0
+    summary = json.loads(out.read_text())["verification"]
+    assert summary["proper"] is True
+    assert "matches_requested_group" not in summary
+
+
+def test_cli_realize_and_pad_certify_with_tol_div(tmp_path):
+    out = tmp_path / "s2.json"
+    assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 0
+    assert main(["realize", "symmetric", "--n", "2", "--tol-div", "1e-20", "-o", str(out)]) == 3
+    assert json.loads(out.read_text())["verification"]["proper"] is False
+    polys = [Polynomial.monomial((1, 1)), Polynomial.monomial((2, 0))]
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({"components": [p.to_dict() for p in polys]}))
+    assert main(["pad", str(pf), "-o", str(out)]) == 0
+    assert main(["pad", str(pf), "--tol-div", "1e-20", "-o", str(out)]) == 3
+    assert json.loads(out.read_text())["proper"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit-system", "x.json", "--tol-eq"],
+        ["sample", "x.json", "--tol-div"],
+        ["member", "x.json", "--tol-sig"],
+        ["realize", "symmetric", "--tol-eq"],
+        ["pad", "x.json", "--tol-sig"],
+    ],
+)
+def test_cli_offers_only_the_tolerances_it_reads(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
