@@ -160,7 +160,7 @@ def analyze_map(
                 f"rank consistency violated: hermitian {h_rank} vs image {i_rank}"
             )
     report = group_report(f, tol_eq)
-    strict = strict_stabilizer(f, tol_eq, skip_permutations_over_cap=True)
+    strict = strict_stabilizer(f, tol_eq)
     if strict.permutations is None:
         notes.append("strict permutation enumeration skipped: dimension above cap")
     chain: list[int] | None = None

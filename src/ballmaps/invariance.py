@@ -33,17 +33,13 @@ from .polynomials import (
     CapabilityError,
     MonomialKeys,
     MultiIndex,
-    Polynomial,
     TAU_EQ,
     TAU_ZERO,
     degree_monomials,
     exponent_array,
     find_sorted,
-    grlex_key,
-    homogenize,
     monomial_values,
     multinomial,
-    substitute_fractional,
 )
 
 #: Tolerance for matrix-equality hashing in group closure.
@@ -52,6 +48,10 @@ TAU_GROUP = 1e-7
 #: Permutation enumeration and the (n + 1)!-term determinant of the
 #: invariance system are capped at this source dimension.
 MAX_PERMUTATION_DIM = 8
+
+#: Emission of the invariance system is refused above this many ordered
+#: term pairs (E1, E2) on the support of the form.
+MAX_SYSTEM_PAIRS = 400_000
 
 
 class GroupClosureError(RuntimeError):
@@ -436,20 +436,15 @@ class StrictStabilizer:
         }
 
 
-def strict_stabilizer(
-    f: RationalMap, tol: float = TAU_EQ, skip_permutations_over_cap: bool = False
-) -> StrictStabilizer:
+def strict_stabilizer(f: RationalMap, tol: float = TAU_EQ) -> StrictStabilizer:
     """Diagonal and permutation parts of the exact invariance group f o g = f.
 
-    With ``skip_permutations_over_cap`` the permutation enumeration is
-    replaced by None beyond the n <= 8 cap instead of raising.
+    The permutations are None above the n <= MAX_PERMUTATION_DIM cap.
     """
-    if skip_permutations_over_cap and f.n > MAX_PERMUTATION_DIM:
-        return StrictStabilizer(strict_diagonal_stabilizer(f), None)
-    return StrictStabilizer(
-        strict_diagonal_stabilizer(f),
-        tuple(strict_permutation_stabilizer(f, tol)),
-    )
+    perms = None
+    if f.n <= MAX_PERMUTATION_DIM:
+        perms = tuple(strict_permutation_stabilizer(f, tol))
+    return StrictStabilizer(strict_diagonal_stabilizer(f), perms)
 
 
 # ---------------------------------------------------------------------------
@@ -610,19 +605,14 @@ def block_partition(f: RationalMap, tol: float = TAU_EQ) -> BlockPartition:
     return BlockPartition(blocks)
 
 
-def source_rank_upper(
-    f: RationalMap,
-    conjugator: BallAutomorphism | None = None,
-    tol: float = TAU_EQ,
-) -> int:
+def source_rank_upper(f: RationalMap, tol: float = TAU_EQ) -> int:
     """Upper bound n - sum(block size - 1) from detected block invariance.
 
-    This bound does not search over conjugating automorphisms; an optional
-    conjugator composes f before the block detection to tighten it.
+    The blocks are read in the given coordinates; no conjugating
+    automorphism is searched for.
     """
-    g = compose_source(f, conjugator) if conjugator is not None else f
-    blocks = block_partition(g, tol).blocks
-    return g.n - sum(len(b) - 1 for b in blocks)
+    blocks = block_partition(f, tol).blocks
+    return f.n - sum(len(b) - 1 for b in blocks)
 
 
 def power_chain_check(f: RationalMap, tol: float = TAU_EQ) -> set[int]:
@@ -794,60 +784,22 @@ def group_report(f: RationalMap, tol: float = TAU_EQ) -> GroupReport:
 # ---------------------------------------------------------------------------
 # invariance equation system
 # ---------------------------------------------------------------------------
-def _homogenized(f: RationalMap) -> tuple[list[Polynomial], Polynomial, int]:
-    d = f.degree
-    return [homogenize(p, d) for p in f.numerator], homogenize(f.denominator, d), d
+def _expansions(a: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrices E with column sums a, and their weights w(E).
 
-
-def _grouped_substitution(
-    hat: Polynomial, n1: int
-) -> dict[MultiIndex, dict[MultiIndex, complex]]:
-    """Substitute the row action w_j = sum_i v_i u_ij and group by v-monomial.
-
-    ``hat`` lives in n1 = n + 1 homogeneous variables; the result maps each
-    v-exponent to a polynomial (dict) in the n1*n1 matrix unknowns.
+    The row action w_j = sum_i v_i u_ij turns w^a into
+    sum_E w(E) v^(row sums of E) u^E with w(E) = prod_j multinomial(E[:, j]),
+    the sum running over the square matrices E whose column sums are a.
+    Returns E flattened row-major (one row per matrix, u_ij at i * n1 + j)
+    and w(E).  There are prod_j C(a_j + n, n) of them, n1 = n + 1 = len(a).
     """
-    nu = n1 * n1
-    total = n1 + nu
-    # w_j as polynomials in the combined ring (v variables first)
-    w = []
-    for j in range(n1):
-        terms: dict[MultiIndex, complex] = {}
-        for i in range(n1):
-            exp = [0] * total
-            exp[i] = 1
-            exp[n1 + i * n1 + j] = 1
-            terms[tuple(exp)] = 1.0
-        w.append(Polynomial(total, terms))
-    composed = substitute_fractional(hat, w, Polynomial.constant(total, 1.0), hat.degree)
-    grouped: dict[MultiIndex, dict[MultiIndex, complex]] = {}
-    for exp, coeff in composed.terms.items():
-        vpart = exp[:n1]
-        upart = exp[n1:]
-        grouped.setdefault(vpart, {})[upart] = (
-            grouped.get(vpart, {}).get(upart, 0.0) + coeff
-        )
-    return grouped
-
-
-def _sesquilinear_terms(
-    g1: Mapping[MultiIndex, complex], g2: Mapping[MultiIndex, complex], sign: float
-) -> dict[tuple[MultiIndex, MultiIndex], complex]:
-    out: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for e1, c1 in g1.items():
-        for e2, c2 in g2.items():
-            key = (e1, e2)
-            out[key] = out.get(key, 0.0) + sign * c1 * complex(c2).conjugate()
-    return out
-
-
-def _merge_terms(
-    target: dict[tuple[MultiIndex, MultiIndex], complex],
-    source: Mapping[tuple[MultiIndex, MultiIndex], complex],
-    weight: complex = 1.0,
-) -> None:
-    for key, val in source.items():
-        target[key] = target.get(key, 0.0) + weight * val
+    n1 = len(a)
+    columns = [degree_monomials(n1, aj) for aj in a]
+    picks = np.array(list(itertools.product(*columns)), dtype=np.int64)
+    E = picks.transpose(0, 2, 1).reshape(len(picks), n1 * n1)
+    weights = [[multinomial(c) for c in col] for col in columns]
+    w = np.array([math.prod(ws) for ws in itertools.product(*weights)], dtype=float)
+    return E, w
 
 
 def emit_invariance_system(f: RationalMap) -> dict:
@@ -855,80 +807,97 @@ def emit_invariance_system(f: RationalMap) -> dict:
 
     Equates the coefficients of z^alpha s^mu conj(z)^beta conj(s)^nu in
     |p((z,s)U)|^2_l - |q((z,s)U)|^2 = (lambda(U) / h00) (|p(z,s)|^2_l - |q(z,s)|^2),
-    where lambda(U) is the left side's coefficient at the homogeneous origin
-    row (0, 1) and h00 = |p(0)|^2_l - |q(0)|^2 the right side's (-1 when
-    f(0) = 0).  Each equation is a sesquilinear polynomial in the flattened
-    (n+1) x (n+1) matrix unknowns; metric and determinant constraints on the
-    matrix are emitted alongside.  Raises MapConstructionError when
-    |h00| <= TAU_ZERO, where the origin row cannot fix the constant, and
-    CapabilityError for n > MAX_PERMUTATION_DIM, before building anything:
-    the determinant constraint has (n + 1)! terms.
+    each component made homogeneous of the degree d of f.  Both sides are
+    read off the form h = form_of(f).  Under (z, s) -> (z, s)U a homogeneous
+    monomial a = (alpha, d - |alpha|) becomes sum_E w(E) v^(row sums of E) u^E
+    (:func:`_expansions`), so in the equation of v1 = (alpha, mu) and
+    v2 = (beta, nu) the coefficient of u^E1 conj(u)^E2 is
+    w(E1) w(E2) h[col sums E1, col sums E2], over the E1 with row sums v1 and
+    the E2 with row sums v2.  lambda(U) is that block on the origin row
+    v1 = v2 = (0, d), where every E takes its whole column sums from the last
+    row: lambda(U) = sum h[a, b] u^(last row a) conj(u)^(last row b), and
+    h00 = h[0, 0] = |p(0)|^2_l - |q(0)|^2 (-1 when f(0) = 0).  Each equation
+    is a sesquilinear polynomial in the flattened (n+1) x (n+1) matrix
+    unknowns, its terms pruned at TAU_ZERO and sorted by (u, ubar); metric and
+    determinant constraints on the matrix are emitted alongside.
+
+    Raises, before building any term: CapabilityError for n >
+    MAX_PERMUTATION_DIM (the determinant constraint has (n + 1)! terms);
+    MapConstructionError when |h00| <= TAU_ZERO, where the origin row cannot
+    fix the constant; and CapabilityError when the ordered pairs (E1, E2) on
+    the support of h, sum over |h[a, b]| > TAU_ZERO of
+    prod_j C(a_j + n, n) C(b_j + n, n), exceed MAX_SYSTEM_PAIRS.
     """
     if f.n > MAX_PERMUTATION_DIM:
         raise CapabilityError(
             f"the determinant constraint has (n + 1)! terms; emission is capped at "
             f"n <= {MAX_PERMUTATION_DIM}"
         )
-    hats, qhat, d = _homogenized(f)
-    n1 = f.n + 1
-    signs = [1.0] * f.m + [-1.0] * f.l + [-1.0]
-    polys = hats + [qhat]
-    grouped = [_grouped_substitution(p, n1) for p in polys]
-
-    # lambda(U): coefficients of the pure s^d row after substituting (0, 1)
-    origin_key = tuple([0] * f.n + [d])
-    lam: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for sign, grp in zip(signs, grouped):
-        g0 = grp.get(origin_key, {})
-        _merge_terms(lam, _sesquilinear_terms(g0, g0, sign))
-
-    # base-form coefficients h[(v1, v2)] of |p|^2_l - |q|^2 in (z, s)
-    base: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for sign, p in zip(signs, polys):
-        for e1, c1 in p.terms.items():
-            for e2, c2 in p.terms.items():
-                key = (e1, e2)
-                base[key] = base.get(key, 0.0) + sign * c1 * complex(c2).conjugate()
-    h00 = base.get((origin_key, origin_key), 0.0).real
+    h = form_of(f)
+    n, d, n1 = f.n, f.degree, f.n + 1
+    h00 = h.entry((0,) * n, (0,) * n).real
     if abs(h00) <= TAU_ZERO:
         raise MapConstructionError(
             "the form vanishes at the origin row; the invariance system is undefined"
         )
+    homogeneous = [alpha + (d - sum(alpha),) for alpha in h.basis]
+    counts = np.array([math.prod(math.comb(aj + n, n) for aj in a) for a in homogeneous], float)
+    pairs = counts @ (np.abs(h.mat) > TAU_ZERO) @ counts
+    if pairs > MAX_SYSTEM_PAIRS:
+        raise CapabilityError(
+            f"the invariance system has {pairs:.3g} term pairs; emission is capped at "
+            f"{MAX_SYSTEM_PAIRS}"
+        )
 
-    vsupport = sorted(
-        {v for grp in grouped for v in grp} | {v for pair in base for v in pair},
-        key=grlex_key,
-    )
+    # every expansion of every basis monomial, sorted lexicographically in E,
+    # so a pair of positions orders terms as (u, ubar) does
+    parts = [_expansions(a) for a in homogeneous]
+    E = np.concatenate([p[0] for p in parts])
+    w = np.concatenate([p[1] for p in parts])
+    col = np.repeat(np.arange(h.size), [len(p[1]) for p in parts])
+    order = np.lexsort(E.T[::-1])
+    E, w, col = E[order], w[order], col[order]
+    K = len(E)
+    vs, group_of = np.unique(E.reshape(K, n1, n1).sum(axis=2), axis=0, return_inverse=True)
+    groups = [np.flatnonzero(group_of.ravel() == g) for g in range(len(vs))]
+    vs = [tuple(v) for v in vs.tolist()]
+    origin = groups[vs.index((0,) * n + (d,))]
+    lam_keys = np.add.outer(origin * K, origin).ravel()
+    lam = h.mat[np.ix_(col[origin], col[origin])].ravel()
+    index = {alpha: i for i, alpha in enumerate(h.basis)}
+    u_of = E.tolist()
+
     equations = []
-    for i1, v1 in enumerate(vsupport):
-        for v2 in vsupport[i1:]:
-            terms: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-            for sign, grp in zip(signs, grouped):
-                g1 = grp.get(v1)
-                g2 = grp.get(v2)
-                if g1 and g2:
-                    _merge_terms(terms, _sesquilinear_terms(g1, g2, sign))
-            h_value = base.get((v1, v2), 0.0)
+    for i1, v1 in enumerate(vs):
+        g1 = groups[i1]
+        for i2 in range(i1, len(vs)):
+            v2, g2 = vs[i2], groups[i2]
+            keys = np.add.outer(g1 * K, g2).ravel()
+            values = (np.outer(w[g1], w[g2]) * h.mat[np.ix_(col[g1], col[g2])]).ravel()
+            i, j = index.get(v1[:n]), index.get(v2[:n])
+            h_value = 0.0 if i is None or j is None else h.mat[i, j]
             if abs(h_value) > TAU_ZERO:
-                _merge_terms(terms, lam, weight=h_value * (-1.0 / h00))
-            terms = {k: v for k, v in terms.items() if abs(v) > TAU_ZERO}
-            if not terms:
+                keys, at = np.unique(np.concatenate([keys, lam_keys]), return_inverse=True)
+                total = np.zeros(len(keys), dtype=complex)
+                np.add.at(total, at, np.concatenate([values, h_value * (-1.0 / h00) * lam]))
+                values = total
+            keep = np.abs(values) > TAU_ZERO
+            if not keep.any():
                 continue
+            keys, values = keys[keep], values[keep]
             equations.append(
                 {
-                    "alpha": list(v1[: f.n]),
-                    "mu": v1[f.n],
-                    "beta": list(v2[: f.n]),
-                    "nu": v2[f.n],
+                    "alpha": list(v1[:n]),
+                    "mu": v1[n],
+                    "beta": list(v2[:n]),
+                    "nu": v2[n],
                     "terms": [
-                        {
-                            "u": list(ue),
-                            "ubar": list(ve),
-                            "re": c.real,
-                            "im": c.imag,
-                        }
-                        for (ue, ve), c in sorted(
-                            terms.items(), key=lambda kv: (kv[0][0], kv[0][1])
+                        {"u": list(u_of[k1]), "ubar": list(u_of[k2]), "re": re, "im": im}
+                        for k1, k2, re, im in zip(
+                            (keys // K).tolist(),
+                            (keys % K).tolist(),
+                            values.real.tolist(),
+                            values.imag.tolist(),
                         )
                     ],
                 }

@@ -406,16 +406,6 @@ def substitute_fractional(
     return result
 
 
-def homogenize(p: Polynomial, degree: int) -> Polynomial:
-    """Append a variable s and multiply each term by s^(degree - |alpha|)."""
-    if degree < p.degree:
-        raise ValueError(f"degree {degree} below polynomial degree {p.degree}")
-    terms = {
-        exp + (degree - sum(exp),): coeff for exp, coeff in p.terms.items()
-    }
-    return Polynomial(p.nvars + 1, terms)
-
-
 def max_coeff_diff(a: Polynomial, b: Polynomial) -> float:
     """Largest coefficient magnitude of a - b (bases need not match)."""
     if a.nvars != b.nvars:

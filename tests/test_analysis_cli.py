@@ -199,7 +199,7 @@ def test_cli_emit_system_schema(tmp_path):
 
 def test_cli_emit_system_refuses_nine_variables(tmp_path, capsys, monkeypatch):
     # building the system would raise here: the refusal must come first
-    monkeypatch.setattr(invariance, "_homogenized", lambda f: 1 / 0)
+    monkeypatch.setattr(invariance, "form_of", lambda f: 1 / 0)
     mp = tmp_path / "map.json"
     mp.write_text(json.dumps(identity_map(9).to_dict()))
     out = tmp_path / "sys.json"

@@ -369,6 +369,12 @@ def test_strict_stabilizer_trivial_for_planar_whitney():
     assert s.permutations == ((0, 1),)
 
 
+def test_strict_stabilizer_skips_permutations_above_the_cap():
+    s = strict_stabilizer(identity_map(9))
+    assert s.permutations is None
+    assert s.diagonal.is_trivial
+
+
 def test_strict_stabilizer_tensor_power_is_cyclic():
     s = strict_stabilizer(tensor_power(2, 4))
     assert s.diagonal.order == 4
@@ -395,7 +401,7 @@ def test_system_refuses_nine_variables_before_building(monkeypatch):
     def unreachable(f):
         raise AssertionError("the system was built past the cap")
 
-    monkeypatch.setattr(invariance, "_homogenized", unreachable)
+    monkeypatch.setattr(invariance, "form_of", unreachable)
     with pytest.raises(CapabilityError):
         emit_invariance_system(identity_map(9))
 

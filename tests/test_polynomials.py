@@ -9,7 +9,6 @@ from ballmaps.polynomials import (
     Polynomial,
     grlex_key,
     grlex_monomials,
-    homogenize,
     max_coeff_diff,
     multinomial,
     polys_close,
@@ -194,12 +193,6 @@ def test_json_round_trip_and_order():
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == sorted(exps, key=grlex_key)
     assert Polynomial.from_dict(data) == p
-
-
-def test_homogenize():
-    p = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    h = homogenize(p, 2)
-    assert h.terms == {(0, 2): 1.0, (2, 0): -1.0}
 
 
 def test_multinomial():
