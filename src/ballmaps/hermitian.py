@@ -27,7 +27,6 @@ from .polynomials import (
     exponent_array,
     find_sorted,
     grlex_key,
-    grlex_monomials,
     monomial_values,
     multinomial,
 )
@@ -132,11 +131,11 @@ class HermitianForm:
         vals = monomial_values(self.basis, [z])[0]
         return float((vals @ self.mat @ vals.conj()).real)
 
-    def compressed(self, tol: float = TAU_ZERO) -> "HermitianForm":
-        """Drop basis monomials whose row and column are entirely negligible."""
+    def compressed(self) -> "HermitianForm":
+        """Drop basis monomials whose row and column are at most TAU_ZERO."""
         if not self.size:
             return self
-        keep = np.where(np.max(np.abs(self.mat), axis=0) > tol)[0]
+        keep = np.where(np.max(np.abs(self.mat), axis=0) > TAU_ZERO)[0]
         if len(keep) == self.size:
             return self
         basis = [self.basis[i] for i in keep.tolist()]
@@ -284,66 +283,123 @@ def form_of(f: RationalMap) -> HermitianForm:
 # ---------------------------------------------------------------------------
 # division by the sphere and properness
 # ---------------------------------------------------------------------------
-def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, HermitianForm]:
-    """Divide h by |z|^2 - 1: returns (quotient u, remainder h - u*(|z|^2-1)).
+def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, float]:
+    """Divide h by |z|^2 - 1: returns the quotient u and the residual.
 
-    The quotient entries satisfy the ascending-bidegree recursion
+    The residual is the largest |entry| of the remainder h - u (|z|^2 - 1);
+    it vanishes (to rounding) exactly when h vanishes on the unit sphere.
+    The quotient entries satisfy the recursion
     ``u[a, b] = sum_i u[a - e_i, b - e_i] - h[a, b]`` seeded with
-    ``u[0, 0] = -h[0, 0]``; the remainder vanishes (to rounding) exactly when
-    h vanishes on the unit sphere.  Both live on the division simplex, all
-    monomials of degree <= D = max degree of h, where u has rows and columns
-    of degree < D only.  The maps a -> a - e_i are lookups of the keys
-    ``key(a) - weights[i]`` (:class:`MonomialKeys`), and the recursion runs
-    one total degree at a time: the rows of degree t read only rows of degree
-    t - 1, so each degree takes one gather per variable.
+    ``u[0, 0] = -h[0, 0]``, over the rows and columns of degree < D, D the
+    max degree of h.
+
+    The sphere is invariant under the diagonal torus, so the recursion never
+    leaves a class delta = a - b.  Writing a = delta+ + c and b = delta- + c
+    with c = min(a, b), class delta is a recursion in x = |z|^2 over the
+    cells c of the x-simplex: ``u[c] = -h[c] + sum_i u[c - e_i]`` for cells
+    of degree < D - max(|delta+|, |delta-|).  All classes are held in one
+    (x-simplex x classes) array and run one cell degree at a time, with one
+    gather per variable; every entry is summed in the same order as a dense
+    recursion over the pairs of monomials would sum it.  Cells and classes
+    are keyed by :class:`MonomialKeys` in base D + 1, a class by the pair
+    (key(delta+), key(delta-)).
     """
     n = h.nvars
-    if not h.size:
-        return HermitianForm.zero(n), HermitianForm.zero(n)
+    rows, cols = np.nonzero(h.mat)
+    if not len(rows):
+        return HermitianForm.zero(n), 0.0
     D = h.max_degree()
-    monos = grlex_monomials(n, D)
-    exps = exponent_array(monos, n)
     monomial_keys = MonomialKeys(n, D)
-    keys = monomial_keys.keys(exps)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    exps = exponent_array(h.basis, n)
+    cells = np.minimum(exps[rows], exps[cols])
+    plus, minus = exps[rows] - cells, exps[cols] - cells
+    # classes, by the pair (key(delta+), key(delta-)), largest degree bound
+    # first: at each cell degree the classes still in the recursion are a prefix
+    _, plus_id = np.unique(monomial_keys.keys(plus), return_inverse=True)
+    _, minus_id = np.unique(monomial_keys.keys(minus), return_inverse=True)
+    _, first, cls = np.unique(
+        plus_id * (minus_id.max() + 1) + minus_id, return_index=True, return_inverse=True
+    )
+    bound = D - np.maximum(plus[first].sum(axis=1), minus[first].sum(axis=1))
+    order = np.argsort(-bound, kind="stable")
+    bound, first = bound[order], first[order]
+    cls = np.argsort(order)[cls]
+
+    # the x-simplex up to the largest bound, one degree at a time: a cell of
+    # degree t is a cell of degree t - 1 times an x_i with i at least its last
+    # variable, so each cell is made once
+    levels, last = [np.zeros(1, dtype=np.int64)], np.zeros(1, dtype=np.int64)
+    for _ in range(bound[0]):
+        cell, last = np.nonzero(np.arange(n) >= last[:, None])
+        levels.append(levels[-1][cell] + monomial_keys.weights[last])
+    keys = np.concatenate(levels)
+    bounds = np.cumsum([0] + [len(level) for level in levels])
+    key_order = np.argsort(keys)
+    sorted_keys = keys[key_order]
 
     def index_of(k: np.ndarray) -> np.ndarray:
-        return order[find_sorted(sorted_keys, k)[0]]
+        return key_order[find_sorted(sorted_keys, k)[0]]
 
-    size = len(monos)
-    C = np.zeros((size, size), dtype=complex)
-    idx = index_of(monomial_keys.keys(exponent_array(h.basis, n)))
-    C[np.ix_(idx, idx)] = h.mat
-    # graded-lex order ascends in degree: degree t is rows bounds[t]:bounds[t + 1],
-    # and u lives on the first bounds[D] rows and columns
-    bounds = np.searchsorted(exps.sum(axis=1), np.arange(D + 1))
-    inner = bounds[D]
-    # per variable: the monomials containing z_i (dst), those monomials divided
-    # by z_i (src), and where each degree starts in dst
+    # per variable: the cells containing x_i (dst), those cells divided by x_i
+    # (src), and where each degree starts in dst
+    cell_exps = monomial_keys.exponents(keys)
     steps = []
     for i in range(n):
-        dst = np.flatnonzero(exps[:, i] > 0)
+        dst = np.flatnonzero(cell_exps[:, i] > 0)
         src = index_of(keys[dst] - monomial_keys.weights[i])
         steps.append((dst, src, np.searchsorted(dst, bounds)))
 
-    U = np.zeros((size, size), dtype=complex)
-    for t in range(D):
+    # the recursion, and the remainder h + u - sum_i u[c - e_i] of each cell
+    # from the same gathers: class delta has a remainder up to its bound
+    H = np.zeros((len(keys), len(first)), dtype=complex)
+    H[index_of(monomial_keys.keys(cells)), cls] = h.mat[rows, cols]
+    U = np.zeros_like(H)
+    residual = 0.0
+    for t in range(bound[0] + 1):
         lo, hi = bounds[t], bounds[t + 1]
-        block = -C[lo:hi, :inner]
+        active, live = np.count_nonzero(bound > t), np.count_nonzero(bound >= t)
+        block = -H[lo:hi, :active]
+        gathers = []
         for dst, src, starts in steps:
-            rows, cols = slice(starts[t], starts[t + 1]), slice(starts[D])
-            block[dst[rows, None] - lo, dst[cols]] += U[src[rows, None], src[cols]]
-        U[lo:hi, :inner] = block
+            run = slice(starts[t], starts[t + 1])
+            at, gathered = dst[run] - lo, U[src[run], :live]
+            block[at] += gathered[:, :active]
+            gathers.append((at, gathered))
+        U[lo:hi, :active] = block
+        remainder = H[lo:hi, :live] + U[lo:hi, :live]
+        for at, gathered in gathers:
+            remainder[at] -= gathered
+        residual = max(residual, float(np.max(np.abs(remainder))))
 
-    # remainder R = C - (u * (|z|^2 - 1)) over the full simplex
-    R = C + U
-    for dst, src, _ in steps:
-        R[dst[:, None], dst] -= U[src[:, None], src]
-
-    quotient = HermitianForm(n, monos, U).compressed()
-    remainder = HermitianForm(n, monos, R).compressed(tol=0.0)
-    return quotient, remainder
+    # scatter u back onto (delta+ + c, delta- + c); the quotient's basis is
+    # the monomials with an entry above TAU_ZERO in their column
+    nonzero = np.flatnonzero((U.real != 0) | (U.imag != 0))
+    cell, of = np.divmod(nonzero, U.shape[1])
+    values = U.ravel()[nonzero]
+    monos, index = np.unique(
+        np.concatenate([
+            keys[cell] + monomial_keys.keys(plus[first])[of],
+            keys[cell] + monomial_keys.keys(minus[first])[of],
+        ]),
+        return_inverse=True,
+    )
+    row, col = np.split(index, 2)
+    kept = np.zeros(len(monos), dtype=bool)
+    kept[col[np.abs(values) > TAU_ZERO]] = True
+    basis = monomial_keys.exponents(monos[kept])
+    grlex = np.lexsort((*basis.T[::-1], basis.sum(axis=1)))
+    position = np.full(len(monos), -1)
+    position[np.flatnonzero(kept)[grlex]] = np.arange(len(grlex))
+    inside = kept[row] & kept[col]
+    i, j = position[row[inside]], position[col[inside]]
+    mat = np.zeros((len(grlex), len(grlex)), dtype=complex)
+    mat[i, j] = values[inside]
+    # u is Hermitian, but 0.5 * (m + m^H) is not idempotent on the signs of
+    # zero parts, which reach to_dict: symmetrize once here and once in the
+    # constructor, as a quotient formed over the whole simplex and then
+    # compressed would be
+    mat[i, j] = 0.5 * (mat[i, j] + mat[j, i].conj())
+    return HermitianForm(n, basis[grlex].tolist(), mat), residual
 
 
 @dataclass(frozen=True)
@@ -357,8 +413,7 @@ class ProperResult:
 def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
     """Certify properness by exact division of the form by |z|^2 - 1."""
     h = form_of(f)
-    quotient, remainder = quotient_by_sphere(h)
-    residual = remainder.max_abs()
+    quotient, residual = quotient_by_sphere(h)
     threshold = tol_div * (1.0 + h.max_abs())
     proper = residual <= threshold
     if proper:

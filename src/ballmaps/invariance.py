@@ -354,12 +354,12 @@ class BlockPartition:
 def diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
     """Diagonal unitaries preserving the form: lattice of exponent differences."""
     h = form_of(f)
-    rows = []
-    for a, b, _ in h.entries():
-        diff = tuple(x - y for x, y in zip(a, b))
-        if any(diff):
-            rows.append(diff)
-    return TorusSubgroup.from_rows(rows, f.n)
+    exps = exponent_array(h.basis, f.n)
+    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    # asking for the indices keeps np.unique on its sort path, which does not
+    # import numpy.ma
+    diffs, _ = np.unique(exps[rows] - exps[cols], axis=0, return_index=True)
+    return TorusSubgroup.from_rows(diffs.tolist(), f.n)
 
 
 def permutation_stabilizer(f: RationalMap, tol: float = TAU_EQ) -> list[tuple[int, ...]]:

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+#: Generators (0-based images) of the six subgroups of S_3.
+S3_GENERATORS = {
+    "trivial": [],
+    "transposition-12": [(1, 0, 2)],
+    "transposition-23": [(0, 2, 1)],
+    "transposition-13": [(2, 1, 0)],
+    "alternating": [(1, 2, 0)],
+    "full": [(1, 2, 0), (1, 0, 2)],
+}
+
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -33,6 +33,7 @@ from ballmaps import (
     permutation_stabilizer,
     polynomial_map,
     power_chain_check,
+    realize_subgroup,
     source_rank_upper,
     strict_stabilizer,
     symmetric_group_map,
@@ -43,9 +44,10 @@ from ballmaps import (
     whitney_map,
 )
 from ballmaps import invariance
+from ballmaps.invariance import TorusSubgroup
 from ballmaps.maps import CATALOG_NAMES, MapConstructionError
 
-from conftest import random_center, random_diagonal_unitary, random_unitary
+from conftest import S3_GENERATORS, random_center, random_diagonal_unitary, random_unitary
 
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
@@ -140,6 +142,26 @@ def test_diagonal_stabilizer_full_torus_for_monomial_cubic():
 def test_diagonal_stabilizer_trivial_fixtures():
     for name in ("corollary-6-2", "example-7-2"):
         assert diagonal_stabilizer(catalog(name)).is_trivial, name
+
+
+def _reference_diagonal_stabilizer(f):
+    """The per-entry loop over the form's support that the lattice rows came from."""
+    rows = []
+    for a, b, _ in form_of(f).entries():
+        diff = tuple(x - y for x, y in zip(a, b))
+        if any(diff):
+            rows.append(diff)
+    return TorusSubgroup.from_rows(rows, f.n)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(name, id=name) for name in CATALOG_NAMES]
+    + [pytest.param(gens, id=f"s3-{name}") for name, gens in S3_GENERATORS.items()],
+)
+def test_diagonal_stabilizer_matches_entry_loop(case):
+    f = catalog(case) if isinstance(case, str) else realize_subgroup(case, 3)
+    assert diagonal_stabilizer(f) == _reference_diagonal_stabilizer(f)
 
 
 def test_permutation_stabilizer_fixtures():

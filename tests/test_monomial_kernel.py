@@ -4,12 +4,17 @@ The references below are the library's earlier sphere division (a dense
 matrix over the division simplex filled one row at a time through a
 tuple-keyed index), its sampler power loop, its scalar polynomial
 evaluation and its per-term evaluation of the invariance system.  Sphere
-division must return bit-identical quotient and remainder forms and the
-sampler the same residual; the evaluations, whose powers are now taken by
-numpy, must agree to 1e-12 of the magnitude of their terms.
+division must return a bit-identical quotient form and, as its residual, the
+largest entry of the reference remainder; the sampler must return the same
+residual; the evaluations, whose powers are now taken by numpy, must agree to
+1e-12 of the magnitude of their terms.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,9 +37,12 @@ from ballmaps import (
     sphere_sample_check,
     symmetric_group_map,
 )
+import ballmaps
 from ballmaps import invariance
 from ballmaps.maps import CATALOG_NAMES, stacked_coefficients
 from ballmaps.polynomials import grlex_monomials
+
+from conftest import S3_GENERATORS
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +105,7 @@ def _reference_quotient_by_sphere(h):
             R[a, valid] -= U[pa, shifts[i][valid]]
 
     quotient = HermitianForm(n, monos, U).compressed()
-    remainder = HermitianForm(n, monos, R).compressed(tol=0.0)
+    remainder = HermitianForm(n, monos, R)
     return quotient, remainder
 
 
@@ -160,19 +168,13 @@ def _reference_system_residual(system, matrix):
 # sphere division is bit-identical to the per-row reference
 # ---------------------------------------------------------------------------
 def _assert_same_division(h):
-    for got, want in zip(quotient_by_sphere(h), _reference_quotient_by_sphere(h)):
-        assert got.basis == want.basis
-        assert np.array_equal(got.mat, want.mat)
-
-
-S3_GENERATORS = {
-    "trivial": [],
-    "transposition-12": [(1, 0, 2)],
-    "transposition-23": [(0, 2, 1)],
-    "transposition-13": [(2, 1, 0)],
-    "alternating": [(1, 2, 0)],
-    "full": [(1, 2, 0), (1, 0, 2)],
-}
+    quotient, residual = quotient_by_sphere(h)
+    want_quotient, want_remainder = _reference_quotient_by_sphere(h)
+    assert quotient.basis == want_quotient.basis
+    assert np.array_equal(quotient.mat, want_quotient.mat)
+    # JSON also tells the signs of zero real and imaginary parts apart
+    assert json.dumps(quotient.to_dict()) == json.dumps(want_quotient.to_dict())
+    assert residual == want_remainder.max_abs()
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -192,15 +194,19 @@ def test_sphere_division_matches_reference_on_s3_realizations(name):
 
 @st.composite
 def random_forms(draw):
-    """A random Hermitian form on monomials of degree <= 4 in 1..3 variables,
-    with some entries zeroed; half of them are multiplied by the sphere form,
-    so their remainder vanishes to rounding."""
-    n = draw(st.integers(1, 3))
-    monos = grlex_monomials(n, draw(st.integers(0, 4)))
+    """A random Hermitian form on monomials of degree <= 6 in 1..4 variables,
+    with some entries zeroed and, in half of them, imaginary integer entries;
+    half of them are multiplied by the sphere form, so their remainder
+    vanishes to rounding."""
+    n = draw(st.integers(1, 4))
+    monos = grlex_monomials(n, draw(st.integers(0, 6)))
     basis = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=8, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = len(basis)
     mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    if draw(st.booleans()):
+        # imaginary integers: entries with zero real parts
+        mat = 1j * rng.integers(-3, 4, (size, size))
     mat *= rng.random((size, size)) < 0.7
     h = HermitianForm(n, basis, mat + mat.conj().T)
     if draw(st.booleans()):
@@ -212,6 +218,38 @@ def random_forms(draw):
 @given(random_forms())
 def test_sphere_division_matches_reference_on_random_forms(h):
     _assert_same_division(h)
+
+
+_CAPPED_DIVISION = """
+import resource
+cap = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from ballmaps import Polynomial, gram_form, quotient_by_sphere, sphere_form
+g = gram_form([
+    Polynomial(4, {(12, 12, 0, 0): 1.0}),
+    Polynomial(4, {(0, 0, 0, 0): 1.0, (0, 0, 24, 0): 0.5}),
+])
+quotient, residual = quotient_by_sphere(g * sphere_form(4))
+assert residual == 0.0, residual
+assert quotient.basis == g.basis and np.array_equal(quotient.mat, g.mat)
+"""
+
+
+def test_sphere_division_of_degree_25_in_four_variables_within_3gb():
+    # the division simplex has 23,751 monomials: a dense matrix over its pairs
+    # needs 8.41 GiB, the x-simplex of the three classes about 1 MB
+    src = os.path.dirname(os.path.dirname(ballmaps.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_DIVISION],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
