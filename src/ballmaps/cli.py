@@ -62,6 +62,14 @@ def _load_map(path: str) -> RationalMap:
         raise CliInputError(f"malformed map file {path}: {exc}") from exc
 
 
+def _field(data: dict, key: str, path: str):
+    """``data[key]`` of the JSON read from ``path``; a missing key is malformed input."""
+    try:
+        return data[key]
+    except (KeyError, TypeError) as exc:
+        raise CliInputError(f"{path} has no {key!r} field") from exc
+
+
 def _complex_vector(data) -> np.ndarray:
     try:
         return np.array([complex(float(x[0]), float(x[1])) for x in data])
@@ -203,7 +211,7 @@ def _cmd_realize(args) -> int:
         )
     elif args.kind == "subgroup":
         spec = _read_json(args.group)
-        n = int(spec["n"])
+        n = int(_field(spec, "n", args.group))
         generators = [_parse_permutation(g, n) for g in spec.get("generators", [])]
         if not generators:
             generators = [tuple(range(n))]
@@ -215,7 +223,7 @@ def _cmd_realize(args) -> int:
             return EXIT_VERIFY
     else:  # from-invariants
         spec = _read_json(args.group)
-        invariants = [Polynomial.from_dict(p) for p in spec["invariants"]]
+        invariants = [Polynomial.from_dict(p) for p in _field(spec, "invariants", args.group)]
         gens = [_complex_matrix(m) for m in spec.get("generators", [])]
         try:
             matrices = invariance.group_closure(gens) if gens else []
@@ -247,7 +255,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_pad(args) -> int:
     data = _read_json(args.polynomials)
-    polys = [Polynomial.from_dict(p) for p in data["components"]]
+    polys = [Polynomial.from_dict(p) for p in _field(data, "components", args.polynomials)]
     pad = realize.pad_to_proper(
         polys,
         epsilon=args.epsilon,
@@ -292,6 +300,8 @@ def _cmd_emit_system(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise CliInputError(f"--count must be at least 1, got {args.count}")
     f = _load_map(args.map)
     result = sphere_sample_check(f, args.count, args.tol, args.seed)
     _write_json(result.to_dict(), args.output)

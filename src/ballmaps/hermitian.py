@@ -17,11 +17,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .maps import RationalMap, coefficient_matrix, stacked_coefficients
+from .maps import RationalMap
 from .polynomials import (
     MonomialKeys,
     MultiIndex,
-    Polynomial,
     TAU_ZERO,
     degree_monomials,
     exponent_array,
@@ -242,13 +241,7 @@ class HermitianForm:
 # ---------------------------------------------------------------------------
 def sphere_form(nvars: int) -> HermitianForm:
     """|z|^2 - 1."""
-    zero = (0,) * nvars
-    entries: dict[tuple[MultiIndex, MultiIndex], complex] = {(zero, zero): -1.0}
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = 1
-        entries[(tuple(e), tuple(e))] = 1.0
-    return HermitianForm.from_entries(nvars, entries)
+    return norm_power_form(nvars, 1) - HermitianForm.constant(nvars, 1.0)
 
 
 def norm_power_form(nvars: int, power: int) -> HermitianForm:
@@ -259,25 +252,34 @@ def norm_power_form(nvars: int, power: int) -> HermitianForm:
     return HermitianForm.from_entries(nvars, entries)
 
 
-def gram_form(polys: Sequence[Polynomial], signs: Sequence[float] | None = None) -> HermitianForm:
+def gram_form(
+    nvars: int,
+    monos: Sequence[MultiIndex],
+    A: np.ndarray,
+    signs: Sequence[float] | None = None,
+) -> HermitianForm:
     """sum_k signs_k p_k conj(p_k) as a Hermitian form (default all +1).
 
-    Computed as the product A^T S conj(A) of the coefficient matrix A (one
-    row per polynomial) with the diagonal sign matrix S.
+    ``A`` holds one coefficient row per polynomial p_k over the graded-lex
+    monomials ``monos`` (see :func:`ballmaps.maps.coefficient_matrix`); the
+    form is the product A^T S conj(A) with the diagonal sign matrix S.
     """
-    if not polys:
-        raise ValueError("gram_form needs at least one polynomial")
-    monos, A = coefficient_matrix(polys)
-    sgn = np.ones(len(polys)) if signs is None else np.asarray(signs, dtype=float)
+    sgn = np.ones(len(A)) if signs is None else np.asarray(signs, dtype=float)
     if not A.imag.any():
         A = A.real  # a real product takes a quarter of the flops of a complex one
     gram = A.T @ (sgn[:, None] * A.conj())
-    return HermitianForm(polys[0].nvars, monos, gram).compressed()
+    return HermitianForm(nvars, monos, gram).compressed()
 
 
 def form_of(f: RationalMap) -> HermitianForm:
-    """Hermitian form |p|^2_l - |q|^2 of a normalized rational map."""
-    return gram_form(f.numerator + (f.denominator,), [1.0] * f.m + [-1.0] * (f.l + 1))
+    """Hermitian form |p|^2_l - |q|^2 of a normalized rational map.
+
+    Built from the map's coefficient array on first use and kept on the map.
+    """
+    if f._form is None:
+        signs = [1.0] * f.m + [-1.0] * (f.l + 1)
+        object.__setattr__(f, "_form", gram_form(f.n, f.monos, f.coeffs, signs))
+    return f._form
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +499,7 @@ def image_rank(f: RationalMap, tol_sig: float = TAU_SIG, check: bool = True) -> 
     """
     if f.l != 0:
         raise ValueError("image rank is defined for true-ball targets (l = 0)")
-    _, A = stacked_coefficients(f)
-    sing = np.linalg.svd(A, compute_uv=False)
+    sing = np.linalg.svd(f.coeffs, compute_uv=False)
     scale = float(sing[0]) if len(sing) else 0.0
     rank = int(np.sum(sing > tol_sig * max(1.0, scale)))
     result = rank - 1
@@ -520,7 +521,7 @@ def _center_factor_forms(
 ) -> tuple[list[float], list[HermitianForm]]:
     cs: list[float] = []
     omegas: list[HermitianForm] = []
-    zero = (0,) * nvars
+    monos = [(0,) * nvars] + sorted(map(tuple, np.eye(nvars, dtype=int).tolist()))
     for a in points:
         a = np.asarray(a, dtype=complex).reshape(-1)
         if a.shape[0] != nvars:
@@ -529,19 +530,8 @@ def _center_factor_forms(
         if norm2 >= 1.0:
             raise ValueError("centers must lie inside the unit ball")
         cs.append(1.0 - norm2)
-        entries: dict[tuple[MultiIndex, MultiIndex], complex] = {(zero, zero): 1.0}
-        for i in range(nvars):
-            ei = [0] * nvars
-            ei[i] = 1
-            ei = tuple(ei)
-            entries[(ei, zero)] = entries.get((ei, zero), 0.0) - a[i].conjugate()
-            entries[(zero, ei)] = entries.get((zero, ei), 0.0) - a[i]
-            for j in range(nvars):
-                ej = [0] * nvars
-                ej[j] = 1
-                ej = tuple(ej)
-                entries[(ei, ej)] = entries.get((ei, ej), 0.0) + a[i].conjugate() * a[j]
-        omegas.append(HermitianForm.from_entries(nvars, entries))
+        # omega = |1 - <z, a>|^2; the degree-1 monomials run from z_n to z_1
+        omegas.append(gram_form(nvars, monos, np.concatenate([[1.0], -a[::-1].conj()])[None]))
     return cs, omegas
 
 

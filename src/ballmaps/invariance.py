@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,6 +26,7 @@ from .maps import (
     MapConstructionError,
     RationalMap,
     compose_source,
+    numerator_rows,
     stacked_coefficients,
 )
 from .polynomials import (
@@ -95,24 +95,22 @@ def membership(
 ) -> MembershipResult:
     """Decide Hermitian-invariance membership of a source automorphism.
 
-    For true-ball targets the criterion is proportionality of the composed
-    form to the original form; for generalized targets only unitary gamma is
-    supported, with direct form equality (the constant is forced to 1).
+    gamma belongs when the form of f o gamma is c_gamma times the form of f,
+    to ``tol`` times the larger form's largest entry.  An automorphism that
+    keeps the origin is a unitary, and for a unitary the constant is forced
+    to 1: such a gamma belongs only when also |c_gamma - 1| <= 10 tol.
+    Generalized-ball targets (l > 0) support only unitary gamma.
+    ``c_gamma`` and ``deviation`` are reported whatever the verdict.
     """
     if gamma.dim != f.n:
         raise MapConstructionError("automorphism dimension differs from map source")
-    if f.l > 0 and gamma.moves_origin(tol):
+    unitary = not gamma.moves_origin(tol)
+    if f.l > 0 and not unitary:
         raise MapConstructionError(
             "membership for generalized-ball targets supports only unitary automorphisms"
         )
-    hf = form_of(f)
-    hg = form_of(compose_source(f, gamma))
-    member, c, deviation = _form_ratio_test(hf, hg, tol)
-    if member and not gamma.moves_origin(tol) and abs(c - 1.0) > 10.0 * tol:
-        warnings.warn(
-            f"unitary member with proportionality constant {c} far from 1",
-            stacklevel=2,
-        )
+    member, c, deviation = _form_ratio_test(form_of(f), form_of(compose_source(f, gamma)), tol)
+    member = member and (not unitary or abs(c - 1.0) <= 10.0 * tol)
     return MembershipResult(member, c, deviation)
 
 
@@ -295,9 +293,6 @@ class TorusSubgroup:
             out *= d
         return out
 
-    def contains(self, theta: Sequence[float], tol: float = TAU_EQ) -> bool:
-        return lattice.annihilates(self.rows, theta, tol)
-
     def element_matrices(self, cap: int = 512) -> list[np.ndarray]:
         """All elements as diagonal unitaries (finite subgroups only)."""
         if self.order is None:
@@ -379,12 +374,7 @@ def permutation_stabilizer(f: RationalMap, tol: float = TAU_EQ) -> list[tuple[in
 
 def strict_diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
     """Diagonal unitaries gamma with f o gamma = f exactly (coefficientwise)."""
-    rows = []
-    for p in list(f.numerator) + [f.denominator]:
-        for exp in p.terms:
-            if any(exp):
-                rows.append(exp)
-    return TorusSubgroup.from_rows(rows, f.n)
+    return TorusSubgroup.from_rows(f.monos, f.n)
 
 
 def strict_permutation_stabilizer(
@@ -474,14 +464,8 @@ def torus_test(f: RationalMap, tol: float = TAU_EQ) -> TorusTestResult:
     diagonal = h.is_diagonal(tol * max(1.0, h.max_abs()))
     monomials = None
     if diagonal and f.is_polynomial(tol) and f.maps_origin_to_zero(tol):
-        data = []
-        for i, alpha in enumerate(h.basis):
-            if not any(alpha):
-                continue
-            value = float(h.mat[i, i].real)
-            if value > tol:
-                data.append((math.sqrt(value), alpha))
-        monomials = tuple(data)
+        weights = zip(h.basis, np.diag(h.mat).real.tolist())
+        monomials = tuple((math.sqrt(v), a) for a, v in weights if any(a) and v > tol)
     return TorusTestResult(diagonal, monomials)
 
 
@@ -512,24 +496,18 @@ def full_unitary_test(f: RationalMap, tol: float = TAU_EQ) -> FullUnitaryTestRes
     """
     h = form_of(f)
     if f.l == 0 and not f.maps_origin_to_zero(tol):
-        f0 = np.array([p.constant_term() for p in f.numerator])
-        b2 = float(np.vdot(f0, f0).real) / abs(f.denominator.constant_term()) ** 2
+        f0 = f.coeffs[:-1, 0]  # the first column is the constant monomial
+        b2 = float(np.vdot(f0, f0).real) / abs(complex(f.coeffs[-1, 0])) ** 2
         if b2 < 1.0:
             h = h.scale(1.0 / (1.0 - b2))
     scale = max(1.0, h.max_abs())
     if not h.is_diagonal(tol * scale):
         return FullUnitaryTestResult(False, None)
-    by_degree: dict[int, dict[MultiIndex, float]] = {}
-    for i, alpha in enumerate(h.basis):
-        by_degree.setdefault(sum(alpha), {})[alpha] = float(h.mat[i, i].real)
-    max_deg = max(by_degree, default=0)
+    diagonal = dict(zip(h.basis, np.diag(h.mat).real.tolist()))
     powers: list[tuple[float, int]] = []
-    for t in range(max_deg + 1):
-        present = by_degree.get(t, {})
-        values = [
-            present.get(alpha, 0.0) / multinomial(alpha)
-            for alpha in degree_monomials(f.n, t)
-        ]
+    for t in range(h.max_degree() + 1):
+        monos = degree_monomials(f.n, t)
+        values = [diagonal.get(alpha, 0.0) / multinomial(alpha) for alpha in monos]
         lam = values[0]
         if any(abs(v - lam) > tol * scale for v in values):
             return FullUnitaryTestResult(False, None)
@@ -623,19 +601,15 @@ def power_chain_check(f: RationalMap, tol: float = TAU_EQ) -> set[int]:
     """
     if not f.is_polynomial(tol):
         raise MapConstructionError("power-chain check requires a polynomial map")
-    d = f.degree
-    out = set()
-    for j in range(f.n):
-        ok = True
-        for k in range(1, d + 1):
-            exp = [0] * f.n
-            exp[j] = k
-            if not any(abs(p.coefficient(exp)) > TAU_ZERO for p in f.numerator):
-                ok = False
-                break
-        if ok:
-            out.add(j)
-    return out
+    support = set(numerator_rows(f)[0])
+    return {
+        j
+        for j in range(f.n)
+        if all(
+            tuple(k if i == j else 0 for i in range(f.n)) in support
+            for k in range(1, f.degree + 1)
+        )
+    }
 
 
 def origin_move_residual(f: RationalMap, gamma: BallAutomorphism) -> float:

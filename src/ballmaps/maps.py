@@ -1,7 +1,7 @@
 """Rational maps between balls and generalized balls, and their construction algebra.
 
-A :class:`RationalMap` is a tuple of numerator polynomials over a scalar
-denominator normalized so the denominator equals 1 at the origin.  The target
+A :class:`RationalMap` is one coefficient array: a row per numerator
+component and the denominator, normalized to 1 at the origin, last.  The target
 carries a signature ``(m, l)``: the first ``m`` components enter squared
 norms positively and the remaining ``l`` negatively.
 
@@ -29,7 +29,6 @@ from .polynomials import (
     grlex_key,
     monomial_values,
     multinomial,
-    polys_close,
     substitute_fractional,
 )
 
@@ -47,11 +46,14 @@ class RationalMap:
     Attributes:
         n: source dimension.
         m, l: positive / negative target signature counts (N = m + l).
-        numerator: tuple of N polynomials in n variables.
-        denominator: scalar polynomial with value 1 at the origin.
+        monos: the graded-lex sorted monomials with a coefficient.
+        coeffs: read-only complex (N + 1) x len(monos) array, one row per
+            numerator component and the denominator, 1 at the origin, last.
+
+    ``numerator`` and ``denominator`` are Polynomial views built on access.
     """
 
-    __slots__ = ("n", "m", "l", "numerator", "denominator")
+    __slots__ = ("n", "m", "l", "monos", "coeffs", "_form")
 
     def __init__(
         self,
@@ -63,28 +65,45 @@ class RationalMap:
         if not numerator:
             raise MapConstructionError("a rational map needs at least one component")
         n = numerator[0].nvars
-        for p in numerator:
-            if p.nvars != n:
-                raise MapConstructionError("components live in different variable counts")
+        if any(p.nvars != n for p in numerator):
+            raise MapConstructionError("components live in different variable counts")
         if denominator.nvars != n:
             raise MapConstructionError("denominator variable count differs from numerator")
-        if not 0 <= l <= len(numerator):
+        self._hold(n, *coefficient_matrix(numerator + (denominator,)), l)
+
+    @classmethod
+    def _of_rows(cls, n: int, monos: Sequence[MultiIndex], coeffs: np.ndarray, l: int = 0):
+        """The map with the given coefficient rows, the denominator last."""
+        f = object.__new__(cls)
+        f._hold(n, monos, coeffs, l)
+        return f
+
+    def _hold(self, n: int, monos: Sequence[MultiIndex], coeffs: np.ndarray, l: int) -> None:
+        """Hold the rows pruned (:func:`pruned_rows`) and rescaled so that
+        q(0) = 1, then pruned again, as the Polynomial arithmetic would."""
+        if not 0 <= l < len(coeffs):
             raise MapConstructionError(f"invalid negative-signature count l={l}")
-        q0 = denominator.constant_term()
+        monos, coeffs = pruned_rows(monos, coeffs)
+        q0 = complex(coeffs[-1, 0]) if monos and not any(monos[0]) else 0j
         if abs(q0) <= TAU_ZERO:
             raise MapConstructionError("denominator vanishes at the origin")
         if abs(q0 - 1.0) > TAU_ZERO:
-            scale = 1.0 / q0
-            numerator = tuple(p.scale(scale) for p in numerator)
-            denominator = denominator.scale(scale)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(numerator) - l)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+            monos, coeffs = pruned_rows(monos, _times(coeffs, 1.0 / q0))
+        coeffs.setflags(write=False)
+        values = (n, len(coeffs) - 1 - l, l, tuple(monos), coeffs, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("RationalMap is immutable")
+
+    @property
+    def numerator(self) -> tuple[Polynomial, ...]:
+        return tuple(polynomials_of_rows(self.n, self.monos, self.coeffs[:-1]))
+
+    @property
+    def denominator(self) -> Polynomial:
+        return polynomials_of_rows(self.n, self.monos, self.coeffs[-1:])[0]
 
     @property
     def target_dim(self) -> int:
@@ -92,22 +111,21 @@ class RationalMap:
 
     @property
     def degree(self) -> int:
-        return max(
-            max((p.degree for p in self.numerator), default=0),
-            self.denominator.degree,
-        )
+        return sum(self.monos[-1])
 
     def is_polynomial(self, tol: float = TAU_EQ) -> bool:
-        one = Polynomial.constant(self.n, 1.0)
-        return polys_close(self.denominator, one, tol)
+        """Is the denominator 1 up to tol times its largest coefficient?"""
+        q = self.coeffs[-1]
+        diff = np.abs(q - np.eye(1, len(q)))
+        return float(diff.max()) <= tol * max(1.0, float(np.abs(q).max()))
 
     def value_at(self, point: Sequence[complex]) -> np.ndarray:
-        monos, A = stacked_coefficients(self)
-        values = A @ monomial_values(monos, [point])[0]
+        values = self.coeffs @ monomial_values(self.monos, [point])[0]
         return values[:-1] / values[-1]
 
     def maps_origin_to_zero(self, tol: float = TAU_EQ) -> bool:
-        return all(abs(p.constant_term()) <= tol for p in self.numerator)
+        # the first column is the constant monomial: q(0) = 1
+        return bool(np.all(np.abs(self.coeffs[:-1, 0]) <= tol))
 
     def __repr__(self) -> str:
         return (
@@ -129,7 +147,12 @@ class RationalMap:
     def from_dict(cls, data: Mapping) -> "RationalMap":
         numerator = [Polynomial.from_dict(p) for p in data["numerator"]]
         denominator = Polynomial.from_dict(data["denominator"])
-        return cls(numerator, denominator, l=int(data.get("l", 0)))
+        l = int(data.get("l", 0))
+        if "m" in data and int(data["m"]) != len(numerator) - l:
+            raise MapConstructionError(
+                f"m={data['m']} differs from {len(numerator)} components minus l={l}"
+            )
+        return cls(numerator, denominator, l=l)
 
 
 def polynomial_map(components: Sequence[Polynomial], l: int = 0) -> RationalMap:
@@ -137,6 +160,15 @@ def polynomial_map(components: Sequence[Polynomial], l: int = 0) -> RationalMap:
     if not components:
         raise MapConstructionError("a rational map needs at least one component")
     return RationalMap(components, Polynomial.constant(components[0].nvars, 1.0), l=l)
+
+
+def polynomial_map_of_rows(n: int, monos: Sequence[MultiIndex], rows: np.ndarray) -> RationalMap:
+    """The map with the given numerator rows over ``monos`` and denominator 1."""
+    monos = list(monos)
+    if not monos or any(monos[0]):
+        monos = [(0,) * n] + monos
+        rows = np.hstack([np.zeros((len(rows), 1)), rows])
+    return RationalMap._of_rows(n, monos, np.vstack([rows, np.eye(1, len(monos))]))
 
 
 def coefficient_matrix(
@@ -147,26 +179,45 @@ def coefficient_matrix(
     Columns are indexed by the graded-lex sorted union of all monomial
     supports.  :func:`polynomials_of_rows` is the inverse.
     """
-    support: set[MultiIndex] = set()
-    for p in polys:
-        support.update(p.terms)
-    monos = sorted(support, key=grlex_key)
+    monos = sorted(set().union(*(p.terms for p in polys)), key=grlex_key)
     index = {mono: i for i, mono in enumerate(monos)}
-    rows = [r for r, p in enumerate(polys) for _ in p.terms]
-    cols = [index[exp] for p in polys for exp in p.terms]
     mat = np.zeros((len(polys), len(monos)), dtype=complex)
-    mat[rows, cols] = [c for p in polys for c in p.terms.values()]
+    for r, p in enumerate(polys):
+        mat[r, [index[exp] for exp in p.terms]] = list(p.terms.values())
     return monos, mat
 
 
-def stacked_coefficients(
-    f: RationalMap,
+def pruned_rows(
+    monos: Sequence[MultiIndex], rows: np.ndarray
 ) -> tuple[list[MultiIndex], np.ndarray]:
-    """Coefficient matrix of (numerator components, denominator) rows.
+    """:func:`coefficient_matrix` of :func:`polynomials_of_rows`: entries at or
+    below TAU_ZERO zeroed, -0.0 parts made +0.0 (the ``0j + c`` of
+    :class:`Polynomial`) and the monomials without an entry dropped."""
+    rows = np.array(rows, dtype=complex)
+    rows += 0.0
+    rows[np.abs(rows) <= TAU_ZERO] = 0.0
+    keep = rows.any(axis=0)
+    return list(compress(monos, keep)), rows if keep.all() else rows[:, keep]
 
-    The denominator occupies the last row.
-    """
-    return coefficient_matrix(f.numerator + (f.denominator,))
+
+def _times(rows: np.ndarray, factor: complex) -> np.ndarray:
+    """rows * factor, each entry rounded as the Python complex product is
+    (numpy's complex multiply may fuse the multiply and add)."""
+    factor = complex(factor)
+    out = np.empty_like(rows)
+    out.real = rows.real * factor.real - rows.imag * factor.imag
+    out.imag = rows.real * factor.imag + rows.imag * factor.real
+    return out
+
+
+def stacked_coefficients(f: RationalMap) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """The map's held coefficient array; the denominator occupies the last row."""
+    return f.monos, f.coeffs
+
+
+def numerator_rows(f: RationalMap) -> tuple[list[MultiIndex], np.ndarray]:
+    """The numerator rows over the monomials they use."""
+    return pruned_rows(f.monos, f.coeffs[:-1])
 
 
 def polynomials_of_rows(
@@ -257,28 +308,21 @@ class BallAutomorphism:
             return np.zeros(self.dim, dtype=complex), self.U
         return self.U @ self.a, -(self.U @ self.linear_part())
 
+    def _terms(self, constant: complex, linear: np.ndarray) -> Polynomial:
+        """constant + sum_i linear[i] z_i, the constant term first."""
+        units = map(tuple, np.eye(self.dim, dtype=int).tolist())
+        return Polynomial(self.dim, {(0,) * self.dim: constant, **dict(zip(units, linear))})
+
     def numerator_polys(self) -> list[Polynomial]:
         """Components of the automorphism numerator as degree-<=1 polynomials."""
         const, lin = self._affine_matrix()
-        out = []
-        for j in range(self.dim):
-            terms: dict[MultiIndex, complex] = {(0,) * self.dim: const[j]}
-            for i in range(self.dim):
-                exp = [0] * self.dim
-                exp[i] = 1
-                terms[tuple(exp)] = lin[j, i]
-            out.append(Polynomial(self.dim, terms))
-        return out
+        return [self._terms(c, row) for c, row in zip(const, lin)]
 
     def denominator_poly(self) -> Polynomial:
         """1 - <z, a> as a polynomial (constant 1 when a = 0)."""
-        terms: dict[MultiIndex, complex] = {(0,) * self.dim: 1.0}
-        if not self._phi_is_identity():
-            for i in range(self.dim):
-                exp = [0] * self.dim
-                exp[i] = 1
-                terms[tuple(exp)] = -complex(self.a[i].conjugate())
-        return Polynomial(self.dim, terms)
+        if self._phi_is_identity():
+            return Polynomial.constant(self.dim, 1.0)
+        return self._terms(1.0, -self.a.conj())
 
     def as_rational_map(self) -> RationalMap:
         return RationalMap(self.numerator_polys(), self.denominator_poly())
@@ -429,14 +473,10 @@ def compose_target(f: RationalMap, psi: BallAutomorphism) -> RationalMap:
         )
     if psi.dim != f.target_dim:
         raise MapConstructionError("target automorphism dimension differs from map target")
-    monos, A = stacked_coefficients(f)
-    p, q = A[:-1], A[-1]
+    p, q = f.coeffs[:-1], f.coeffs[-1]
     # numerator components U (a q - L p), denominator q - <p, a>
     numerator = np.outer(psi.U @ psi.a, q) - psi.U @ (psi.linear_part() @ p)
-    *comps, den = polynomials_of_rows(f.n, monos, np.vstack([numerator, q - psi.a.conj() @ p]))
-    if abs(den.constant_term()) <= TAU_ZERO:
-        raise MapConstructionError("composed denominator vanishes at the origin")
-    return RationalMap(comps, den, l=0)
+    return RationalMap._of_rows(f.n, f.monos, np.vstack([numerator, q - psi.a.conj() @ p]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +495,9 @@ def tensor(f: RationalMap, g: RationalMap) -> RationalMap:
         raise MapConstructionError("tensor factors must share the source dimension")
     if f.l or g.l:
         raise MapConstructionError("tensor product requires true-ball targets")
-    comps = [
-        f.numerator[i] * g.numerator[j]
-        for i, j in _tensor_pair_order(f.target_dim, g.target_dim)
-    ]
+    fp, gp = f.numerator, g.numerator
+    comps = [fp[i] * gp[j] for i, j in _tensor_pair_order(f.target_dim, g.target_dim)]
     return RationalMap(comps, f.denominator * g.denominator, l=0)
-
-
-def _common_denominator(maps: Sequence[RationalMap]) -> Polynomial:
-    den = maps[0].denominator
-    for f in maps[1:]:
-        if not polys_close(den, f.denominator):
-            raise MapConstructionError(
-                "juxtaposition requires a common denominator (or polynomial inputs)"
-            )
-    return den
 
 
 def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> RationalMap:
@@ -477,10 +505,23 @@ def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> Ratio
     of all maps first, then their negative blocks."""
     if any(f.n != maps[0].n for f in maps):
         raise MapConstructionError("orthogonal sum requires a common source dimension")
-    den = _common_denominator(maps)
-    pos = [p.scale(c) for f, c in zip(maps, weights) for p in f.numerator[: f.m]]
-    neg = [p.scale(c) for f, c in zip(maps, weights) for p in f.numerator[f.m :]]
-    return RationalMap(pos + neg, den, l=sum(f.l for f in maps))
+    monos = sorted(set().union(*(f.monos for f in maps)), key=grlex_key)
+    index = {mono: i for i, mono in enumerate(monos)}
+    arrays = [np.zeros((len(f.coeffs), len(monos)), dtype=complex) for f in maps]
+    for f, A in zip(maps, arrays):
+        A[:, [index[mono] for mono in f.monos]] = f.coeffs
+    den = arrays[0][-1]
+    if any(
+        np.abs(A[-1] - den).max() > TAU_EQ * max(1.0, np.abs(den).max(), np.abs(A[-1]).max())
+        for A in arrays
+    ):
+        raise MapConstructionError(
+            "juxtaposition requires a common denominator (or polynomial inputs)"
+        )
+    pos = [_times(A[: f.m], c) for f, A, c in zip(maps, arrays, weights)]
+    neg = [_times(A[f.m : -1], c) for f, A, c in zip(maps, arrays, weights)]
+    rows = np.vstack(pos + neg + [den])
+    return RationalMap._of_rows(maps[0].n, monos, rows, l=sum(f.l for f in maps))
 
 
 def oplus(
@@ -528,20 +569,20 @@ def descend(f: RationalMap, A: Subspace, g: RationalMap) -> RationalMap:
     if A.ambient_dim != f.target_dim:
         raise MapConstructionError("subspace ambient dimension differs from map target")
 
-    monos, coeffs = coefficient_matrix(f.numerator)
+    monos, coeffs = numerator_rows(f)
     inside = polynomials_of_rows(f.n, monos, A.basis.conj() @ coeffs)
     outside = polynomials_of_rows(f.n, monos, A.orthogonal_complement_basis().conj() @ coeffs)
-    pairs = _tensor_pair_order(len(inside), g.target_dim)
-    comps = [inside[i] * g.numerator[j] for i, j in pairs]
-    comps += [p * g.denominator for p in outside]
-    return RationalMap(comps, f.denominator * g.denominator, l=0)
+    gp, gq = g.numerator, g.denominator
+    comps = [inside[i] * gp[j] for i, j in _tensor_pair_order(len(inside), g.target_dim)]
+    comps += [p * gq for p in outside]
+    return RationalMap(comps, f.denominator * gq, l=0)
 
 
 def lowest_order_subspace(f: RationalMap) -> Subspace:
     """Span of the coefficient vectors of the lowest-order homogeneous part."""
     if not f.is_polynomial():
         raise MapConstructionError("lowest-order subspace requires a polynomial map")
-    monos, coeffs = coefficient_matrix(f.numerator)
+    monos, coeffs = numerator_rows(f)
     if not monos:
         raise MapConstructionError("zero map has no lowest-order part")
     degrees = exponent_array(monos, f.n).sum(axis=1)
@@ -678,8 +719,9 @@ def catalog(name: str, theta: float = math.pi / 4) -> RationalMap:
     ``whitney-seq-k`` accepts any positive integer suffix; the two
     ``example-7-4`` families take the mixing angle ``theta``.
     """
-    if name.startswith("faran-"):
-        return _faran(int(name.split("-")[1]))
+    prefix, _, index = name.rpartition("-")
+    if prefix == "faran" and index.isdecimal():
+        return _faran(int(index))
     if name == "example-3-1":
         z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
         return polynomial_map([z1, z2, z1 * z3, z2 * z3, z3 * z3])
@@ -687,8 +729,8 @@ def catalog(name: str, theta: float = math.pi / 4) -> RationalMap:
         return _twisted_planar_map()
     if name == "corollary-6-2":
         return _unit_circle_cubic()
-    if name.startswith("whitney-seq-"):
-        return _whitney_sequence(int(name.rsplit("-", 1)[1]))
+    if prefix == "whitney-seq" and index.isdecimal():
+        return _whitney_sequence(int(index))
     if name == "example-7-4-f":
         return _inessential_family(theta)
     if name == "example-7-4-g":

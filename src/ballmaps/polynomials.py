@@ -19,6 +19,7 @@ a sorted table) and :func:`monomial_values` (monomials evaluated at points).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, Mapping, Sequence
@@ -292,10 +293,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def conjugate_coefficients(self) -> "Polynomial":
-        """Conjugate every coefficient (exponents unchanged)."""
-        return Polynomial(self.nvars, {e: c.conjugate() for e, c in self.terms.items()})
-
     # ------------------------------------------------------------------
     # evaluation and substitution
     # ------------------------------------------------------------------
@@ -369,29 +366,14 @@ def substitute_fractional(
         raise ValueError(
             f"degree_bound {degree_bound} is below the polynomial degree {p.degree}"
         )
-    if numerators:
-        nvars_out = numerators[0].nvars
-        for q in numerators:
-            if q.nvars != nvars_out:
-                raise ValueError("numerators live in different variable counts")
-    else:
-        nvars_out = denominator.nvars
+    nvars_out = numerators[0].nvars if numerators else denominator.nvars
+    if any(q.nvars != nvars_out for q in numerators):
+        raise ValueError("numerators live in different variable counts")
     if denominator.nvars != nvars_out:
         raise ValueError("denominator variable count differs from numerators")
 
-    num_pow_cache: dict[tuple[int, int], Polynomial] = {}
-    den_pow_cache: dict[int, Polynomial] = {}
-
-    def num_power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in num_pow_cache:
-            num_pow_cache[key] = numerators[i] ** e
-        return num_pow_cache[key]
-
-    def den_power(e: int) -> Polynomial:
-        if e not in den_pow_cache:
-            den_pow_cache[e] = denominator**e
-        return den_pow_cache[e]
+    num_power = functools.cache(lambda i, e: numerators[i] ** e)
+    den_power = functools.cache(lambda e: denominator**e)
 
     result = Polynomial.zero(nvars_out)
     for exp, coeff in p.sorted_terms():

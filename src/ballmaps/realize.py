@@ -38,9 +38,12 @@ from .maps import (
     MapConstructionError,
     RationalMap,
     catalog,
+    coefficient_matrix,
     juxtapose_theta,
+    numerator_rows,
     oplus,
     polynomial_map,
+    polynomial_map_of_rows,
     polynomials_of_rows,
     tensor,
     tensor_power,
@@ -58,17 +61,19 @@ class RealizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class FactorizationResult:
-    """Holomorphic decomposition h = sum |f_i|^2 - sum |g_j|^2."""
+    """Holomorphic decomposition h = sum |f_i|^2 - sum |g_j|^2.
 
-    positives: tuple[Polynomial, ...]
-    negatives: tuple[Polynomial, ...]
+    ``positives`` and ``negatives`` hold one coefficient row per component
+    over the monomials ``monos`` (the basis of h).
+    """
+
+    monos: tuple[MultiIndex, ...]
+    positives: np.ndarray
+    negatives: np.ndarray
 
     def reconstruct(self, nvars: int) -> HermitianForm:
-        polys = list(self.positives) + list(self.negatives)
-        if not polys:
-            return HermitianForm.zero(nvars)
         signs = [1.0] * len(self.positives) + [-1.0] * len(self.negatives)
-        return gram_form(polys, signs)
+        return gram_form(nvars, self.monos, np.vstack([self.positives, self.negatives]), signs)
 
 
 def _support_blocks(support: np.ndarray) -> np.ndarray:
@@ -91,7 +96,8 @@ def _support_blocks(support: np.ndarray) -> np.ndarray:
 
 
 def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResult:
-    """Eigendecompose the coefficient matrix into sparse holomorphic components.
+    """Eigendecompose the coefficient matrix into sparse holomorphic components,
+    returned as coefficient rows over the basis of h.
 
     The support graph (|h_ab| > TAU_ZERO) splits the matrix into connected
     blocks, which are factored separately.  Each block is scaled by
@@ -104,8 +110,7 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
     linearly independent because its eigenvectors are.
     """
     support = np.abs(h.mat) > TAU_ZERO
-    pos: list[Polynomial] = []
-    neg: list[Polynomial] = []
+    pos, neg = [np.zeros((0, h.size), dtype=complex)], [np.zeros((0, h.size), dtype=complex)]
     labels = _support_blocks(support)
     for label in np.unique(labels[support.any(axis=1)]):
         idx = np.flatnonzero(labels == label)
@@ -113,11 +118,11 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
         d = np.sqrt(np.max(np.abs(block), axis=1))
         eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
         keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
-        comps = d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))
-        monos = [h.basis[i] for i in idx.tolist()]
-        for lam, comp in zip(eigvals[keep], polynomials_of_rows(h.nvars, monos, comps.T)):
-            (pos if lam > 0 else neg).append(comp)
-    return FactorizationResult(tuple(pos), tuple(neg))
+        comps = np.zeros((np.count_nonzero(keep), h.size), dtype=complex)
+        comps[:, idx] = (d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))).T
+        pos.append(comps[eigvals[keep] > 0])
+        neg.append(comps[eigvals[keep] < 0])
+    return FactorizationResult(h.basis, np.vstack(pos), np.vstack(neg))
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +138,15 @@ class PadResult:
     powers: tuple[int, ...]
 
     def target_form(self, nvars: int) -> HermitianForm:
-        acc = HermitianForm.zero(nvars)
-        for lam, m in zip(self.lambdas, self.powers):
-            acc = acc + norm_power_form(nvars, m).scale(lam * lam)
-        return acc
+        return _norm_power_sum(nvars, self.lambdas, self.powers)
 
 
-def _present_degrees(polys: Sequence[Polynomial]) -> set[int]:
-    return {sum(exp) for p in polys for exp in p.terms}
+def _norm_power_sum(nvars: int, lambdas: Sequence[float], powers: Sequence[int]) -> HermitianForm:
+    """sum_j lambda_j^2 |z|^(2 m_j)."""
+    acc = HermitianForm.zero(nvars)
+    for lam, m in zip(lambdas, powers):
+        acc = acc + norm_power_form(nvars, m).scale(lam * lam)
+    return acc
 
 
 def _min_eig(h: HermitianForm) -> float:
@@ -171,18 +177,12 @@ def pad_to_proper(
 
     powers = list(range(degree + 1))
     if omit_empty_degrees:
-        present = _present_degrees(nonzero)
+        present = {sum(exp) for q in nonzero for exp in q.terms}
         powers = [j for j in powers if j in present] or [0]
     weights = [1.0 / math.sqrt(len(powers))] * len(powers)
 
-    target = HermitianForm.zero(nvars)
-    for lam, m in zip(weights, powers):
-        target = target + norm_power_form(nvars, m).scale(lam * lam)
-
-    if nonzero:
-        b = gram_form(nonzero)
-    else:
-        b = HermitianForm.zero(nvars)
+    target = _norm_power_sum(nvars, weights, powers)
+    b = gram_form(nvars, *coefficient_matrix(nonzero))
 
     psd_slack = 1e-11 * max(1.0, target.max_abs())
 
@@ -215,13 +215,12 @@ def pad_to_proper(
         remainder = target - b.scale(eps * eps)
 
     factored = factor_form(remainder, tol_sig=1e-12)
-    if factored.negatives:
-        worst = max(q.max_abs_coeff() for q in factored.negatives)
-        if worst > 1e-6:
-            raise MapConstructionError(
-                "padding remainder has a significantly negative part; epsilon too large"
-            )
-    return PadResult(eps, factored.positives, tuple(weights), tuple(powers))
+    if np.abs(factored.negatives).max(initial=0.0) > 1e-6:
+        raise MapConstructionError(
+            "padding remainder has a significantly negative part; epsilon too large"
+        )
+    components = polynomials_of_rows(nvars, factored.monos, factored.positives)
+    return PadResult(eps, tuple(components), tuple(weights), tuple(powers))
 
 
 def padded_map(p: Sequence[Polynomial], pad: PadResult) -> RationalMap:
@@ -309,17 +308,18 @@ def symmetric_group_map_v2(n: int) -> RationalMap:
         prod = prod * (Polynomial.constant(n, 1.0) + z)
     pad = pad_to_proper([prod])
     m = n + 2
-    positive = gram_form([prod]).scale(pad.epsilon**2) * norm_power_form(n, 1)
-    positive = positive + gram_form(pad.components) * norm_power_form(n, m)
+    positive = gram_form(n, *coefficient_matrix([prod])).scale(pad.epsilon**2)
+    positive = positive * norm_power_form(n, 1)
+    positive = positive + gram_form(n, *coefficient_matrix(pad.components)) * norm_power_form(n, m)
     return _map_of_positive_form(positive)
 
 
 def _map_of_positive_form(h: HermitianForm) -> RationalMap:
     """The polynomial map whose components factor a positive semidefinite form."""
     factored = factor_form(h)
-    if factored.negatives:
+    if len(factored.negatives):
         raise RealizationError("the positive form of the construction has a negative part")
-    return polynomial_map(factored.positives)
+    return polynomial_map_of_rows(h.nvars, factored.monos, factored.positives)
 
 
 def _verify_permutation_group(
@@ -359,9 +359,10 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     k3 = sum(mu) + 1
     f_sym = symmetric_group_map(n)
     k4 = f_sym.degree + 1
-    padded = gram_form([tau]).scale(pad.epsilon**2)
-    padded = padded + gram_form(pad.components) * norm_power_form(n, k3)
-    positive = (gram_form(f_sym.numerator) + padded * norm_power_form(n, k4)).scale(0.5)
+    padded = gram_form(n, *coefficient_matrix([tau])).scale(pad.epsilon**2)
+    padded = padded + gram_form(n, *coefficient_matrix(pad.components)) * norm_power_form(n, k3)
+    positive = gram_form(n, *numerator_rows(f_sym)) + padded * norm_power_form(n, k4)
+    positive = positive.scale(0.5)
     result = _map_of_positive_form(positive)
     _verify_permutation_group(result, group)
     return result
@@ -402,23 +403,19 @@ def realize_from_invariants(
         if abs(h.constant_term()) > TAU_ZERO:
             raise MapConstructionError("invariants must vanish at the origin")
 
+    # each invariant takes the first power whose support misses the earlier
+    # ones; a power a band above the previous one always does
     band = max(h.degree for h in invariants) + 1
     exponents: list[int] = []
     supports: list[set[MultiIndex]] = []
-    prev = 0
-    for idx, h in enumerate(invariants):
-        found = None
-        for m in range(prev + 1, prev + band + 1):
-            cand = _support_of_summand(h, m)
-            if all(not (cand & s) for s in supports):
-                found = m
-                chosen = cand
+    for h in invariants:
+        start = exponents[-1] + 1 if exponents else 1
+        for m in range(start, start + band):
+            support = _support_of_summand(h, m)
+            if not any(support & s for s in supports):
                 break
-        if found is None:  # unreachable: the degree-band start always works
-            raise MapConstructionError("could not separate invariant supports")
-        exponents.append(found)
-        supports.append(chosen)
-        prev = found
+        exponents.append(m)
+        supports.append(support)
 
     one = Polynomial.constant(n, 1.0)
     summands: list[Polynomial] = []
@@ -429,8 +426,8 @@ def realize_from_invariants(
         summands.extend(block.numerator)
     pad = pad_to_proper(summands, omit_empty_degrees=True)
     m_final = max(q.degree for q in summands) + 1
-    positive = gram_form(summands).scale(pad.epsilon**2)
-    positive = positive + gram_form(pad.components) * norm_power_form(n, m_final)
+    padding = gram_form(n, *coefficient_matrix(pad.components)) * norm_power_form(n, m_final)
+    positive = gram_form(n, *coefficient_matrix(summands)).scale(pad.epsilon**2) + padding
     result = _map_of_positive_form(positive)
     for gmat in group:
         res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from ballmaps import gram_form
+from ballmaps.maps import coefficient_matrix
+
 #: Generators (0-based images) of the six subgroups of S_3.
 S3_GENERATORS = {
     "trivial": [],
@@ -10,6 +13,11 @@ S3_GENERATORS = {
     "alternating": [(1, 2, 0)],
     "full": [(1, 2, 0), (1, 0, 2)],
 }
+
+
+def gram_of(polys, signs=None):
+    """The Gram form of a list of polynomials, through their coefficient matrix."""
+    return gram_form(polys[0].nvars, *coefficient_matrix(polys), signs)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

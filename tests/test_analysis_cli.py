@@ -154,6 +154,50 @@ def test_cli_malformed_input_exit_code(tmp_path):
     assert main(["analyze", str(bad)]) == 2
 
 
+_FARAN_2 = {
+    "n": 2,
+    "m": 3,
+    "l": 0,
+    "numerator": [
+        {"nvars": 2, "terms": [{"exp": e, "re": 1.0, "im": 0.0}]} for e in ([1, 0], [1, 1], [0, 2])
+    ],
+    "denominator": {"nvars": 2, "terms": [{"exp": [0, 0], "re": 1.0, "im": 0.0}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["sample", "{map}", "--count", "0"], {"map": _FARAN_2}),
+        (["construct", "catalog", "--name", "faran-x"], {}),
+        (["construct", "catalog", "--name", "whitney-seq-x"], {}),
+        (["pad", "{data}"], {"data": {"polynomials": []}}),
+        (["realize", "subgroup", "--group", "{data}"], {"data": {"generators": [[1, 0]]}}),
+        (["realize", "from-invariants", "--group", "{data}"], {"data": {"generators": []}}),
+        (["analyze", "{map}"], {"map": {**_FARAN_2, "m": 2}}),
+    ],
+    ids=[
+        "sample-count-0",
+        "faran-x",
+        "whitney-seq-x",
+        "pad-no-components",
+        "subgroup-no-n",
+        "invariants-missing",
+        "map-m-mismatch",
+    ],
+)
+def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, files):
+    paths = {}
+    for key, data in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    out = str(tmp_path / "out.json")
+    assert main([arg.format(**paths) for arg in argv] + ["-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
 def test_cli_missing_file_exit_code():
     assert main(["analyze", "/nonexistent/path.json"]) == 2
 

@@ -25,7 +25,6 @@ from ballmaps import (
     diagonal_stabilizer,
     factor_form,
     form_of,
-    gram_form,
     is_proper,
     juxtapose_theta,
     oplus,
@@ -43,10 +42,11 @@ from ballmaps import (
     tensor_power,
 )
 from ballmaps.lattice import invariant_factors
-from ballmaps.polynomials import degree_monomials, grlex_monomials
+from ballmaps.maps import polynomial_map_of_rows
+from ballmaps.polynomials import TAU_ZERO, degree_monomials, grlex_monomials
 from ballmaps.realize import _support_blocks
 
-from conftest import random_center
+from conftest import gram_of, random_center
 
 ETA = np.exp(2j * np.pi / 3)
 
@@ -131,7 +131,7 @@ def _dict_product(x, y):
 
 def _positive_rank(f):
     """Rank of |f|^2 from the eigenvalues of its unit-diagonal (Jacobi) scaling."""
-    h = gram_form(f.numerator)
+    h = gram_of(f.numerator)
     d = np.sqrt(np.diag(h.mat).real)
     eigs = np.linalg.eigvalsh(h.mat / np.outer(d, d))
     return int(np.sum(eigs > TAU_SIG * eigs.max()))
@@ -215,8 +215,9 @@ def test_factoring_the_transposition_form_stays_proper():
     # the positive form has a nonzero eigenvalue 4.5e-9 times its largest; an
     # unscaled eigendecomposition at the relative threshold 1e-8 drops it and
     # the factored map is no longer proper (residual 3.7e4)
-    p = gram_form(_reference_realize_subgroup([(1, 0, 2)], 3).numerator)
-    f = polynomial_map(factor_form(p).positives)
+    p = gram_of(_reference_realize_subgroup([(1, 0, 2)], 3).numerator)
+    res = factor_form(p)
+    f = polynomial_map_of_rows(3, res.monos, res.positives)
     assert is_proper(f).residual <= 1e-8
 
 
@@ -300,9 +301,10 @@ def test_support_blocks_match_connected_components(rng):
 def test_factor_form_splits_disconnected_blocks():
     # blocks {z1, z1^2}, {z2, z2^2} and {z1 z2} interleave in the basis order
     z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    h = gram_form([z1 + 1e-3 * z1 * z1, z2 + 1e-3 * z2 * z2, 1e2 * z1 * z2])
+    h = gram_of([z1 + 1e-3 * z1 * z1, z2 + 1e-3 * z2 * z2, 1e2 * z1 * z2])
     res = factor_form(h)
-    assert sorted(len(q.terms) for q in res.positives) == [1, 2, 2] and not res.negatives
+    terms = np.count_nonzero(np.abs(res.positives) > TAU_ZERO, axis=1)
+    assert sorted(terms) == [1, 2, 2] and not len(res.negatives)
     rec = res.reconstruct(2)
     assert {(a, b) for a, b, _ in rec.entries()} == {(a, b) for a, b, _ in h.entries()}
     assert rec.max_entry_diff(h) <= 1e-15 * h.max_abs()
@@ -323,7 +325,7 @@ def _random_form(rng, n):
         )
         for _ in range(3)
     ]
-    return gram_form(polys, [1.0, -1.0, 1.0])
+    return gram_of(polys, [1.0, -1.0, 1.0])
 
 
 def _assert_product_matches(x, y):
@@ -354,7 +356,7 @@ def test_form_product_matches_entry_loop_on_automorphism_forms(rng):
             linear = {(0,) * n: 1.0}
             for i in range(n):
                 linear[tuple(np.eye(n, dtype=int)[i])] = -complex(a[i]).conjugate()
-            omega = gram_form([Polynomial(n, linear)])
+            omega = gram_of([Polynomial(n, linear)])
             mixed = _dict_product(mixed, rho.scale(1.0 - float(np.vdot(a, a).real)) + omega)
             omega_product = _dict_product(omega_product, omega)
         assert h.max_entry_diff(mixed - omega_product) <= 1e-13 * max(1.0, h.max_abs())

@@ -1,0 +1,410 @@
+"""A map is its coefficient array, against maps held as Polynomial components.
+
+The reference below builds each map as the library did when a map was a
+tuple of ``Polynomial`` components over a ``Polynomial`` denominator:
+normalization by ``Polynomial.scale``, tensor products and orthogonal sums
+by Polynomial arithmetic, the factored components turned into polynomials,
+and the coefficient array and the form rebuilt from those polynomials.  The
+held array, the form, and the quotient and residual of the properness
+certificate must be bit-identical to it.
+"""
+
+import math
+from itertools import compress
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ballmaps
+from ballmaps import (
+    BallAutomorphism,
+    HermitianForm,
+    Polynomial,
+    RationalMap,
+    analyze_map,
+    catalog,
+    close_permutation_group,
+    compose_source,
+    compose_target,
+    descend,
+    form_of,
+    identity_map,
+    is_proper,
+    juxtapose_lambda,
+    norm_power_form,
+    oplus,
+    pad_with_zeros,
+    quotient_by_sphere,
+    realize_from_invariants,
+    realize_subgroup,
+    symmetric_group_map,
+    symmetric_group_map_v2,
+    tensor,
+)
+from ballmaps import maps
+from ballmaps.maps import CATALOG_NAMES, Subspace, _tensor_pair_order, stacked_coefficients
+from ballmaps.hermitian import TAU_SIG
+from ballmaps.polynomials import TAU_ZERO, grlex_key, polys_close
+from ballmaps.realize import _support_blocks, _support_of_summand
+
+from conftest import S3_GENERATORS, random_center, random_unitary
+
+ETA = np.exp(2j * np.pi / 3)
+
+
+# ---------------------------------------------------------------------------
+# reference: maps held as Polynomial components
+# ---------------------------------------------------------------------------
+class _PolynomialMap:
+    def __init__(self, numerator, denominator, l=0):
+        numerator = tuple(numerator)
+        q0 = denominator.constant_term()
+        assert abs(q0) > TAU_ZERO
+        if abs(q0 - 1.0) > TAU_ZERO:
+            numerator = tuple(p.scale(1.0 / q0) for p in numerator)
+            denominator = denominator.scale(1.0 / q0)
+        self.n, self.m, self.l = denominator.nvars, len(numerator) - l, l
+        self.numerator, self.denominator = numerator, denominator
+
+    @property
+    def target_dim(self):
+        return self.m + self.l
+
+    @property
+    def degree(self):
+        return max(max(p.degree for p in self.numerator), self.denominator.degree)
+
+
+def _ref_polynomial_map(components, l=0):
+    return _PolynomialMap(components, Polynomial.constant(components[0].nvars, 1.0), l)
+
+
+def _ref_coefficient_matrix(polys):
+    support = set()
+    for p in polys:
+        support.update(p.terms)
+    monos = sorted(support, key=grlex_key)
+    index = {mono: i for i, mono in enumerate(monos)}
+    mat = np.zeros((len(polys), len(monos)), dtype=complex)
+    rows = [r for r, p in enumerate(polys) for _ in p.terms]
+    cols = [index[exp] for p in polys for exp in p.terms]
+    mat[rows, cols] = [c for p in polys for c in p.terms.values()]
+    return monos, mat
+
+
+def _ref_gram(polys, signs=None):
+    monos, A = _ref_coefficient_matrix(polys)
+    sgn = np.ones(len(polys)) if signs is None else np.asarray(signs, dtype=float)
+    if not A.imag.any():
+        A = A.real
+    return HermitianForm(polys[0].nvars, monos, A.T @ (sgn[:, None] * A.conj())).compressed()
+
+
+def _ref_form(f):
+    return _ref_gram(f.numerator + (f.denominator,), [1.0] * f.m + [-1.0] * (f.l + 1))
+
+
+def _ref_tensor(f, g):
+    pairs = _tensor_pair_order(f.target_dim, g.target_dim)
+    comps = [f.numerator[i] * g.numerator[j] for i, j in pairs]
+    return _PolynomialMap(comps, f.denominator * g.denominator)
+
+
+def _ref_oplus(f, g, weights=(1.0, 1.0)):
+    assert polys_close(f.denominator, g.denominator)
+    pos = [p.scale(c) for h, c in zip((f, g), weights) for p in h.numerator[: h.m]]
+    neg = [p.scale(c) for h, c in zip((f, g), weights) for p in h.numerator[h.m :]]
+    return _PolynomialMap(pos + neg, f.denominator, f.l + g.l)
+
+
+def _ref_compose_target(f, psi):
+    monos, A = _ref_coefficient_matrix(f.numerator + (f.denominator,))
+    p, q = A[:-1], A[-1]
+    numerator = np.outer(psi.U @ psi.a, q) - psi.U @ (psi.linear_part() @ p)
+    rows = np.vstack([numerator, q - psi.a.conj() @ p])
+    *comps, den = _ref_rows_to_polynomials(f.n, monos, rows)
+    return _PolynomialMap(comps, den)
+
+
+def _ref_rows_to_polynomials(nvars, monos, mat):
+    present = np.abs(mat) > TAU_ZERO
+    return [
+        Polynomial(nvars, dict(zip(compress(monos, keep), row[keep].tolist())))
+        for row, keep in zip(mat, present)
+    ]
+
+
+def _ref_factor(h, tol_sig=TAU_SIG):
+    support = np.abs(h.mat) > TAU_ZERO
+    pos, neg = [], []
+    labels = _support_blocks(support)
+    for label in np.unique(labels[support.any(axis=1)]):
+        idx = np.flatnonzero(labels == label)
+        block = h.mat[np.ix_(idx, idx)]
+        d = np.sqrt(np.max(np.abs(block), axis=1))
+        eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
+        keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
+        comps = d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))
+        monos = [h.basis[i] for i in idx.tolist()]
+        for lam, comp in zip(eigvals[keep], _ref_rows_to_polynomials(h.nvars, monos, comps.T)):
+            (pos if lam > 0 else neg).append(comp)
+    return pos, neg
+
+
+def _ref_pad(p, omit_empty_degrees=False):
+    """(epsilon, padding components) of the bisection padding."""
+    nvars = p[0].nvars
+    nonzero = [q for q in p if not q.is_zero()]
+    powers = list(range(max(q.degree for q in p) + 1))
+    if omit_empty_degrees:
+        present = {sum(exp) for q in nonzero for exp in q.terms}
+        powers = [j for j in powers if j in present] or [0]
+    target = HermitianForm.zero(nvars)
+    for m in powers:
+        lam = 1.0 / math.sqrt(len(powers))
+        target = target + norm_power_form(nvars, m).scale(lam * lam)
+    b = _ref_gram(nonzero)
+    slack = 1e-11 * max(1.0, target.max_abs())
+
+    def feasible(eps):
+        return np.min(np.linalg.eigvalsh((target - b.scale(eps * eps)).mat)) >= -slack
+
+    lo, hi = 0.0, 1.0
+    while feasible(hi) and hi <= 1e8:
+        lo, hi = hi, 2.0 * hi
+    while (hi - lo) > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    eps = 0.5 * lo
+    return eps, _ref_factor(target - b.scale(eps * eps), 1e-12)[0]
+
+
+def _ref_map_of_positive_form(h):
+    pos, neg = _ref_factor(h)
+    assert not neg
+    return _ref_polynomial_map(pos)
+
+
+def _built_with_polynomial_maps(fn, *args):
+    """A library construction run with ``polynomial_map`` making reference maps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "polynomial_map", _ref_polynomial_map)
+        return fn(*args)
+
+
+def _ref_symmetric_group_map(n):
+    zs = [Polynomial.variable(n, i) for i in range(n)]
+    pair_block = [zs[j] * zs[k] for j in range(n) for k in range(j + 1, n)]
+    z_map = _ref_polynomial_map(zs)
+    pair_map = _ref_polynomial_map([q.scale(math.sqrt(2.0)) for q in pair_block])
+    g = _ref_oplus(_ref_tensor(pair_map, z_map), _ref_polynomial_map([z * z for z in zs]))
+    affine = Polynomial.constant(n, 1.0)
+    for z in zs:
+        affine = affine + z
+    eps, comps = _ref_pad([affine])
+    h = _ref_oplus(
+        _ref_polynomial_map([affine.scale(eps)]),
+        _ref_tensor(_ref_polynomial_map(comps), z_map),
+    )
+    return _ref_oplus(g, h, (math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)))
+
+
+def _ref_symmetric_group_map_v2(n):
+    prod = Polynomial.constant(n, 1.0)
+    for i in range(n):
+        prod = prod * (Polynomial.constant(n, 1.0) + Polynomial.variable(n, i))
+    eps, comps = _ref_pad([prod])
+    positive = _ref_gram([prod]).scale(eps**2) * norm_power_form(n, 1)
+    positive = positive + _ref_gram(comps) * norm_power_form(n, n + 2)
+    return _ref_map_of_positive_form(positive)
+
+
+def _ref_realize_subgroup(generators, n):
+    group = close_permutation_group(generators, n)
+    if len(group) == math.factorial(n):
+        return _ref_symmetric_group_map(n)
+    mu = list(range(1, n + 1))
+    tau = Polynomial.constant(n, 1.0)
+    for perm in group:
+        exp = [0] * n
+        for j in range(n):
+            exp[perm[j]] = mu[j]
+        tau = tau + Polynomial.monomial(exp, 1.0)
+    eps, comps = _ref_pad([tau], omit_empty_degrees=True)
+    f_sym = _ref_symmetric_group_map(n)
+    padded = _ref_gram([tau]).scale(eps**2)
+    padded = padded + _ref_gram(comps) * norm_power_form(n, sum(mu) + 1)
+    positive = _ref_gram(f_sym.numerator) + padded * norm_power_form(n, f_sym.degree + 1)
+    return _ref_map_of_positive_form(positive.scale(0.5))
+
+
+def _ref_realize_from_invariants(invariants):
+    n = invariants[0].nvars
+    band = max(h.degree for h in invariants) + 1
+    supports, prev, summands = [], 0, []
+    one = Polynomial.constant(n, 1.0)
+    for h in invariants:
+        for m in range(prev + 1, prev + band + 1):
+            cand = _support_of_summand(h, m)
+            if all(not (cand & s) for s in supports):
+                break
+        supports.append(cand)
+        prev = m
+        power = _built_with_polynomial_maps(maps.tensor_power, n, m)
+        summands.extend(_ref_tensor(_ref_polynomial_map([one + h]), power).numerator)
+    eps, comps = _ref_pad(summands, omit_empty_degrees=True)
+    positive = _ref_gram(summands).scale(eps**2)
+    m_final = max(q.degree for q in summands) + 1
+    positive = positive + _ref_gram(comps) * norm_power_form(n, m_final)
+    return _ref_map_of_positive_form(positive)
+
+
+# ---------------------------------------------------------------------------
+# bit-identical maps, forms and certificates
+# ---------------------------------------------------------------------------
+def _assert_bit_identical(f, ref):
+    monos, A = _ref_coefficient_matrix(ref.numerator + (ref.denominator,))
+    assert (f.n, f.m, f.l) == (ref.n, ref.m, ref.l)
+    assert list(f.monos) == monos
+    assert f.coeffs.shape == A.shape and f.coeffs.tobytes() == A.tobytes()
+    h, ref_h = form_of(f), _ref_form(ref)
+    assert h.basis == ref_h.basis and h.mat.tobytes() == ref_h.mat.tobytes()
+    cert = is_proper(f)
+    quotient, residual = quotient_by_sphere(ref_h)
+    assert cert.quotient.basis == quotient.basis
+    assert cert.quotient.mat.tobytes() == quotient.mat.tobytes()
+    assert np.float64(cert.residual).tobytes() == np.float64(residual).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_fixture_is_bit_identical(name):
+    _assert_bit_identical(catalog(name), _built_with_polynomial_maps(maps.catalog, name))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_symmetric_group_map_is_bit_identical(n):
+    _assert_bit_identical(symmetric_group_map(n), _ref_symmetric_group_map(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetric_group_map_v2_is_bit_identical(n):
+    _assert_bit_identical(symmetric_group_map_v2(n), _ref_symmetric_group_map_v2(n))
+
+
+@pytest.mark.parametrize("name", S3_GENERATORS)
+def test_s3_realization_is_bit_identical(name):
+    generators = S3_GENERATORS[name]
+    _assert_bit_identical(realize_subgroup(generators, 3), _ref_realize_subgroup(generators, 3))
+
+
+def test_realization_from_invariants_is_bit_identical():
+    invariants = [
+        Polynomial.monomial((3, 0)),
+        Polynomial.monomial((0, 3)),
+        Polynomial.monomial((1, 1)),
+    ]
+    f = realize_from_invariants(invariants, [np.diag([ETA, ETA**2])])
+    _assert_bit_identical(f, _ref_realize_from_invariants(invariants))
+
+
+@pytest.mark.parametrize("q0", [2.0 + 0.5j, -2.0])
+def test_rescaling_rounds_as_polynomial_arithmetic(q0):
+    # every coefficient is multiplied by 1 / q(0); the 1.5e-13 coefficient
+    # falls below TAU_ZERO only after the rescaling, and 1 / (-2) = -0.5 - 0i
+    # gives -0.0 imaginary parts, which a Polynomial holds as +0.0
+    z1, z2 = (Polynomial.variable(2, i) for i in range(2))
+    numerator = [z1 + z2.scale(1.5e-13), (z1 * z2).scale(0.7 - 0.2j), z2 * z2]
+    denominator = Polynomial.constant(2, q0) + z1.scale(0.3j)
+    _assert_bit_identical(
+        RationalMap(numerator, denominator), _PolynomialMap(numerator, denominator)
+    )
+
+
+@pytest.mark.parametrize("name", ["faran-4", "example-3-1", "example-7-4-g"])
+def test_target_composition_and_weights_are_bit_identical(name):
+    rng = np.random.default_rng(7)
+    f, ref = catalog(name), _built_with_polynomial_maps(maps.catalog, name)
+    N = f.target_dim
+    psi = BallAutomorphism(random_unitary(rng, N), random_center(rng, N, 0.4))
+    _assert_bit_identical(compose_target(f, psi), _ref_compose_target(ref, psi))
+    weights = (0.6, 0.8j)
+    g, ref_g = catalog("faran-1"), _built_with_polynomial_maps(maps.catalog, "faran-1")
+    if f.n == g.n:
+        _assert_bit_identical(oplus(f, g, weights), _ref_oplus(ref, ref_g, weights))
+
+
+# ---------------------------------------------------------------------------
+# the held array and the form built once
+# ---------------------------------------------------------------------------
+def test_map_holds_one_array_and_one_form():
+    f = realize_subgroup([(1, 2, 0)], 3)
+    held = [getattr(f, name) for name in f.__slots__]
+    assert not any(isinstance(v, Polynomial) for v in held)
+    assert not any(isinstance(v, tuple) and isinstance(v[0], Polynomial) for v in held)
+    monos, A = stacked_coefficients(f)
+    assert monos is f.monos and A is f.coeffs and stacked_coefficients(f)[1] is A
+    assert not A.flags.writeable
+    assert form_of(f) is form_of(f)
+
+
+@pytest.mark.parametrize("build", ["catalog", "realized"])
+def test_analyze_map_builds_the_form_once(monkeypatch, build):
+    f = catalog("example-7-2") if build == "catalog" else realize_subgroup([(0, 2, 1)], 3)
+    f = RationalMap.from_dict(f.to_dict())  # a map whose form was never built
+    calls = []
+    gram_form = ballmaps.hermitian.gram_form
+    monkeypatch.setattr(
+        ballmaps.hermitian, "gram_form", lambda *a, **k: calls.append(a) or gram_form(*a, **k)
+    )
+    analyze_map(f)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# construction chains keep the array that their views describe
+# ---------------------------------------------------------------------------
+_SEEDS = ("faran-1", "faran-2", "faran-3", "whitney-seq-1", "example-7-2")
+_STEPS = ("tensor", "oplus", "juxtapose", "source", "target", "descend", "pad")
+
+
+def _step(f, step, rng):
+    if step == "tensor" and f.target_dim <= 8:
+        return tensor(f, catalog("faran-1"))
+    # juxtapositions need a common denominator: a rational f goes with itself
+    # and is not padded
+    other = catalog("faran-2") if f.is_polynomial() else f
+    if step == "oplus":
+        return oplus(f, other, (0.6, 0.8j))
+    if step == "juxtapose":
+        lam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return juxtapose_lambda([f, other], lam / np.linalg.norm(lam))
+    if step == "source":
+        return compose_source(f, BallAutomorphism(random_unitary(rng, f.n), random_center(rng, f.n)))
+    if step == "target" and f.target_dim <= 12:
+        N = f.target_dim
+        return compose_target(f, BallAutomorphism(random_unitary(rng, N), random_center(rng, N, 0.4)))
+    if step == "descend":
+        vectors = rng.standard_normal((2, f.target_dim)) + 1j * rng.standard_normal((2, f.target_dim))
+        return descend(f, Subspace.from_vectors(f.target_dim, vectors), identity_map(f.n))
+    if step == "pad" and f.is_polynomial():
+        return pad_with_zeros(f, 2)
+    return f
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(_SEEDS),
+    st.lists(st.sampled_from(_STEPS), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_construction_chains_hold_the_array_of_their_views(seed, steps, draw):
+    rng = np.random.default_rng(draw)
+    f = catalog(seed)
+    for step in steps:
+        f = _step(f, step, rng)
+        monos, A = _ref_coefficient_matrix(f.numerator + (f.denominator,))
+        assert list(f.monos) == monos and f.coeffs.tobytes() == A.tobytes()
+        g = RationalMap.from_dict(f.to_dict())
+        assert g.monos == f.monos and g.coeffs.tobytes() == f.coeffs.tobytes()

@@ -13,7 +13,6 @@ from ballmaps import (
     catalog,
     compose_target,
     form_of,
-    gram_form,
     hermitian_rank,
     identity_map,
     image_rank,
@@ -29,7 +28,7 @@ from ballmaps import (
 )
 from ballmaps.maps import CATALOG_NAMES
 
-from conftest import random_center, random_unitary
+from conftest import gram_of, random_center, random_unitary
 
 
 def rho_plus_one(n):
@@ -59,7 +58,7 @@ def test_form_of_cubic_planar_map():
     # |z1^3|^2 + 3|z1 z2|^2 + |z2^3|^2 - 1 == (rho+1)^3 - 1 - 3 rho |z1 z2|^2
     h = form_of(catalog("faran-4"))
     one = HermitianForm.constant(2, 1.0)
-    cross = gram_form([Polynomial.monomial((1, 1))])
+    cross = gram_of([Polynomial.monomial((1, 1))])
     expected = form_power(rho_plus_one(2), 3) - one - (sphere_form(2) * cross).scale(3.0)
     assert h.max_entry_diff(expected) <= 1e-12
 
@@ -100,7 +99,7 @@ def test_quotient_of_norm_fourth_minus_one():
 
 def test_quotient_detects_non_vanishing():
     # |z1|^2 - 1 in two variables does not vanish on the sphere
-    h = gram_form([Polynomial.variable(2, 0)]) - HermitianForm.constant(2, 1.0)
+    h = gram_of([Polynomial.variable(2, 0)]) - HermitianForm.constant(2, 1.0)
     _, r = quotient_by_sphere(h)
     assert r > 0.1
 
@@ -299,7 +298,7 @@ def test_rho_expansion_linear_coefficient_closed_form(rng):
     cs = []
     for a in pts:
         gamma = BallAutomorphism(np.eye(2), a)
-        omegas.append(gram_form([gamma.denominator_poly()]))
+        omegas.append(gram_of([gamma.denominator_poly()]))
         cs.append(1.0 - float(np.vdot(a, a).real))
     expected = omegas[1].scale(cs[0]) + omegas[0].scale(cs[1])
     assert coeffs[1].max_entry_diff(expected) < 1e-12

@@ -117,6 +117,17 @@ def test_membership_generalized_target_unitary_only():
         membership(f, BallAutomorphism(np.eye(1), [0.3]))
 
 
+def test_unitary_that_flips_the_form_is_not_a_member():
+    # |z1|^2 - |z2|^2 changes sign when z1 and z2 swap: the forms are
+    # proportional, but a unitary member needs the constant 1
+    z1, z2 = (Polynomial.variable(2, i) for i in range(2))
+    f = polynomial_map([Polynomial.constant(2, 1.0), z1, z2], l=1)
+    res = membership(f, permutation_automorphism([1, 0]))
+    assert not res.member
+    assert res.c_gamma == -1.0 and res.deviation == 0.0
+    assert membership(f, permutation_automorphism([0, 1])).member
+
+
 def test_stabilizers_unchanged_by_zero_padding():
     for name in ("faran-2", "faran-4"):
         f = catalog(name)

@@ -34,7 +34,7 @@ from ballmaps import (
 )
 from ballmaps.maps import CATALOG_NAMES
 
-from conftest import random_center, random_unitary
+from conftest import gram_of, random_center, random_unitary
 
 
 def maps_equal(f: RationalMap, g: RationalMap, tol=1e-12) -> bool:
@@ -222,12 +222,11 @@ def test_tensor_norm_multiplicativity(rng):
             Polynomial(2, {tuple(rng.integers(0, 3, 2)): complex(*rng.standard_normal(2))})
             for _ in range(2)
         ]
-        from ballmaps.hermitian import gram_form
 
         f, g = polynomial_map(comps_f), polynomial_map(comps_g)
         t = tensor(f, g)
-        lhs = gram_form(list(t.numerator))
-        rhs = gram_form(comps_f) * gram_form(comps_g)
+        lhs = gram_of(list(t.numerator))
+        rhs = gram_of(comps_f) * gram_of(comps_g)
         assert lhs.max_entry_diff(rhs) < 1e-10 * max(1.0, rhs.max_abs())
 
 

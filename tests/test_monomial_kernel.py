@@ -226,10 +226,11 @@ cap = 3 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import numpy as np
 from ballmaps import Polynomial, gram_form, quotient_by_sphere, sphere_form
-g = gram_form([
+from ballmaps.maps import coefficient_matrix
+g = gram_form(4, *coefficient_matrix([
     Polynomial(4, {(12, 12, 0, 0): 1.0}),
     Polynomial(4, {(0, 0, 0, 0): 1.0, (0, 0, 24, 0): 0.5}),
-])
+]))
 quotient, residual = quotient_by_sphere(g * sphere_form(4))
 assert residual == 0.0, residual
 assert quotient.basis == g.basis and np.array_equal(quotient.mat, g.mat)

@@ -32,6 +32,8 @@ from ballmaps import (
     unitary_automorphism,
 )
 
+from conftest import gram_of
+
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
 
@@ -49,8 +51,8 @@ def test_factor_positive_semidefinite_form():
     # 2|z|^2 + |z|^4 factors into holomorphic squares with no negative part
     h = norm_power_form(2, 1).scale(2.0) + norm_power_form(2, 2)
     res = factor_form(h)
-    assert not res.negatives
-    assert gram_form(list(res.positives)).max_entry_diff(h) < 1e-10
+    assert not len(res.negatives)
+    assert gram_form(h.nvars, res.monos, res.positives).max_entry_diff(h) < 1e-10
 
 
 def test_factor_cubic_form_signature_split():
@@ -64,7 +66,7 @@ def test_factor_reconstruction_random(rng):
             Polynomial(2, {tuple(rng.integers(0, 3, 2)): complex(*rng.standard_normal(2))})
             for _ in range(3)
         ]
-        h = gram_form(polys, [1.0, 1.0, -1.0])
+        h = gram_of(polys, [1.0, 1.0, -1.0])
         res = factor_form(h)
         assert res.reconstruct(2).max_entry_diff(h) < 1e-10 * max(1.0, h.max_abs())
 
@@ -79,10 +81,10 @@ def test_pad_pair_monomial_with_forced_epsilon():
     assert pad.powers == (0, 1, 2)
     assert all(lam == pytest.approx(1.0 / math.sqrt(3.0)) for lam in pad.lambdas)
     z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    expected = gram_form(
+    expected = gram_of(
         [Polynomial.constant(2, 1.0), z1, z2, z1 * z1, z2 * z2]
     ).scale(1.0 / 3.0)
-    assert gram_form(list(pad.components)).max_entry_diff(expected) < 1e-10
+    assert gram_of(list(pad.components)).max_entry_diff(expected) < 1e-10
     mapped = padded_map(p, pad)
     assert is_proper(mapped).proper
     assert sphere_sample_check(mapped, 500, 1e-9, seed=7).passed
@@ -101,7 +103,7 @@ def test_pad_affine_map():
     mapped = padded_map(p, pad)
     assert is_proper(mapped).proper
     # reconstruction certificate
-    lhs = gram_form([q.scale(pad.epsilon) for q in p] + list(pad.components))
+    lhs = gram_of([q.scale(pad.epsilon) for q in p] + list(pad.components))
     assert lhs.max_entry_diff(pad.target_form(2)) < 1e-9
 
 
@@ -112,7 +114,7 @@ def test_pad_reconstruction_identity_holds(rng):
             for _ in range(2)
         ]
         pad = pad_to_proper(p)
-        lhs = gram_form([q.scale(pad.epsilon) for q in p] + list(pad.components))
+        lhs = gram_of([q.scale(pad.epsilon) for q in p] + list(pad.components))
         assert lhs.max_entry_diff(pad.target_form(2)) < 1e-9 * max(1.0, lhs.max_abs())
 
 
@@ -267,7 +269,7 @@ def test_pairwise_product_block_admits_only_diag_perm_symmetries(rng):
     # permutation unitaries and fails for generic rotations
     zs = [Polynomial.variable(3, i) for i in range(3)]
     p = polynomial_map([zs[j] * zs[k] for j in range(3) for k in range(j + 1, 3)])
-    h = gram_form(list(p.numerator))
+    h = gram_of(list(p.numerator))
     from ballmaps import compose_source, permutation_automorphism
 
     for _ in range(5):
@@ -275,7 +277,7 @@ def test_pairwise_product_block_admits_only_diag_perm_symmetries(rng):
         perm = tuple(rng.permutation(3))
         u = diag @ permutation_automorphism(perm).U
         composed = compose_source(p, unitary_automorphism(u))
-        assert gram_form(list(composed.numerator)).max_entry_diff(h) < 1e-10
+        assert gram_of(list(composed.numerator)).max_entry_diff(h) < 1e-10
     theta = 0.4
     rot = np.array(
         [
@@ -285,4 +287,4 @@ def test_pairwise_product_block_admits_only_diag_perm_symmetries(rng):
         ]
     )
     composed = compose_source(p, unitary_automorphism(rot))
-    assert gram_form(list(composed.numerator)).max_entry_diff(h) > 1e-3
+    assert gram_of(list(composed.numerator)).max_entry_diff(h) > 1e-3
