@@ -62,12 +62,21 @@ def _load_map(path: str) -> RationalMap:
         raise CliInputError(f"malformed map file {path}: {exc}") from exc
 
 
-def _field(data: dict, key: str, path: str):
-    """``data[key]`` of the JSON read from ``path``; a missing key is malformed input."""
+def _field(data: dict, key: str, path: str, parse=lambda value: value):
+    """``parse(data[key])`` of the JSON read from ``path``; a missing key, or a
+    value that ``parse`` rejects, is malformed input."""
     try:
-        return data[key]
+        value = data[key]
     except (KeyError, TypeError) as exc:
         raise CliInputError(f"{path} has no {key!r} field") from exc
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliInputError(f"{path}: malformed {key!r} field: {exc}") from exc
+
+
+def _polynomials(items) -> list[Polynomial]:
+    return [Polynomial.from_dict(p) for p in items]
 
 
 def _complex_vector(data) -> np.ndarray:
@@ -85,9 +94,9 @@ def _load_automorphism(args) -> BallAutomorphism:
     U = None
     a = None
     if args.unitary:
-        U = _complex_matrix(_read_json(args.unitary)["matrix"])
+        U = _field(_read_json(args.unitary), "matrix", args.unitary, _complex_matrix)
     if args.center:
-        a = _complex_vector(_read_json(args.center)["vector"])
+        a = _field(_read_json(args.center), "vector", args.center, _complex_vector)
     if U is None and a is None:
         raise CliInputError("supply --unitary and/or --center")
     if U is None:
@@ -156,9 +165,9 @@ def _cmd_construct(args) -> int:
         f = _load_map(args.f)
         g = _load_map(args.g) if args.g else maps.identity_map(f.n)
         if args.subspace:
-            data = _read_json(args.subspace)
-            A = maps.Subspace.from_vectors(
-                f.target_dim, [_complex_vector(v) for v in data["vectors"]]
+            A = _field(
+                _read_json(args.subspace), "vectors", args.subspace,
+                lambda rows: maps.Subspace.from_vectors(f.target_dim, _complex_matrix(rows)),
             )
         else:
             A = maps.lowest_order_subspace(f)
@@ -211,7 +220,7 @@ def _cmd_realize(args) -> int:
         )
     elif args.kind == "subgroup":
         spec = _read_json(args.group)
-        n = int(_field(spec, "n", args.group))
+        n = _field(spec, "n", args.group, int)
         generators = [_parse_permutation(g, n) for g in spec.get("generators", [])]
         if not generators:
             generators = [tuple(range(n))]
@@ -223,7 +232,7 @@ def _cmd_realize(args) -> int:
             return EXIT_VERIFY
     else:  # from-invariants
         spec = _read_json(args.group)
-        invariants = [Polynomial.from_dict(p) for p in _field(spec, "invariants", args.group)]
+        invariants = _field(spec, "invariants", args.group, _polynomials)
         gens = [_complex_matrix(m) for m in spec.get("generators", [])]
         try:
             matrices = invariance.group_closure(gens) if gens else []
@@ -255,7 +264,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_pad(args) -> int:
     data = _read_json(args.polynomials)
-    polys = [Polynomial.from_dict(p) for p in _field(data, "components", args.polynomials)]
+    polys = _field(data, "components", args.polynomials, _polynomials)
     pad = realize.pad_to_proper(
         polys,
         epsilon=args.epsilon,

@@ -28,6 +28,7 @@ from .polynomials import (
     grlex_key,
     monomial_values,
     multinomial,
+    row_products,
 )
 
 #: Relative tolerance for the sphere-division remainder.
@@ -35,9 +36,6 @@ TAU_DIV = 1e-9
 
 #: Relative eigenvalue threshold for signature counting.
 TAU_SIG = 1e-8
-
-#: Entry pairs formed at once by a form product.
-_PRODUCT_CHUNK = 1 << 20
 
 
 class HermitianForm:
@@ -173,37 +171,32 @@ class HermitianForm:
     def __mul__(self, other: "HermitianForm") -> "HermitianForm":
         """Product as real polynomials in (z, conj z).
 
-        Monomials are keyed by :class:`MonomialKeys` over the exponent range
-        of the product, so the monomial of a product is the sum of keys.
-        Every pair of support entries is formed, in chunks of at most
-        ``_PRODUCT_CHUNK`` pairs, and accumulated onto the basis of all sums
-        of one monomial of each form.
+        A form is the sum over a of z^a times its row a, a polynomial in
+        conj z.  Row a + c of the product sums the products of row a of self
+        and row c of other, formed by :func:`row_products` over the entries
+        above TAU_ZERO, so every entry is summed in the order of the pairs
+        of entries (a, b) of self, (c, d) of other.  Both forms are
+        Hermitian, so the rows of the product run over the monomials of its
+        columns, in the same graded-lex order.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
         n = self.nvars
-        r1, c1 = np.nonzero(np.abs(self.mat) > TAU_ZERO)
-        r2, c2 = np.nonzero(np.abs(other.mat) > TAU_ZERO)
-        if not len(r1) or not len(r2):
+        left = np.where(np.abs(self.mat) > TAU_ZERO, self.mat, 0.0)
+        right = np.where(np.abs(other.mat) > TAU_ZERO, other.mat, 0.0)
+        a, c = np.flatnonzero(left.any(axis=1)), np.flatnonzero(right.any(axis=1))
+        if not len(a) or not len(c):
             return HermitianForm.zero(n)
-        e1 = exponent_array(self.basis, n)
-        e2 = exponent_array(other.basis, n)
+        e1, e2 = exponent_array(self.basis, n), exponent_array(other.basis, n)
         monomial_keys = MonomialKeys(n, e1.max(initial=0) + e2.max(initial=0))
-        sums = np.add.outer(monomial_keys.keys(e1), monomial_keys.keys(e2))
-        keys = np.unique(sums)
-        position = np.searchsorted(keys, sums)
-        size = len(keys)
-        v1, v2 = self.mat[r1, c1], other.mat[r2, c2]
-        acc = np.zeros(size * size, dtype=complex)
-        step = max(1, _PRODUCT_CHUNK // len(r2))
-        for start in range(0, len(r1), step):
-            chunk = slice(start, start + step)
-            rows = position[r1[chunk, None], r2]
-            cols = position[c1[chunk, None], c2]
-            np.add.at(acc, (rows * size + cols).ravel(), np.outer(v1[chunk], v2).ravel())
-        acc[np.abs(acc) <= TAU_ZERO] = 0.0
-        basis = monomial_keys.exponents(keys)
-        return HermitianForm(n, basis.tolist(), acc.reshape(size, size)).compressed()
+        sums = np.add.outer(monomial_keys.keys(e1[a]), monomial_keys.keys(e2[c]))
+        keys, target = np.unique(sums, return_inverse=True)
+        exps = monomial_keys.exponents(keys)
+        grlex = np.argsort(np.lexsort((*exps.T[::-1], exps.sum(axis=1))))
+        pairs = np.stack(np.meshgrid(a, c, indexing="ij"), axis=-1).reshape(-1, 2)
+        exps, rows = row_products(n, (e1, left), (e2, right), pairs, grlex[target.ravel()])
+        rows[np.abs(rows) <= TAU_ZERO] = 0.0
+        return HermitianForm(n, exps.tolist(), rows).compressed()
 
     def max_entry_diff(self, other: "HermitianForm") -> float:
         _, a, b = self._aligned(other)
@@ -431,7 +424,7 @@ def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
         elif (
             f.degree >= 1
             and f.maps_origin_to_zero()
-            and f.denominator.degree > f.degree - 1
+            and exponent_array(f.monos, f.n)[f.coeffs[-1] != 0].sum(axis=1).max() > f.degree - 1
         ):
             warnings.warn(
                 "origin-fixing proper map with denominator degree exceeding "

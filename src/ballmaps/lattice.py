@@ -19,21 +19,6 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
-
-
 def smith_normal_form(
     matrix: Sequence[Sequence[int]], with_left: bool = False
 ) -> tuple[IntMatrix, IntMatrix | None, IntMatrix]:

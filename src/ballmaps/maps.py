@@ -29,7 +29,9 @@ from .polynomials import (
     grlex_key,
     monomial_values,
     multinomial,
+    row_products,
     substitute_fractional,
+    times,
 )
 
 
@@ -88,7 +90,7 @@ class RationalMap:
         if abs(q0) <= TAU_ZERO:
             raise MapConstructionError("denominator vanishes at the origin")
         if abs(q0 - 1.0) > TAU_ZERO:
-            monos, coeffs = pruned_rows(monos, _times(coeffs, 1.0 / q0))
+            monos, coeffs = pruned_rows(monos, times(coeffs, 1.0 / q0))
         coeffs.setflags(write=False)
         values = (n, len(coeffs) - 1 - l, l, tuple(monos), coeffs, None)
         for name, value in zip(self.__slots__, values):
@@ -135,13 +137,16 @@ class RationalMap:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "l": self.l,
-            "numerator": [p.to_dict() for p in self.numerator],
-            "denominator": self.denominator.to_dict(),
-        }
+        """The ``to_dict`` of the Polynomial views, written from the array."""
+        *rows, den = [
+            {"nvars": self.n, "terms": [
+                {"exp": list(mono), "re": c.real, "im": c.imag}
+                for mono, c in zip(self.monos, row)
+                if c
+            ]}
+            for row in self.coeffs.tolist()
+        ]
+        return {"n": self.n, "m": self.m, "l": self.l, "numerator": rows, "denominator": den}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RationalMap":
@@ -198,16 +203,6 @@ def pruned_rows(
     rows[np.abs(rows) <= TAU_ZERO] = 0.0
     keep = rows.any(axis=0)
     return list(compress(monos, keep)), rows if keep.all() else rows[:, keep]
-
-
-def _times(rows: np.ndarray, factor: complex) -> np.ndarray:
-    """rows * factor, each entry rounded as the Python complex product is
-    (numpy's complex multiply may fuse the multiply and add)."""
-    factor = complex(factor)
-    out = np.empty_like(rows)
-    out.real = rows.real * factor.real - rows.imag * factor.imag
-    out.imag = rows.real * factor.imag + rows.imag * factor.real
-    return out
 
 
 def stacked_coefficients(f: RationalMap) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
@@ -302,30 +297,25 @@ class BallAutomorphism:
         denom = 1.0 - complex(np.sum(z * self.a.conj()))
         return self.U @ (self.a - self.linear_part() @ z) / denom
 
-    def _affine_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator as constant + linear part: U(a - L_a z) or U z at a = 0."""
+    def _affine_rows(self) -> np.ndarray:
+        """Rows (constant, coefficients of z_1, ..., z_n) of the numerator
+        components U(a - L_a z) and the denominator 1 - <z, a>; U z over 1
+        when a = 0."""
+        n = self.dim
+        rows = np.zeros((n + 1, n + 1), dtype=complex)
+        rows[n, 0] = 1.0
         if self._phi_is_identity():
-            return np.zeros(self.dim, dtype=complex), self.U
-        return self.U @ self.a, -(self.U @ self.linear_part())
-
-    def _terms(self, constant: complex, linear: np.ndarray) -> Polynomial:
-        """constant + sum_i linear[i] z_i, the constant term first."""
-        units = map(tuple, np.eye(self.dim, dtype=int).tolist())
-        return Polynomial(self.dim, {(0,) * self.dim: constant, **dict(zip(units, linear))})
-
-    def numerator_polys(self) -> list[Polynomial]:
-        """Components of the automorphism numerator as degree-<=1 polynomials."""
-        const, lin = self._affine_matrix()
-        return [self._terms(c, row) for c, row in zip(const, lin)]
-
-    def denominator_poly(self) -> Polynomial:
-        """1 - <z, a> as a polynomial (constant 1 when a = 0)."""
-        if self._phi_is_identity():
-            return Polynomial.constant(self.dim, 1.0)
-        return self._terms(1.0, -self.a.conj())
+            rows[:n, 1:] = self.U
+        else:
+            rows[:n, 0], rows[:n, 1:] = self.U @ self.a, -(self.U @ self.linear_part())
+            rows[n, 1:] = -self.a.conj()
+        return rows
 
     def as_rational_map(self) -> RationalMap:
-        return RationalMap(self.numerator_polys(), self.denominator_poly())
+        n = self.dim
+        # graded-lex order lists z_n first
+        monos = [(0,) * n] + degree_monomials(n, 1)
+        return RationalMap._of_rows(n, monos, self._affine_rows()[:, np.r_[0, n:0:-1]])
 
     def projective_matrix(self) -> np.ndarray:
         """(n+1)x(n+1) matrix M with (z, 1) M proportional to (gamma(z), 1).
@@ -333,13 +323,7 @@ class BallAutomorphism:
         Row-vector convention: homogeneous coordinates act on the right.
         """
         n = self.dim
-        _, lin = self._affine_matrix()
-        M = np.zeros((n + 1, n + 1), dtype=complex)
-        M[:n, :n] = lin.T
-        M[n, :n] = self.U @ self.a if not self._phi_is_identity() else 0.0
-        M[:n, n] = -self.a.conj() if not self._phi_is_identity() else 0.0
-        M[n, n] = 1.0
-        return M
+        return np.ascontiguousarray(self._affine_rows()[:, np.r_[1 : n + 1, 0]].T)
 
     def __repr__(self) -> str:
         return f"BallAutomorphism(dim={self.dim}, moves_origin={self.moves_origin()})"
@@ -446,23 +430,19 @@ class Subspace:
 def compose_source(f: RationalMap, gamma: BallAutomorphism) -> RationalMap:
     """f o gamma via the cleared-denominator homogenized substitution.
 
-    Each numerator component and the denominator are substituted with the
-    affine numerators of gamma and the common denominator 1 - <z, a>, both
-    homogenized to the degree of f; the result is renormalized so its
-    denominator is 1 at the origin.
+    Every row of the map, the denominator too, is substituted with the
+    affine numerators of gamma over the common denominator 1 - <z, a>,
+    homogenized to the degree of f (:func:`substitute_fractional`); the
+    result is renormalized so its denominator is 1 at the origin.
     """
     if gamma.dim != f.n:
         raise MapConstructionError("automorphism dimension differs from map source")
-    d = f.degree
-    nums = gamma.numerator_polys()
-    den = gamma.denominator_poly()
-    P = [substitute_fractional(p, nums, den, d) for p in f.numerator]
-    Q = substitute_fractional(f.denominator, nums, den, d)
-    if abs(Q.constant_term()) <= TAU_ZERO:
+    monos, rows = substitute_fractional(f.monos, f.coeffs, gamma._affine_rows(), f.degree)
+    if any(monos[0]) or abs(rows[-1, 0]) <= TAU_ZERO:
         raise MapConstructionError(
             "composed denominator vanishes at the origin; center outside domain of validity"
         )
-    return RationalMap(P, Q, l=f.l)
+    return RationalMap._of_rows(f.n, monos, rows, l=f.l)
 
 
 def compose_target(f: RationalMap, psi: BallAutomorphism) -> RationalMap:
@@ -489,15 +469,21 @@ def _tensor_pair_order(nf: int, ng: int) -> list[tuple[int, int]]:
     )
 
 
+def _map_of_products(n: int, left: tuple, g: RationalMap, pairs: list) -> RationalMap:
+    """The map of the products of the pairs (row of ``left`` = (monos, rows), row of g)."""
+    left = (exponent_array(left[0], n), left[1])
+    exps, rows = row_products(n, left, (exponent_array(g.monos, n), g.coeffs), pairs)
+    return RationalMap._of_rows(n, list(map(tuple, exps.tolist())), rows)
+
+
 def tensor(f: RationalMap, g: RationalMap) -> RationalMap:
     """Tensor product: all pairwise component products, denominators multiplied."""
     if f.n != g.n:
         raise MapConstructionError("tensor factors must share the source dimension")
     if f.l or g.l:
         raise MapConstructionError("tensor product requires true-ball targets")
-    fp, gp = f.numerator, g.numerator
-    comps = [fp[i] * gp[j] for i, j in _tensor_pair_order(f.target_dim, g.target_dim)]
-    return RationalMap(comps, f.denominator * g.denominator, l=0)
+    pairs = _tensor_pair_order(f.target_dim, g.target_dim) + [(f.target_dim, g.target_dim)]
+    return _map_of_products(f.n, (f.monos, f.coeffs), g, pairs)
 
 
 def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> RationalMap:
@@ -518,8 +504,8 @@ def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> Ratio
         raise MapConstructionError(
             "juxtaposition requires a common denominator (or polynomial inputs)"
         )
-    pos = [_times(A[: f.m], c) for f, A, c in zip(maps, arrays, weights)]
-    neg = [_times(A[f.m : -1], c) for f, A, c in zip(maps, arrays, weights)]
+    pos = [times(A[: f.m], c) for f, A, c in zip(maps, arrays, weights)]
+    neg = [times(A[f.m : -1], c) for f, A, c in zip(maps, arrays, weights)]
     rows = np.vstack(pos + neg + [den])
     return RationalMap._of_rows(maps[0].n, monos, rows, l=sum(f.l for f in maps))
 
@@ -551,8 +537,12 @@ def juxtapose_lambda(maps: Sequence[RationalMap], lam: Sequence[complex]) -> Rat
 
 
 def pad_with_zeros(f: RationalMap, count: int) -> RationalMap:
-    """f (+) 0 with the given number of zero components appended."""
-    return oplus(f, polynomial_map([Polynomial.zero(f.n)] * count))
+    """f (+) 0 with the given number of zero components appended to the
+    positive block; f may have any denominator."""
+    if count < 1:
+        raise MapConstructionError("padding needs at least one zero component")
+    rows = np.insert(f.coeffs, [f.m] * count, 0.0, axis=0)
+    return RationalMap._of_rows(f.n, f.monos, rows, l=f.l)
 
 
 def descend(f: RationalMap, A: Subspace, g: RationalMap) -> RationalMap:
@@ -569,13 +559,16 @@ def descend(f: RationalMap, A: Subspace, g: RationalMap) -> RationalMap:
     if A.ambient_dim != f.target_dim:
         raise MapConstructionError("subspace ambient dimension differs from map target")
 
-    monos, coeffs = numerator_rows(f)
-    inside = polynomials_of_rows(f.n, monos, A.basis.conj() @ coeffs)
-    outside = polynomials_of_rows(f.n, monos, A.orthogonal_complement_basis().conj() @ coeffs)
-    gp, gq = g.numerator, g.denominator
-    comps = [inside[i] * gp[j] for i, j in _tensor_pair_order(len(inside), g.target_dim)]
-    comps += [p * gq for p in outside]
-    return RationalMap(comps, f.denominator * gq, l=0)
+    _, coeffs = numerator_rows(f)
+    inside = A.basis.conj() @ coeffs
+    outside = A.orthogonal_complement_basis().conj() @ coeffs
+    # the rows pi_A f, (1 - pi_A) f and the denominator of f, over f.monos
+    left = np.zeros((len(inside) + len(outside) + 1, len(f.monos)), dtype=complex)
+    left[:-1, f.coeffs[:-1].any(axis=0)] = np.vstack([inside, outside])
+    left[-1] = f.coeffs[-1]
+    k, N = len(inside), g.target_dim
+    pairs = _tensor_pair_order(k, N) + [(k + i, N) for i in range(len(outside) + 1)]
+    return _map_of_products(f.n, pruned_rows(f.monos, left), g, pairs)
 
 
 def lowest_order_subspace(f: RationalMap) -> Subspace:

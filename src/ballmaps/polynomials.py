@@ -11,15 +11,16 @@ Values are immutable by convention: every operation returns a fresh
 polynomial and never mutates its operands, so instances are safe to share
 between threads.
 
-The module also holds the one monomial kernel every layer indexes and
-evaluates monomials with: :class:`MonomialKeys` (exponent vectors as int64
-keys, with the one overflow refusal), :func:`find_sorted` (lookup of keys in
-a sorted table) and :func:`monomial_values` (monomials evaluated at points).
+The module also holds the one monomial kernel every layer indexes,
+evaluates and multiplies monomials with: :class:`MonomialKeys` (exponent
+vectors as int64 keys, with the one overflow refusal), :func:`find_sorted`
+(lookup of keys in a sorted table), :func:`monomial_values` (monomials
+evaluated at points) and :func:`row_products` (products of coefficient rows,
+each complex product rounded by :func:`times`).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Iterator, Mapping, Sequence
@@ -97,6 +98,79 @@ def monomial_values(monos: Sequence[Sequence[int]], points: np.ndarray) -> np.nd
         if np.any(nz):
             vals[:, nz] *= points[:, i : i + 1] ** exps[nz, i][None, :]
     return vals
+
+
+#: Coefficient products formed at once by :func:`row_products`.
+_PRODUCT_CHUNK = 1 << 20
+
+
+def times(a, b) -> np.ndarray:
+    """a * b elementwise, each entry rounded as the Python complex product is
+    (numpy's complex multiply may fuse the multiply and add)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def row_products(
+    nvars: int,
+    left: tuple[np.ndarray, np.ndarray],
+    right: tuple[np.ndarray, np.ndarray],
+    pairs: np.ndarray,
+    targets: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``targets[k]`` (default k) of the result sums the products of row
+    i of ``left`` and row j of ``right`` over the pairs ``pairs[k] = (i, j)``.
+
+    An operand is (exponent array, rows): one polynomial per row over the
+    monomials whose exponents are the rows of the exponent array.  Returns
+    the exponents of the product monomials in graded-lex order and the
+    product rows over them.  Each product of two nonzero coefficients is
+    rounded by :func:`times` and added in the order (pair, left column,
+    right column), as dict arithmetic over the rows' terms in column order
+    adds it; at most ``_PRODUCT_CHUNK`` products are formed at once.
+    """
+    (left_exps, left), (right_exps, right) = left, right
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    targets = np.arange(len(pairs)) if targets is None else np.asarray(targets)
+    if not (left.imag.any() or right.imag.any()):
+        # the real product rounds as the complex product's real part does
+        left, right, product = left.real, right.real, np.multiply
+    else:
+        product = times
+    lrow, lcol = np.nonzero(left)
+    rrow, rcol = np.nonzero(right)
+    lvals, rvals = left[lrow, lcol], right[rrow, rcol]
+    monomial_keys = MonomialKeys(nvars, left_exps.max(initial=0) + right_exps.max(initial=0))
+    sums = np.add.outer(monomial_keys.keys(left_exps), monomial_keys.keys(right_exps))
+    keys = np.unique(sums[np.ix_(np.unique(lcol), np.unique(rcol))])
+    exps = monomial_keys.exponents(keys)
+    grlex = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+    # the output column of the product of each left and each right monomial
+    position = np.argsort(grlex)[np.minimum(np.searchsorted(keys, sums), len(keys) - 1)]
+    lstart = np.searchsorted(lrow, np.arange(len(left) + 1))
+    rstart = np.searchsorted(rrow, np.arange(len(right) + 1))
+    (i, j), count = pairs.T, int(targets.max(initial=-1)) + 1
+    nl, nr = lstart[i + 1] - lstart[i], rstart[j + 1] - rstart[j]
+    ends = np.cumsum(nl * nr)
+    offset = ends - nl * nr
+    acc = np.zeros(count * len(keys), dtype=lvals.dtype)
+    # product t of pair p multiplies entry (t - offset[p]) // nr[p] of the
+    # left row and entry (t - offset[p]) % nr[p] of the right row
+    for start in range(0, int(ends[-1]) if len(ends) else 0, _PRODUCT_CHUNK):
+        stop = min(start + _PRODUCT_CHUNK, int(ends[-1]))
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        run = slice(first, last + 1)
+        runs = np.minimum(ends[run], stop) - np.maximum(offset[run], start)
+        p = np.repeat(np.arange(first, last + 1), runs)
+        le, re = np.divmod(np.arange(start, stop) - offset[p], nr[p])
+        le += lstart[i[p]]
+        re += rstart[j[p]]
+        at = targets[p] * len(keys) + position[lcol[le], rcol[re]]
+        np.add.at(acc, at, product(lvals[le], rvals[re]))
+    return exps[grlex], acc.reshape(count, len(keys)).astype(complex, copy=False)
 
 
 def grlex_key(alpha: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -347,45 +421,48 @@ class Polynomial:
 
 
 def substitute_fractional(
-    p: Polynomial,
-    numerators: Sequence[Polynomial],
-    denominator: Polynomial,
+    monos: Sequence[MultiIndex],
+    rows: np.ndarray,
+    affine: np.ndarray,
     degree_bound: int,
-) -> Polynomial:
-    """Cleared-denominator substitution of a linear-fractional argument.
+) -> tuple[list[MultiIndex], np.ndarray]:
+    """Cleared-denominator substitution of z -> (w_1 / w_0, ..., w_k / w_0).
 
-    Returns sum over terms ``coeff(alpha) * prod_i numerators[i]^alpha_i *
-    denominator^(degree_bound - |alpha|)``.  With ``numerators[i] = z_i`` and
-    ``denominator = 1`` this is the identity.
+    ``affine`` holds the rows (constant, coefficient of z_1, ..., z_m) of
+    w_1, ..., w_k and then w_0.  Each row p of ``rows``, a polynomial in k
+    variables over ``monos``, becomes ``sum_alpha p_alpha w^alpha
+    w_0^(degree_bound - |alpha|)`` over the graded-lex monomials returned
+    with it: ``rows`` times a power table of the w built one degree at a
+    time by :func:`row_products`.
     """
-    if len(numerators) != p.nvars:
+    affine = np.asarray(affine, dtype=complex)
+    k, m = affine.shape[0] - 1, affine.shape[1] - 1
+    exps = exponent_array(monos, k)
+    rows = np.asarray(rows, dtype=complex)
+    degrees = exps.sum(axis=1)
+    present = np.abs(rows).max(axis=0, initial=0.0) > TAU_ZERO
+    if degree_bound < degrees[present].max(initial=0):
         raise ValueError(
-            f"got {len(numerators)} numerators for a polynomial in {p.nvars} vars"
+            f"degree_bound {degree_bound} is below the polynomial degree {degrees[present].max()}"
         )
-    if degree_bound < p.degree:
-        raise ValueError(
-            f"degree_bound {degree_bound} is below the polynomial degree {p.degree}"
-        )
-    nvars_out = numerators[0].nvars if numerators else denominator.nvars
-    if any(q.nvars != nvars_out for q in numerators):
-        raise ValueError("numerators live in different variable counts")
-    if denominator.nvars != nvars_out:
-        raise ValueError("denominator variable count differs from numerators")
-
-    num_power = functools.cache(lambda i, e: numerators[i] ** e)
-    den_power = functools.cache(lambda e: denominator**e)
-
-    result = Polynomial.zero(nvars_out)
-    for exp, coeff in p.sorted_terms():
-        term = Polynomial.constant(nvars_out, coeff)
-        for i, e in enumerate(exp):
-            if e:
-                term = term * num_power(i, e)
-        power = degree_bound - sum(exp)
-        if power:
-            term = term * den_power(power)
-        result = result + term
-    return result
+    # the w over the monomials 1, z_m, ..., z_1 (graded-lex order)
+    units = np.vstack([np.zeros((1, m), dtype=np.int64), np.eye(m, dtype=np.int64)[::-1]])
+    w = affine[:, np.r_[0, m:0:-1]]
+    # table row r is w^beta for the exponent beta (in k + 1 variables) keyed
+    # keys[r]: a beta of degree t is a beta of degree t - 1 times a w_v with
+    # v at least its last factor, so each beta is made once
+    beta_keys = MonomialKeys(k + 1, degree_bound)
+    keys, last = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    table_exps, table = np.zeros((1, m), dtype=np.int64), np.ones((1, 1), dtype=complex)
+    for _ in range(degree_bound):
+        prev, last = np.nonzero(np.arange(k + 1) >= last[:, None])
+        keys = keys[prev] + beta_keys.weights[last]
+        pairs = np.column_stack([prev, last])
+        table_exps, table = row_products(m, (table_exps, table), (units, w), pairs)
+    order = np.argsort(keys)
+    wanted = beta_keys.keys(np.column_stack([exps, degree_bound - degrees])[present])
+    index = order[np.searchsorted(keys, wanted, sorter=order)]
+    return [tuple(e) for e in table_exps.tolist()], rows[:, present] @ table[index]
 
 
 def max_coeff_diff(a: Polynomial, b: Polynomial) -> float:

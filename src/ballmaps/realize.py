@@ -45,6 +45,7 @@ from .maps import (
     polynomial_map,
     polynomial_map_of_rows,
     polynomials_of_rows,
+    pruned_rows,
     tensor,
     tensor_power,
     unitary_automorphism,
@@ -130,12 +131,28 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PadResult:
-    """Certificate epsilon^2 |p|^2 + |q|^2 = sum lambda_j^2 |z|^(2 m_j)."""
+    """Certificate epsilon^2 |p|^2 + |q|^2 = sum lambda_j^2 |z|^(2 m_j).
+
+    The padding q is held as one coefficient row per component over the
+    graded-lex ``monos``; ``components`` views the rows as polynomials.
+    """
 
     epsilon: float
-    components: tuple[Polynomial, ...]
+    monos: tuple[MultiIndex, ...]
+    rows: np.ndarray
     lambdas: tuple[float, ...]
     powers: tuple[int, ...]
+
+    @property
+    def components(self) -> tuple[Polynomial, ...]:
+        nvars = len(self.monos[0]) if self.monos else 0
+        return tuple(polynomials_of_rows(nvars, self.monos, self.rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PadResult):
+            return NotImplemented
+        same = ("epsilon", "components", "lambdas", "powers")
+        return all(getattr(self, k) == getattr(other, k) for k in same)
 
     def target_form(self, nvars: int) -> HermitianForm:
         return _norm_power_sum(nvars, self.lambdas, self.powers)
@@ -219,14 +236,16 @@ def pad_to_proper(
         raise MapConstructionError(
             "padding remainder has a significantly negative part; epsilon too large"
         )
-    components = polynomials_of_rows(nvars, factored.monos, factored.positives)
-    return PadResult(eps, tuple(components), tuple(weights), tuple(powers))
+    monos, rows = pruned_rows(factored.monos, factored.positives)
+    rows.setflags(write=False)
+    return PadResult(eps, tuple(monos), rows, tuple(weights), tuple(powers))
 
 
 def padded_map(p: Sequence[Polynomial], pad: PadResult) -> RationalMap:
     """The proper map epsilon p (+) q from a padding certificate."""
-    comps = [q.scale(pad.epsilon) for q in p] + list(pad.components)
-    return polynomial_map(comps)
+    nvars = p[0].nvars if p else 0
+    f = polynomial_map_of_rows(nvars, *coefficient_matrix(p))
+    return oplus(f, polynomial_map_of_rows(nvars, pad.monos, pad.rows), (pad.epsilon, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +308,7 @@ def symmetric_group_map(n: int) -> RationalMap:
     pad = pad_to_proper([affine])
     h = oplus(
         polynomial_map([affine.scale(pad.epsilon)]),
-        tensor(polynomial_map(list(pad.components)), z_map),
+        tensor(polynomial_map_of_rows(n, pad.monos, pad.rows), z_map),
     )
     return juxtapose_theta(g, h, math.pi / 4.0)
 
@@ -310,7 +329,7 @@ def symmetric_group_map_v2(n: int) -> RationalMap:
     m = n + 2
     positive = gram_form(n, *coefficient_matrix([prod])).scale(pad.epsilon**2)
     positive = positive * norm_power_form(n, 1)
-    positive = positive + gram_form(n, *coefficient_matrix(pad.components)) * norm_power_form(n, m)
+    positive = positive + gram_form(n, pad.monos, pad.rows) * norm_power_form(n, m)
     return _map_of_positive_form(positive)
 
 
@@ -360,7 +379,7 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     f_sym = symmetric_group_map(n)
     k4 = f_sym.degree + 1
     padded = gram_form(n, *coefficient_matrix([tau])).scale(pad.epsilon**2)
-    padded = padded + gram_form(n, *coefficient_matrix(pad.components)) * norm_power_form(n, k3)
+    padded = padded + gram_form(n, pad.monos, pad.rows) * norm_power_form(n, k3)
     positive = gram_form(n, *numerator_rows(f_sym)) + padded * norm_power_form(n, k4)
     positive = positive.scale(0.5)
     result = _map_of_positive_form(positive)
@@ -426,7 +445,7 @@ def realize_from_invariants(
         summands.extend(block.numerator)
     pad = pad_to_proper(summands, omit_empty_degrees=True)
     m_final = max(q.degree for q in summands) + 1
-    padding = gram_form(n, *coefficient_matrix(pad.components)) * norm_power_form(n, m_final)
+    padding = gram_form(n, pad.monos, pad.rows) * norm_power_form(n, m_final)
     positive = gram_form(n, *coefficient_matrix(summands)).scale(pad.epsilon**2) + padding
     result = _map_of_positive_form(positive)
     for gmat in group:

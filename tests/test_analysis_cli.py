@@ -165,6 +165,11 @@ _FARAN_2 = {
 }
 
 
+#: A polynomial in two variables with a one-entry exponent.
+_SHORT_EXP = {"nvars": 2, "terms": [{"exp": [1], "re": 1.0, "im": 0.0}]}
+_DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
+
+
 @pytest.mark.parametrize(
     "argv,files",
     [
@@ -175,6 +180,18 @@ _FARAN_2 = {
         (["realize", "subgroup", "--group", "{data}"], {"data": {"generators": [[1, 0]]}}),
         (["realize", "from-invariants", "--group", "{data}"], {"data": {"generators": []}}),
         (["analyze", "{map}"], {"map": {**_FARAN_2, "m": 2}}),
+        (["realize", "subgroup", "--group", "{data}"], {"data": {"n": "three"}}),
+        (["pad", "{data}"], {"data": {"components": [_SHORT_EXP]}}),
+        (
+            ["realize", "from-invariants", "--group", "{data}"],
+            {"data": {"invariants": [_SHORT_EXP]}},
+        ),
+        (["member", "{map}", "--unitary", "{data}"], {"map": _FARAN_2, "data": {}}),
+        (["member", "{map}", "--center", "{data}"], {"map": _FARAN_2, "data": {}}),
+        (["compose", "source", "{map}", "--unitary", "{data}"], {"map": _FARAN_2, "data": {}}),
+        (["compose", "source", "{map}", "--center", "{data}"], {"map": _FARAN_2, "data": {}}),
+        (_DESCEND, {"map": _FARAN_2, "data": {}}),
+        (_DESCEND, {"map": _FARAN_2, "data": {"vectors": [[[1.0, 0.0]]]}}),
     ],
     ids=[
         "sample-count-0",
@@ -184,6 +201,15 @@ _FARAN_2 = {
         "subgroup-no-n",
         "invariants-missing",
         "map-m-mismatch",
+        "subgroup-n-not-integer",
+        "pad-exponent-length",
+        "invariants-exponent-length",
+        "member-no-matrix",
+        "member-no-vector",
+        "compose-no-matrix",
+        "compose-no-vector",
+        "descend-no-vectors",
+        "descend-vector-length",
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, files):

@@ -2,13 +2,16 @@
 
 The reference below builds each map as the library did when a map was a
 tuple of ``Polynomial`` components over a ``Polynomial`` denominator:
-normalization by ``Polynomial.scale``, tensor products and orthogonal sums
-by Polynomial arithmetic, the factored components turned into polynomials,
-and the coefficient array and the form rebuilt from those polynomials.  The
-held array, the form, and the quotient and residual of the properness
-certificate must be bit-identical to it.
+normalization by ``Polynomial.scale``, tensor products, descents and
+orthogonal sums by Polynomial arithmetic, the factored components turned
+into polynomials, and the coefficient array and the form rebuilt from those
+polynomials.  The held array, the form, and the quotient and residual of the
+properness certificate must be bit-identical to it.  Composition with a
+source automorphism, substituted one component at a time in Polynomial
+arithmetic, must give the same monomials and coefficients to 1e-14.
 """
 
+import functools
 import math
 from itertools import compress
 
@@ -110,6 +113,40 @@ def _ref_tensor(f, g):
     pairs = _tensor_pair_order(f.target_dim, g.target_dim)
     comps = [f.numerator[i] * g.numerator[j] for i, j in pairs]
     return _PolynomialMap(comps, f.denominator * g.denominator)
+
+
+def _ref_descend(f, A, g):
+    monos, coeffs = _ref_coefficient_matrix(f.numerator)
+    inside = _ref_rows_to_polynomials(f.n, monos, A.basis.conj() @ coeffs)
+    outside = _ref_rows_to_polynomials(f.n, monos, A.orthogonal_complement_basis().conj() @ coeffs)
+    comps = [inside[i] * g.numerator[j] for i, j in _tensor_pair_order(len(inside), g.target_dim)]
+    comps += [p * g.denominator for p in outside]
+    return _PolynomialMap(comps, f.denominator * g.denominator)
+
+
+def _ref_substitute_fractional(p, numerators, denominator, degree_bound):
+    """sum over terms coeff(alpha) prod_i numerators[i]^alpha_i
+    denominator^(degree_bound - |alpha|), in Polynomial arithmetic."""
+    num_power = functools.cache(lambda i, e: numerators[i] ** e)
+    den_power = functools.cache(lambda e: denominator**e)
+    result = Polynomial.zero(denominator.nvars)
+    for exp, coeff in p.sorted_terms():
+        term = Polynomial.constant(denominator.nvars, coeff)
+        for i, e in enumerate(exp):
+            if e:
+                term = term * num_power(i, e)
+        if degree_bound - sum(exp):
+            term = term * den_power(degree_bound - sum(exp))
+        result = result + term
+    return result
+
+
+def _ref_compose_source(f, gamma):
+    """f o gamma, each component substituted on its own."""
+    units = [(0,) * f.n] + [tuple(u) for u in np.eye(f.n, dtype=int).tolist()]
+    *nums, den = [Polynomial(f.n, dict(zip(units, row))) for row in gamma._affine_rows()]
+    P = [_ref_substitute_fractional(p, nums, den, f.degree) for p in f.numerator]
+    return RationalMap(P, _ref_substitute_fractional(f.denominator, nums, den, f.degree), l=f.l)
 
 
 def _ref_oplus(f, g, weights=(1.0, 1.0)):
@@ -373,7 +410,6 @@ def _step(f, step, rng):
     if step == "tensor" and f.target_dim <= 8:
         return tensor(f, catalog("faran-1"))
     # juxtapositions need a common denominator: a rational f goes with itself
-    # and is not padded
     other = catalog("faran-2") if f.is_polynomial() else f
     if step == "oplus":
         return oplus(f, other, (0.6, 0.8j))
@@ -388,7 +424,7 @@ def _step(f, step, rng):
     if step == "descend":
         vectors = rng.standard_normal((2, f.target_dim)) + 1j * rng.standard_normal((2, f.target_dim))
         return descend(f, Subspace.from_vectors(f.target_dim, vectors), identity_map(f.n))
-    if step == "pad" and f.is_polynomial():
+    if step == "pad":
         return pad_with_zeros(f, 2)
     return f
 
@@ -408,3 +444,90 @@ def test_construction_chains_hold_the_array_of_their_views(seed, steps, draw):
         assert list(f.monos) == monos and f.coeffs.tobytes() == A.tobytes()
         g = RationalMap.from_dict(f.to_dict())
         assert g.monos == f.monos and g.coeffs.tobytes() == f.coeffs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# products on complex rational maps, composition with source automorphisms
+# ---------------------------------------------------------------------------
+def _composed(name, seed):
+    rng = np.random.default_rng(seed)
+    f = catalog(name)
+    return compose_source(f, BallAutomorphism(random_unitary(rng, f.n), random_center(rng, f.n)))
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("faran-2", "faran-3"), ("faran-4", "whitney-seq-2"), ("example-3-1", "example-7-4-f")],
+)
+def test_tensor_and_descend_of_composed_maps_are_bit_identical(names):
+    f, g = _composed(names[0], 3), _composed(names[1], 4)
+    assert not f.is_polynomial() and np.iscomplexobj(f.coeffs) and f.coeffs.imag.any()
+    _assert_bit_identical(tensor(f, g), _ref_tensor(f, g))
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((2, f.target_dim)) + 1j * rng.standard_normal((2, f.target_dim))
+    A = Subspace.from_vectors(f.target_dim, vectors)
+    _assert_bit_identical(descend(f, A, g), _ref_descend(f, A, g))
+
+
+def _assert_close_to_substitution(f, gamma):
+    got, want = compose_source(f, gamma), _ref_compose_source(f, gamma)
+    assert (got.m, got.l) == (want.m, want.l) and got.monos == want.monos
+    # relative to the largest coefficient: a coefficient that cancels to a
+    # small value keeps only the absolute accuracy of the terms it sums
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * np.abs(want.coeffs).max()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_compose_source_matches_componentwise_substitution(name):
+    rng = np.random.default_rng(11)
+    f = catalog(name)
+    for _ in range(3):
+        _assert_close_to_substitution(
+            f, BallAutomorphism(random_unitary(rng, f.n), random_center(rng, f.n))
+        )
+
+
+def test_compose_source_of_a_rational_map_matches_componentwise_substitution():
+    rng = np.random.default_rng(12)
+    f = _composed("example-7-2", 13)
+    gamma = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
+    _assert_close_to_substitution(f, gamma)
+
+
+def test_pad_with_zeros_takes_any_denominator():
+    f = compose_source(catalog("faran-2"), BallAutomorphism(np.eye(2), [0.3, 0.1]))
+    g = pad_with_zeros(f, 1)
+    assert (g.m, g.l, g.monos) == (f.m + 1, 0, f.monos)
+    assert g.coeffs.tobytes() == np.insert(f.coeffs, f.m, 0.0, axis=0).tobytes()
+    assert is_proper(g).proper
+
+
+# ---------------------------------------------------------------------------
+# constructions on held arrays build no Polynomial
+# ---------------------------------------------------------------------------
+def test_constructions_build_no_polynomial(monkeypatch):
+    rng = np.random.default_rng(17)
+    fixture = catalog("example-3-1")
+    gamma = BallAutomorphism(random_unitary(rng, 3), random_center(rng, 3))
+    maps_ = [fixture, compose_source(fixture, gamma), realize_subgroup([(1, 2, 0)], 3)]
+    identity = identity_map(3)
+    subspaces = [
+        Subspace.from_vectors(f.target_dim, rng.standard_normal((2, f.target_dim))) for f in maps_
+    ]
+    built = []
+    init = Polynomial.__init__
+
+    def counted(p, *args, **kwargs):
+        built.append(p)
+        init(p, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for f, A in zip(maps_, subspaces):
+        tensor(f, fixture)
+        descend(f, A, identity)
+        compose_source(f, gamma)
+        oplus(f, f)
+        f.to_dict()
+        is_proper(f)
+        analyze_map(f)
+    assert not built

@@ -298,7 +298,7 @@ def test_rho_expansion_linear_coefficient_closed_form(rng):
     cs = []
     for a in pts:
         gamma = BallAutomorphism(np.eye(2), a)
-        omegas.append(gram_of([gamma.denominator_poly()]))
+        omegas.append(gram_of([gamma.as_rational_map().denominator]))
         cs.append(1.0 - float(np.vdot(a, a).real))
     expected = omegas[1].scale(cs[0]) + omegas[0].scale(cs[1])
     assert coeffs[1].max_entry_diff(expected) < 1e-12

@@ -14,6 +14,7 @@ from ballmaps.polynomials import (
     polys_close,
     substitute_fractional,
 )
+from ballmaps.maps import polynomials_of_rows
 
 
 def poly_from(nvars, terms):
@@ -79,14 +80,21 @@ def test_evaluate_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # fractional substitution
 # ---------------------------------------------------------------------------
+def _substitute(p, affine, degree_bound):
+    """substitute_fractional of one polynomial, as a polynomial."""
+    affine = np.asarray(affine, dtype=complex)
+    monos = p.support()
+    rows = np.array([[p.coefficient(e) for e in monos]], dtype=complex)
+    out_monos, out = substitute_fractional(monos, rows, affine, degree_bound)
+    return polynomials_of_rows(affine.shape[1] - 1, out_monos, out)[0]
+
+
 def test_substitute_fractional_one_variable():
     # p = z^2 with numerator 1/2 - z over denominator 1 - z/2, bound 2.
     # Expected coefficients frozen from the independent convolution oracle:
     # numpy.convolve([0.5, -1], [0.5, -1]) == [0.25, -1.0, 1.0].
     p = Polynomial.monomial((2,), 1.0)
-    num = Polynomial(1, {(0,): 0.5, (1,): -1.0})
-    den = Polynomial(1, {(0,): 1.0, (1,): -0.5})
-    result = substitute_fractional(p, [num], den, 2)
+    result = _substitute(p, [[0.5, -1.0], [1.0, -0.5]], 2)
     oracle = np.convolve([0.5, -1.0], [0.5, -1.0])
     expected = Polynomial(1, {(k,): oracle[k] for k in range(3)})
     assert max_coeff_diff(result, expected) < 1e-14
@@ -94,21 +102,21 @@ def test_substitute_fractional_one_variable():
 
 def test_substitute_identity():
     p = Polynomial.variable(1, 0)
-    out = substitute_fractional(p, [p], Polynomial.constant(1, 1.0), 1)
+    out = _substitute(p, [[0.0, 1.0], [1.0, 0.0]], 1)
     assert out == p
 
 
 def test_substitute_constant_picks_up_denominator_power():
     p = Polynomial.constant(1, 1.0)
     den = Polynomial(1, {(0,): 1.0, (1,): -0.5})
-    out = substitute_fractional(p, [Polynomial.variable(1, 0)], den, 3)
+    out = _substitute(p, [[0.0, 1.0], [1.0, -0.5]], 3)
     assert max_coeff_diff(out, den**3) < 1e-14
 
 
 def test_substitute_degree_bound_too_small():
     p = Polynomial.monomial((2,), 1.0)
     with pytest.raises(ValueError):
-        substitute_fractional(p, [Polynomial.variable(1, 0)], Polynomial.constant(1, 1.0), 1)
+        _substitute(p, [[0.0, 1.0], [1.0, 0.0]], 1)
 
 
 def test_substitute_identity_on_random_polys(rng):
@@ -119,8 +127,9 @@ def test_substitute_identity_on_random_polys(rng):
             exp = tuple(int(e) for e in rng.integers(0, 3, size=nvars))
             terms[exp] = complex(rng.standard_normal(), rng.standard_normal())
         p = Polynomial(nvars, terms)
-        idents = [Polynomial.variable(nvars, i) for i in range(nvars)]
-        out = substitute_fractional(p, idents, Polynomial.constant(nvars, 1.0), p.degree)
+        # w_i = z_i over w_0 = 1
+        idents = np.vstack([np.eye(nvars, nvars + 1, 1), np.eye(1, nvars + 1)])
+        out = _substitute(p, idents, p.degree)
         assert max_coeff_diff(out, p) < 1e-12
 
 

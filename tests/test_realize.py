@@ -85,6 +85,8 @@ def test_pad_pair_monomial_with_forced_epsilon():
         [Polynomial.constant(2, 1.0), z1, z2, z1 * z1, z2 * z2]
     ).scale(1.0 / 3.0)
     assert gram_of(list(pad.components)).max_entry_diff(expected) < 1e-10
+    assert pad == pad_to_proper(p, epsilon=math.sqrt(2.0 / 3.0))
+    assert pad != pad_to_proper(p, epsilon=0.5)
     mapped = padded_map(p, pad)
     assert is_proper(mapped).proper
     assert sphere_sample_check(mapped, 500, 1e-9, seed=7).passed
