@@ -26,6 +26,7 @@ from .polynomials import (
     exponent_array,
     find_sorted,
     grlex_key,
+    grlex_sums,
     monomial_values,
     multinomial,
     row_products,
@@ -175,26 +176,17 @@ class HermitianForm:
         conj z.  Row a + c of the product sums the products of row a of self
         and row c of other, formed by :func:`row_products` over the entries
         above TAU_ZERO, so every entry is summed in the order of the pairs
-        of entries (a, b) of self, (c, d) of other.  Both forms are
-        Hermitian, so the rows of the product run over the monomials of its
-        columns, in the same graded-lex order.
+        of entries (a, b) of self, (c, d) of other.  Rows and columns run
+        over the same sums of a monomial of each basis (:func:`grlex_sums`).
         """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
         n = self.nvars
-        left = np.where(np.abs(self.mat) > TAU_ZERO, self.mat, 0.0)
-        right = np.where(np.abs(other.mat) > TAU_ZERO, other.mat, 0.0)
-        a, c = np.flatnonzero(left.any(axis=1)), np.flatnonzero(right.any(axis=1))
-        if not len(a) or not len(c):
-            return HermitianForm.zero(n)
-        e1, e2 = exponent_array(self.basis, n), exponent_array(other.basis, n)
-        monomial_keys = MonomialKeys(n, e1.max(initial=0) + e2.max(initial=0))
-        sums = np.add.outer(monomial_keys.keys(e1[a]), monomial_keys.keys(e2[c]))
-        keys, target = np.unique(sums, return_inverse=True)
-        exps = monomial_keys.exponents(keys)
-        grlex = np.argsort(np.lexsort((*exps.T[::-1], exps.sum(axis=1))))
-        pairs = np.stack(np.meshgrid(a, c, indexing="ij"), axis=-1).reshape(-1, 2)
-        exps, rows = row_products(n, (e1, left), (e2, right), pairs, grlex[target.ravel()])
+        left = (self.basis, np.where(np.abs(self.mat) > TAU_ZERO, self.mat, 0.0))
+        right = (other.basis, np.where(np.abs(other.mat) > TAU_ZERO, other.mat, 0.0))
+        _, target = grlex_sums(n, exponent_array(self.basis, n), exponent_array(other.basis, n))
+        pairs = np.indices(target.shape).reshape(2, -1).T
+        exps, rows = row_products(n, left, right, pairs, target.ravel())
         rows[np.abs(rows) <= TAU_ZERO] = 0.0
         return HermitianForm(n, exps.tolist(), rows).compressed()
 

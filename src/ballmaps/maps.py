@@ -409,7 +409,10 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence[complex]]) -> "Subspace":
         """Orthonormalized span of the given (possibly dependent) vectors."""
-        arr = np.asarray(list(vectors), dtype=complex).reshape(-1, ambient_dim)
+        arr = np.asarray(list(vectors), dtype=complex)
+        if arr.size and arr.shape[-1] != ambient_dim:
+            raise MapConstructionError(f"vectors have length {arr.shape[-1]}, not {ambient_dim}")
+        arr = arr.reshape(-1, ambient_dim)
         if arr.size == 0:
             return cls(ambient_dim, np.zeros((0, ambient_dim), dtype=complex))
         _, s, vh = np.linalg.svd(arr, full_matrices=False)
@@ -469,13 +472,6 @@ def _tensor_pair_order(nf: int, ng: int) -> list[tuple[int, int]]:
     )
 
 
-def _map_of_products(n: int, left: tuple, g: RationalMap, pairs: list) -> RationalMap:
-    """The map of the products of the pairs (row of ``left`` = (monos, rows), row of g)."""
-    left = (exponent_array(left[0], n), left[1])
-    exps, rows = row_products(n, left, (exponent_array(g.monos, n), g.coeffs), pairs)
-    return RationalMap._of_rows(n, list(map(tuple, exps.tolist())), rows)
-
-
 def tensor(f: RationalMap, g: RationalMap) -> RationalMap:
     """Tensor product: all pairwise component products, denominators multiplied."""
     if f.n != g.n:
@@ -483,7 +479,8 @@ def tensor(f: RationalMap, g: RationalMap) -> RationalMap:
     if f.l or g.l:
         raise MapConstructionError("tensor product requires true-ball targets")
     pairs = _tensor_pair_order(f.target_dim, g.target_dim) + [(f.target_dim, g.target_dim)]
-    return _map_of_products(f.n, (f.monos, f.coeffs), g, pairs)
+    exps, rows = row_products(f.n, (f.monos, f.coeffs), (g.monos, g.coeffs), pairs)
+    return RationalMap._of_rows(f.n, list(map(tuple, exps.tolist())), rows)
 
 
 def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> RationalMap:
@@ -568,7 +565,8 @@ def descend(f: RationalMap, A: Subspace, g: RationalMap) -> RationalMap:
     left[-1] = f.coeffs[-1]
     k, N = len(inside), g.target_dim
     pairs = _tensor_pair_order(k, N) + [(k + i, N) for i in range(len(outside) + 1)]
-    return _map_of_products(f.n, pruned_rows(f.monos, left), g, pairs)
+    exps, rows = row_products(f.n, pruned_rows(f.monos, left), (g.monos, g.coeffs), pairs)
+    return RationalMap._of_rows(f.n, list(map(tuple, exps.tolist())), rows)
 
 
 def lowest_order_subspace(f: RationalMap) -> Subspace:

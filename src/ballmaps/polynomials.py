@@ -114,63 +114,62 @@ def times(a, b) -> np.ndarray:
     return out
 
 
+def grlex_sums(nvars: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums of a row of ``left`` and a row of ``right`` (exponent
+    arrays) in graded-lex order, and the position of each sum among them."""
+    monomial_keys = MonomialKeys(nvars, left.max(initial=0) + right.max(initial=0))
+    sums = np.add.outer(monomial_keys.keys(left), monomial_keys.keys(right))
+    keys, inverse = np.unique(sums, return_inverse=True)
+    exps = monomial_keys.exponents(keys)
+    grlex = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+    return exps[grlex], np.argsort(grlex)[inverse.reshape(sums.shape)]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + c) over the starts and counts."""
+    ends = np.cumsum(counts)
+    return np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
+
+
 def row_products(
     nvars: int,
-    left: tuple[np.ndarray, np.ndarray],
-    right: tuple[np.ndarray, np.ndarray],
+    left: tuple[Sequence[Sequence[int]], np.ndarray],
+    right: tuple[Sequence[Sequence[int]], np.ndarray],
     pairs: np.ndarray,
     targets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row ``targets[k]`` (default k) of the result sums the products of row
     i of ``left`` and row j of ``right`` over the pairs ``pairs[k] = (i, j)``.
 
-    An operand is (exponent array, rows): one polynomial per row over the
-    monomials whose exponents are the rows of the exponent array.  Returns
-    the exponents of the product monomials in graded-lex order and the
-    product rows over them.  Each product of two nonzero coefficients is
-    rounded by :func:`times` and added in the order (pair, left column,
-    right column), as dict arithmetic over the rows' terms in column order
-    adds it; at most ``_PRODUCT_CHUNK`` products are formed at once.
+    An operand is (monomials, rows): one polynomial per row over the
+    monomials.  Returns the exponents of all sums of a left and a right
+    monomial in graded-lex order (:func:`grlex_sums`) and the product rows
+    over them.  Each product of two nonzero coefficients is rounded by
+    :func:`times` and added in the order (pair, left column, right column),
+    as dict arithmetic over the rows' terms in column order adds it; the
+    pairs are taken in chunks of at most ``_PRODUCT_CHUNK`` products.
     """
-    (left_exps, left), (right_exps, right) = left, right
+    (left_monos, left), (right_monos, right) = left, right
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     targets = np.arange(len(pairs)) if targets is None else np.asarray(targets)
-    if not (left.imag.any() or right.imag.any()):
-        # the real product rounds as the complex product's real part does
-        left, right, product = left.real, right.real, np.multiply
-    else:
-        product = times
-    lrow, lcol = np.nonzero(left)
-    rrow, rcol = np.nonzero(right)
+    exps, position = grlex_sums(
+        nvars, exponent_array(left_monos, nvars), exponent_array(right_monos, nvars)
+    )
+    (lrow, lcol), (rrow, rcol) = np.nonzero(left), np.nonzero(right)
     lvals, rvals = left[lrow, lcol], right[rrow, rcol]
-    monomial_keys = MonomialKeys(nvars, left_exps.max(initial=0) + right_exps.max(initial=0))
-    sums = np.add.outer(monomial_keys.keys(left_exps), monomial_keys.keys(right_exps))
-    keys = np.unique(sums[np.ix_(np.unique(lcol), np.unique(rcol))])
-    exps = monomial_keys.exponents(keys)
-    grlex = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-    # the output column of the product of each left and each right monomial
-    position = np.argsort(grlex)[np.minimum(np.searchsorted(keys, sums), len(keys) - 1)]
     lstart = np.searchsorted(lrow, np.arange(len(left) + 1))
     rstart = np.searchsorted(rrow, np.arange(len(right) + 1))
-    (i, j), count = pairs.T, int(targets.max(initial=-1)) + 1
-    nl, nr = lstart[i + 1] - lstart[i], rstart[j + 1] - rstart[j]
-    ends = np.cumsum(nl * nr)
-    offset = ends - nl * nr
-    acc = np.zeros(count * len(keys), dtype=lvals.dtype)
-    # product t of pair p multiplies entry (t - offset[p]) // nr[p] of the
-    # left row and entry (t - offset[p]) % nr[p] of the right row
-    for start in range(0, int(ends[-1]) if len(ends) else 0, _PRODUCT_CHUNK):
-        stop = min(start + _PRODUCT_CHUNK, int(ends[-1]))
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-        run = slice(first, last + 1)
-        runs = np.minimum(ends[run], stop) - np.maximum(offset[run], start)
-        p = np.repeat(np.arange(first, last + 1), runs)
-        le, re = np.divmod(np.arange(start, stop) - offset[p], nr[p])
-        le += lstart[i[p]]
-        re += rstart[j[p]]
-        at = targets[p] * len(keys) + position[lcol[le], rcol[re]]
-        np.add.at(acc, at, product(lvals[le], rvals[re]))
-    return exps[grlex], acc.reshape(count, len(keys)).astype(complex, copy=False)
+    nl, nr = np.diff(lstart), np.diff(rstart)
+    acc = np.zeros((int(targets.max(initial=-1)) + 1, len(exps)), dtype=complex)
+    step = max(1, _PRODUCT_CHUNK // max(1, int(nl.max(initial=0) * nr.max(initial=0))))
+    for start in range(0, len(pairs), step):
+        (i, j), at = pairs[start : start + step].T, targets[start : start + step]
+        # one entry per (pair, left entry), then per (pair, left entry, right entry)
+        le, j, at = _ranges(lstart[i], nl[i]), np.repeat(j, nl[i]), np.repeat(at, nl[i])
+        re, le, at = _ranges(rstart[j], nr[j]), np.repeat(le, nr[j]), np.repeat(at, nr[j])
+        at = at * len(exps) + position[lcol[le], rcol[re]]
+        np.add.at(acc.reshape(-1), at, times(lvals[le], rvals[re]))
+    return exps, acc
 
 
 def grlex_key(alpha: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -430,10 +429,9 @@ def substitute_fractional(
 
     ``affine`` holds the rows (constant, coefficient of z_1, ..., z_m) of
     w_1, ..., w_k and then w_0.  Each row p of ``rows``, a polynomial in k
-    variables over ``monos``, becomes ``sum_alpha p_alpha w^alpha
-    w_0^(degree_bound - |alpha|)`` over the graded-lex monomials returned
-    with it: ``rows`` times a power table of the w built one degree at a
-    time by :func:`row_products`.
+    variables over ``monos``, becomes ``sum_alpha p_alpha w^beta`` with
+    beta = (alpha, degree_bound - |alpha|), over the graded-lex monomials
+    returned with it: ``rows`` times a table of the w^beta that p uses.
     """
     affine = np.asarray(affine, dtype=complex)
     k, m = affine.shape[0] - 1, affine.shape[1] - 1
@@ -448,20 +446,21 @@ def substitute_fractional(
     # the w over the monomials 1, z_m, ..., z_1 (graded-lex order)
     units = np.vstack([np.zeros((1, m), dtype=np.int64), np.eye(m, dtype=np.int64)[::-1]])
     w = affine[:, np.r_[0, m:0:-1]]
-    # table row r is w^beta for the exponent beta (in k + 1 variables) keyed
-    # keys[r]: a beta of degree t is a beta of degree t - 1 times a w_v with
-    # v at least its last factor, so each beta is made once
-    beta_keys = MonomialKeys(k + 1, degree_bound)
-    keys, last = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    table_exps, table = np.zeros((1, m), dtype=np.int64), np.ones((1, 1), dtype=complex)
-    for _ in range(degree_bound):
-        prev, last = np.nonzero(np.arange(k + 1) >= last[:, None])
-        keys = keys[prev] + beta_keys.weights[last]
-        pairs = np.column_stack([prev, last])
+    # w^beta is the product of its factors w_v in ascending v; the table
+    # holds each product of the first t factors of some beta once, keyed by
+    # the exponent of those factors, and is built one factor at a time
+    betas = np.column_stack([exps, degree_bound - degrees])[present]
+    factors = np.repeat(np.tile(np.arange(k + 1), len(betas)), betas.ravel())
+    factors = factors.reshape(len(betas), degree_bound)
+    keys = np.cumsum(MonomialKeys(k + 1, degree_bound).weights[factors], axis=1)
+    keys = np.column_stack([np.zeros(len(betas), dtype=np.int64), keys])
+    level, table_exps, table = np.zeros(1, dtype=np.int64), np.zeros((1, m), int), np.ones((1, 1))
+    for t in range(degree_bound):
+        prefix = np.searchsorted(level, keys[:, t])
+        level, first = np.unique(keys[:, t + 1], return_index=True)
+        pairs = np.column_stack([prefix[first], factors[first, t]])
         table_exps, table = row_products(m, (table_exps, table), (units, w), pairs)
-    order = np.argsort(keys)
-    wanted = beta_keys.keys(np.column_stack([exps, degree_bound - degrees])[present])
-    index = order[np.searchsorted(keys, wanted, sorter=order)]
+    index = np.searchsorted(level, keys[:, -1])
     return [tuple(e) for e in table_exps.tolist()], rows[:, present] @ table[index]
 
 

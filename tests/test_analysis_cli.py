@@ -192,6 +192,7 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         (["compose", "source", "{map}", "--center", "{data}"], {"map": _FARAN_2, "data": {}}),
         (_DESCEND, {"map": _FARAN_2, "data": {}}),
         (_DESCEND, {"map": _FARAN_2, "data": {"vectors": [[[1.0, 0.0]]]}}),
+        (_DESCEND, {"map": _FARAN_2, "data": {"vectors": [[[1.0, 0.0]] * 2] * 3}}),
     ],
     ids=[
         "sample-count-0",
@@ -210,6 +211,7 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         "compose-no-vector",
         "descend-no-vectors",
         "descend-vector-length",
+        "descend-vector-count",
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, files):

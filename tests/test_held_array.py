@@ -13,6 +13,7 @@ arithmetic, must give the same monomials and coefficients to 1e-14.
 
 import functools
 import math
+import tracemalloc
 from itertools import compress
 
 import numpy as np
@@ -492,6 +493,23 @@ def test_compose_source_of_a_rational_map_matches_componentwise_substitution():
     f = _composed("example-7-2", 13)
     gamma = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
     _assert_close_to_substitution(f, gamma)
+
+
+def test_compose_source_of_a_high_degree_map_tables_only_its_own_powers():
+    # whitney-seq-40 uses 43 of the 903 exponents beta of degree 41 in three
+    # variables; a table of every w^beta would hold 903 x 903 coefficients at
+    # the last degree alone (13 MB, 150 MB peak), the map's own w^beta 43 rows
+    f = catalog("whitney-seq-40")
+    gamma = BallAutomorphism(np.eye(2), [0.3, 0.2j])
+    tracemalloc.start()
+    try:
+        g = compose_source(f, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    z = np.array([0.27 + 0.09j, -0.18 + 0.36j])
+    assert np.abs(g.value_at(z) - f.value_at(gamma.apply(z))).max() < 1e-8
 
 
 def test_pad_with_zeros_takes_any_denominator():
