@@ -25,8 +25,10 @@ from .polynomials import (
     degree_monomials,
     exponent_array,
     find_sorted,
-    grlex_key,
+    grlex_monomials,
+    grlex_order,
     grlex_sums,
+    grlex_union,
     monomial_values,
     multinomial,
     row_products,
@@ -50,13 +52,13 @@ class HermitianForm:
     __slots__ = ("nvars", "basis", "mat")
 
     def __init__(self, nvars: int, basis: Sequence[MultiIndex], mat: np.ndarray):
-        basis = tuple(tuple(int(e) for e in b) for b in basis)
+        exps = exponent_array(basis, nvars)
+        order = grlex_order(exps)
+        basis = tuple(map(tuple, exps[order].tolist()))
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (len(basis), len(basis)):
             raise ValueError("matrix shape does not match basis size")
-        if list(basis) != sorted(basis, key=grlex_key):
-            order = sorted(range(len(basis)), key=lambda i: grlex_key(basis[i]))
-            basis = tuple(basis[i] for i in order)
+        if (order != np.arange(len(order))).any():
             mat = mat[np.ix_(order, order)]
         mat = 0.5 * (mat + mat.conj().T)
         mat.setflags(write=False)
@@ -76,17 +78,13 @@ class HermitianForm:
     def from_entries(
         cls, nvars: int, entries: Mapping[tuple[MultiIndex, MultiIndex], complex]
     ) -> "HermitianForm":
-        support: set[MultiIndex] = set()
-        for a, b in entries:
-            support.add(tuple(a))
-            support.add(tuple(b))
-        basis = sorted(support, key=grlex_key)
-        index = {mono: i for i, mono in enumerate(basis)}
+        pairs = [(tuple(a), tuple(b)) for a, b in entries]
+        basis, (rows, cols) = grlex_union([a for a, _ in pairs], [b for _, b in pairs])
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (a, b), c in entries.items():
+        for i, j, c in zip(rows.tolist(), cols.tolist(), entries.values()):
             if abs(c) > TAU_ZERO:
-                mat[index[tuple(a)], index[tuple(b)]] += 0.5 * c
-                mat[index[tuple(b)], index[tuple(a)]] += 0.5 * complex(c).conjugate()
+                mat[i, j] += 0.5 * c
+                mat[j, i] += 0.5 * complex(c).conjugate()
         return cls(nvars, basis, mat).compressed()
 
     @classmethod
@@ -146,17 +144,11 @@ class HermitianForm:
     def _aligned(self, other: "HermitianForm") -> tuple[list[MultiIndex], np.ndarray, np.ndarray]:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
-        basis = sorted(set(self.basis) | set(other.basis), key=grlex_key)
-        index = {mono: i for i, mono in enumerate(basis)}
-
-        def embed(h: HermitianForm) -> np.ndarray:
-            out = np.zeros((len(basis), len(basis)), dtype=complex)
-            if h.size:
-                idx = np.array([index[b] for b in h.basis])
-                out[np.ix_(idx, idx)] = h.mat
-            return out
-
-        return basis, embed(self), embed(other)
+        basis, positions = grlex_union(self.basis, other.basis)
+        out = np.zeros((2, len(basis), len(basis)), dtype=complex)
+        for embedded, h, at in zip(out, (self, other), positions):
+            embedded[np.ix_(at, at)] = h.mat
+        return basis, out[0], out[1]
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         basis, a, b = self._aligned(other)
@@ -198,13 +190,13 @@ class HermitianForm:
 
     # -- serialization --------------------------------------------------------
     def to_dict(self, tol: float = TAU_ZERO) -> dict:
-        items = []
-        for a, b, c in self.entries(tol):
-            if grlex_key(a) <= grlex_key(b):
-                items.append(
-                    {"alpha": list(a), "beta": list(b), "re": c.real, "im": c.imag}
-                )
-        items.sort(key=lambda e: (grlex_key(tuple(e["alpha"])), grlex_key(tuple(e["beta"]))))
+        """The upper-triangle entries above ``tol``, in (alpha, beta) graded-lex
+        order: the basis is sorted, so that is the row-major order."""
+        rows, cols = np.nonzero(np.triu(np.abs(self.mat) > tol))
+        items = [
+            {"alpha": list(self.basis[i]), "beta": list(self.basis[j]), "re": c.real, "im": c.imag}
+            for i, j, c in zip(rows.tolist(), cols.tolist(), self.mat[rows, cols].tolist())
+        ]
         return {"nvars": self.nvars, "entries": items}
 
     @classmethod
@@ -219,6 +211,26 @@ class HermitianForm:
             if a != b:
                 entries[(b, a)] = entries.get((b, a), 0.0) + c.conjugate()
         return cls.from_entries(nvars, entries)
+
+
+def _support_blocks(support: np.ndarray) -> np.ndarray:
+    """Connected-component label of each vertex of a symmetric adjacency matrix:
+    the smallest vertex of its component.
+
+    Every vertex points at a vertex of its component.  Each round hooks the
+    root of every edge's first end onto the smaller root of its second end,
+    then jumps pointers to pointers until every vertex points at a root;
+    rounds repeat until no root moves.
+    """
+    rows, cols = np.nonzero(support)
+    labels = np.arange(len(support))
+    while True:
+        before = labels.copy()
+        np.minimum.at(labels, labels[rows], labels[cols])
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +386,7 @@ def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, float]:
     kept = np.zeros(len(monos), dtype=bool)
     kept[col[np.abs(values) > TAU_ZERO]] = True
     basis = monomial_keys.exponents(monos[kept])
-    grlex = np.lexsort((*basis.T[::-1], basis.sum(axis=1)))
+    grlex = grlex_order(basis)
     position = np.full(len(monos), -1)
     position[np.flatnonzero(kept)[grlex]] = np.arange(len(grlex))
     inside = kept[row] & kept[col]
@@ -506,7 +518,7 @@ def _center_factor_forms(
 ) -> tuple[list[float], list[HermitianForm]]:
     cs: list[float] = []
     omegas: list[HermitianForm] = []
-    monos = [(0,) * nvars] + sorted(map(tuple, np.eye(nvars, dtype=int).tolist()))
+    monos = grlex_monomials(nvars, 1)
     for a in points:
         a = np.asarray(a, dtype=complex).reshape(-1)
         if a.shape[0] != nvars:

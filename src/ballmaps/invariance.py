@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import lattice
-from .hermitian import HermitianForm, form_of
+from .hermitian import HermitianForm, _support_blocks, form_of
 from .maps import (
     BallAutomorphism,
     MapConstructionError,
@@ -38,6 +38,7 @@ from .polynomials import (
     degree_monomials,
     exponent_array,
     find_sorted,
+    grlex_union,
     monomial_values,
     multinomial,
 )
@@ -125,13 +126,13 @@ _GATHER_BUDGET = 1 << 14
 class _PermutationSearch:
     """Index tables testing coordinate permutations on one coefficient array.
 
-    The array is given by its support entries ``(row, col, value)``.  Columns
-    are indices into ``basis``; with ``permute_rows`` the rows are too (a
+    The entries of the array A above TAU_ZERO are its support.  Columns are
+    indices into ``basis``; with ``permute_rows`` the rows are too (a
     Hermitian form), otherwise they stay fixed (the components of a map).
     sigma sends z^alpha to the monomial carrying alpha_i at position
-    sigma(i), and keeps entry e when |value - A[sigma row, sigma col]| <=
-    cut[e], where ``lookup(rows, cols)`` reads A and a permuted monomial
-    outside the basis reads 0.
+    sigma(i), and keeps support entry (r, c) when |A[r, c] - A[sigma r,
+    sigma c]| <= ``cut`` (one bound, or one per row), where a permuted
+    monomial outside the basis reads 0.
 
     Each monomial is keyed by :class:`MonomialKeys` (its exponent vector read
     in base D + 1, D the largest exponent), so a permuted monomial is found by
@@ -145,17 +146,16 @@ class _PermutationSearch:
         self,
         n: int,
         basis: Sequence[MultiIndex],
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
+        array: np.ndarray,
         cut: float | np.ndarray,
-        lookup: Callable[[np.ndarray, np.ndarray], np.ndarray],
         permute_rows: bool,
     ):
+        rows, cols = np.nonzero(np.abs(array) > TAU_ZERO)
+        values, cut = array[rows, cols], np.broadcast_to(cut, len(array))[rows]
         exps = exponent_array(basis, n)
         monomial_keys = MonomialKeys(n, exps.max(initial=0))
         self.n = n
-        self.lookup = lookup
+        self.array = array
         self.permute_rows = permute_rows
         self.weights = monomial_keys.weights
         keys = monomial_keys.keys(exps)
@@ -181,7 +181,7 @@ class _PermutationSearch:
         self.rows = rows[entry_order]
         self.cols = position[cols][entry_order]
         self.values = values[entry_order]
-        self.cut = np.broadcast_to(cut, values.shape)[entry_order]
+        self.cut = cut[entry_order]
 
     def _passes(self, perms: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Which rows of ``perms`` (the images of variables 0..k-1) keep
@@ -203,7 +203,7 @@ class _PermutationSearch:
             if self.permute_rows:
                 ri = image[:, rows]
                 present &= found[:, rows]
-            target = np.where(present, self.lookup(ri, ci), 0.0)
+            target = np.where(present, self.array[ri, ci], 0.0)
             ok[start : start + step] = (np.abs(values - target) <= cut).all(axis=1)
         return ok
 
@@ -231,16 +231,8 @@ class _PermutationSearch:
 def _form_search(h: HermitianForm, tol: float) -> _PermutationSearch:
     """Permutation search on a form: sigma keeps it when every support entry
     satisfies |h[a, b] - h[sigma a, sigma b]| <= tol * max(1, max|h|)."""
-    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
     return _PermutationSearch(
-        h.nvars,
-        h.basis,
-        rows,
-        cols,
-        h.mat[rows, cols],
-        tol * max(1.0, h.max_abs()),
-        lambda r, c: h.mat[r, c],
-        permute_rows=True,
+        h.nvars, h.basis, h.mat, tol * max(1.0, h.max_abs()), permute_rows=True
     )
 
 
@@ -339,6 +331,11 @@ class BlockPartition:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
+    @property
+    def source_rank_upper(self) -> int:
+        """n - sum(block size - 1), the source-rank bound of the blocks."""
+        return self.n - sum(len(b) - 1 for b in self.blocks)
+
     def to_dict(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
 
@@ -393,18 +390,8 @@ def strict_permutation_stabilizer(
             f"permutation enumeration is capped at n <= {MAX_PERMUTATION_DIM}"
         )
     monos, A = stacked_coefficients(f)
-    rows, cols = np.nonzero(A)
     scale = np.maximum(1.0, np.abs(A).max(axis=1, initial=0.0))
-    search = _PermutationSearch(
-        f.n,
-        monos,
-        rows,
-        cols,
-        A[rows, cols],
-        tol * scale[rows],
-        lambda r, c: A[r, c],
-        permute_rows=False,
-    )
+    search = _PermutationSearch(f.n, monos, A, tol * scale, permute_rows=False)
     # polys_close compares at every key of supp(p) and sigma(supp(p)): at
     # sigma(a) that is |p[sigma a] - p[a]|, the entries the search checks; at a
     # it is |p[a] - p[sigma^-1 a]|, the same check for the inverse permutation
@@ -518,69 +505,40 @@ def full_unitary_test(f: RationalMap, tol: float = TAU_EQ) -> FullUnitaryTestRes
     return FullUnitaryTestResult(True, tuple(powers))
 
 
-def _rotation_derivation_vanishes(
-    h: HermitianForm, i: int, j: int, tol: float
-) -> bool:
-    """Does the derivation z_i d/dz_j - conj(z_j) d/dconj(z_i) kill the form?"""
-    acc: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for a, b, c in h.entries():
-        if a[j]:
-            na = list(a)
-            na[j] -= 1
-            na[i] += 1
-            key = (tuple(na), b)
-            acc[key] = acc.get(key, 0.0) + c * a[j]
-        if b[i]:
-            nb = list(b)
-            nb[i] -= 1
-            nb[j] += 1
-            key = (a, tuple(nb))
-            acc[key] = acc.get(key, 0.0) - c * b[i]
-    residual = max((abs(v) for v in acc.values()), default=0.0)
-    return residual <= tol
-
-
-def _phase_invariant(h: HermitianForm, i: int, tol: float) -> bool:
-    for a, b, c in h.entries():
-        if a[i] != b[i] and abs(c) > tol:
-            return False
-    return True
-
-
 def block_partition(f: RationalMap, tol: float = TAU_EQ) -> BlockPartition:
     """Maximal variable blocks on which the form is block-unitary invariant.
 
     Two variables merge when both infinitesimal rotations mixing them and
     both individual phase rotations annihilate the form; merged pairs close
     up into blocks (invariance under the connected block-unitary group is
-    exactly infinitesimal invariance).
+    exactly infinitesimal invariance).  The form is read as its support
+    entries c at the exponent pairs (a, b): the phase rotation of z_i kills
+    it when no entry above the cut has a_i != b_i, and the rotation
+    z_i d/dz_j - conj(z_j) d/dconj(z_i) sends entry (a, b, c) to
+    c a_j at (a + e_i - e_j, b) and -c b_i at (a, b - e_i + e_j), summed
+    over the distinct pairs in entry order.
     """
     h = form_of(f)
-    n = f.n
-    scale = max(1.0, h.max_abs())
-    cut = tol * scale
-    phase_ok = [_phase_invariant(h, i, cut) for i in range(n)]
-    parent = list(range(n))
+    cut = tol * max(1.0, h.max_abs())
+    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    exps = exponent_array(h.basis, f.n)
+    a, b, c = exps[rows], exps[cols], h.mat[rows, cols]
+    phase = ~((a != b) & (np.abs(c) > cut)[:, None]).any(axis=0)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def rotation_vanishes(i: int, j: int) -> bool:
+        step = np.eye(1, f.n, i, dtype=np.int64) - np.eye(1, f.n, j, dtype=np.int64)
+        terms = np.stack([np.hstack([a + step, b]), np.hstack([a, b - step])], axis=1)
+        pairs, (at,) = grlex_union(list(map(tuple, terms.reshape(-1, 2 * f.n).tolist())))
+        acc = np.zeros(len(pairs), dtype=complex)
+        np.add.at(acc, at, np.stack([c * a[:, j], -c * b[:, i]], axis=1).ravel())
+        return np.abs(acc).max(initial=0.0) <= cut
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (phase_ok[i] and phase_ok[j]):
-                continue
-            if _rotation_derivation_vanishes(h, i, j, cut) and _rotation_derivation_vanishes(
-                h, j, i, cut
-            ):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
-    return BlockPartition(blocks)
+    merged = np.zeros((f.n, f.n), dtype=bool)
+    for i, j in itertools.combinations(np.flatnonzero(phase).tolist(), 2):
+        merged[i, j] = merged[j, i] = rotation_vanishes(i, j) and rotation_vanishes(j, i)
+    labels = _support_blocks(merged)  # the first variable of each block
+    blocks = [np.flatnonzero(labels == r).tolist() for r in np.unique(labels)]
+    return BlockPartition(tuple(map(tuple, blocks)))
 
 
 def source_rank_upper(f: RationalMap, tol: float = TAU_EQ) -> int:
@@ -589,8 +547,7 @@ def source_rank_upper(f: RationalMap, tol: float = TAU_EQ) -> int:
     The blocks are read in the given coordinates; no conjugating
     automorphism is searched for.
     """
-    blocks = block_partition(f, tol).blocks
-    return f.n - sum(len(b) - 1 for b in blocks)
+    return block_partition(f, tol).source_rank_upper
 
 
 def power_chain_check(f: RationalMap, tol: float = TAU_EQ) -> set[int]:
@@ -741,7 +698,6 @@ def group_report(f: RationalMap, tol: float = TAU_EQ) -> GroupReport:
             excluded = True
     else:
         notes.append("origin-moving exclusion not determined for rational maps")
-    rank_upper = f.n - sum(len(b) - 1 for b in blocks.blocks)
     return GroupReport(
         f.n,
         torus.is_torus_invariant,
@@ -749,7 +705,7 @@ def group_report(f: RationalMap, tol: float = TAU_EQ) -> GroupReport:
         blocks,
         diag,
         perms,
-        rank_upper,
+        blocks.source_rank_upper,
         excluded,
         tuple(notes),
     )
@@ -838,7 +794,9 @@ def emit_invariance_system(f: RationalMap) -> dict:
     origin = groups[vs.index((0,) * n + (d,))]
     lam_keys = np.add.outer(origin * K, origin).ravel()
     lam = h.mat[np.ix_(col[origin], col[origin])].ravel()
-    index = {alpha: i for i, alpha in enumerate(h.basis)}
+    # the basis row of the alpha part of each v, where it is in the basis
+    _, (of_basis, of_v) = grlex_union(h.basis, [v[:n] for v in vs])
+    row_of, in_basis = find_sorted(of_basis, of_v)
     u_of = E.tolist()
 
     equations = []
@@ -848,8 +806,8 @@ def emit_invariance_system(f: RationalMap) -> dict:
             v2, g2 = vs[i2], groups[i2]
             keys = np.add.outer(g1 * K, g2).ravel()
             values = (np.outer(w[g1], w[g2]) * h.mat[np.ix_(col[g1], col[g2])]).ravel()
-            i, j = index.get(v1[:n]), index.get(v2[:n])
-            h_value = 0.0 if i is None or j is None else h.mat[i, j]
+            in_h = in_basis[i1] and in_basis[i2]
+            h_value = h.mat[row_of[i1], row_of[i2]] if in_h else 0.0
             if abs(h_value) > TAU_ZERO:
                 keys, at = np.unique(np.concatenate([keys, lam_keys]), return_inverse=True)
                 total = np.zeros(len(keys), dtype=complex)

@@ -26,7 +26,7 @@ from .polynomials import (
     TAU_ZERO,
     degree_monomials,
     exponent_array,
-    grlex_key,
+    grlex_union,
     monomial_values,
     multinomial,
     row_products,
@@ -184,11 +184,10 @@ def coefficient_matrix(
     Columns are indexed by the graded-lex sorted union of all monomial
     supports.  :func:`polynomials_of_rows` is the inverse.
     """
-    monos = sorted(set().union(*(p.terms for p in polys)), key=grlex_key)
-    index = {mono: i for i, mono in enumerate(monos)}
+    monos, positions = grlex_union(*(p.terms for p in polys))
     mat = np.zeros((len(polys), len(monos)), dtype=complex)
-    for r, p in enumerate(polys):
-        mat[r, [index[exp] for exp in p.terms]] = list(p.terms.values())
+    for r, (p, at) in enumerate(zip(polys, positions)):
+        mat[r, at] = list(p.terms.values())
     return monos, mat
 
 
@@ -488,11 +487,10 @@ def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> Ratio
     of all maps first, then their negative blocks."""
     if any(f.n != maps[0].n for f in maps):
         raise MapConstructionError("orthogonal sum requires a common source dimension")
-    monos = sorted(set().union(*(f.monos for f in maps)), key=grlex_key)
-    index = {mono: i for i, mono in enumerate(monos)}
+    monos, positions = grlex_union(*(f.monos for f in maps))
     arrays = [np.zeros((len(f.coeffs), len(monos)), dtype=complex) for f in maps]
-    for f, A in zip(maps, arrays):
-        A[:, [index[mono] for mono in f.monos]] = f.coeffs
+    for f, A, at in zip(maps, arrays, positions):
+        A[:, at] = f.coeffs
     den = arrays[0][-1]
     if any(
         np.abs(A[-1] - den).max() > TAU_EQ * max(1.0, np.abs(den).max(), np.abs(A[-1]).max())

@@ -11,12 +11,15 @@ Values are immutable by convention: every operation returns a fresh
 polynomial and never mutates its operands, so instances are safe to share
 between threads.
 
-The module also holds the one monomial kernel every layer indexes,
-evaluates and multiplies monomials with: :class:`MonomialKeys` (exponent
-vectors as int64 keys, with the one overflow refusal), :func:`find_sorted`
-(lookup of keys in a sorted table), :func:`monomial_values` (monomials
-evaluated at points) and :func:`row_products` (products of coefficient rows,
-each complex product rounded by :func:`times`).
+The module also holds the one monomial kernel every layer orders, aligns,
+indexes, evaluates and multiplies monomials with: :func:`grlex_order` and
+:func:`grlex_union` (graded-lex order of an exponent array, and the sorted
+union of exponent-tuple lists with each list's positions in it),
+:class:`MonomialKeys` (exponent vectors as int64 keys, with the one overflow
+refusal), :func:`find_sorted` (lookup of keys in a sorted table),
+:func:`monomial_values` (monomials evaluated at points) and
+:func:`row_products` (products of coefficient rows, each complex product
+rounded by :func:`times`).
 """
 
 from __future__ import annotations
@@ -114,6 +117,19 @@ def times(a, b) -> np.ndarray:
     return out
 
 
+def grlex_order(exps: np.ndarray) -> np.ndarray:
+    """The permutation sorting the rows of an exponent array in graded-lex order."""
+    return np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+
+
+def grlex_union(*lists: Sequence[MultiIndex]) -> tuple[list[MultiIndex], list[np.ndarray]]:
+    """The graded-lex sorted union of lists of exponent tuples, and for each
+    list the position in the union of each of its monomials."""
+    union = sorted(set().union(*lists), key=grlex_key)
+    index = {mono: i for i, mono in enumerate(union)}
+    return union, [np.array([index[mono] for mono in monos], dtype=np.int64) for monos in lists]
+
+
 def grlex_sums(nvars: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sums of a row of ``left`` and a row of ``right`` (exponent
     arrays) in graded-lex order, and the position of each sum among them."""
@@ -121,7 +137,7 @@ def grlex_sums(nvars: int, left: np.ndarray, right: np.ndarray) -> tuple[np.ndar
     sums = np.add.outer(monomial_keys.keys(left), monomial_keys.keys(right))
     keys, inverse = np.unique(sums, return_inverse=True)
     exps = monomial_keys.exponents(keys)
-    grlex = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+    grlex = grlex_order(exps)
     return exps[grlex], np.argsort(grlex)[inverse.reshape(sums.shape)]
 
 

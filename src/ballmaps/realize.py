@@ -29,6 +29,7 @@ import numpy as np
 from .hermitian import (
     HermitianForm,
     TAU_SIG,
+    _support_blocks,
     form_of,
     gram_form,
     norm_power_form,
@@ -72,28 +73,16 @@ class FactorizationResult:
     positives: np.ndarray
     negatives: np.ndarray
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactorizationResult):
+            return NotImplemented
+        rows = ("positives", "negatives")
+        same_rows = all(np.array_equal(getattr(self, k), getattr(other, k)) for k in rows)
+        return self.monos == other.monos and same_rows
+
     def reconstruct(self, nvars: int) -> HermitianForm:
         signs = [1.0] * len(self.positives) + [-1.0] * len(self.negatives)
         return gram_form(nvars, self.monos, np.vstack([self.positives, self.negatives]), signs)
-
-
-def _support_blocks(support: np.ndarray) -> np.ndarray:
-    """Connected-component label of each vertex of a symmetric adjacency matrix.
-
-    Every vertex points at a vertex of its component.  Each round hooks the
-    root of every edge's first end onto the smaller root of its second end,
-    then jumps pointers to pointers until every vertex points at a root;
-    rounds repeat until no root moves.
-    """
-    rows, cols = np.nonzero(support)
-    labels = np.arange(len(support))
-    while True:
-        before = labels.copy()
-        np.minimum.at(labels, labels[rows], labels[cols])
-        while not np.array_equal(labels[labels], labels):
-            labels = labels[labels]
-        if np.array_equal(labels, before):
-            return labels
 
 
 def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResult:
