@@ -58,27 +58,8 @@ class SphereSampleResult:
         }
 
 
-def _evaluate_components(
-    f: RationalMap, points: np.ndarray, chunk: int = 2048
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed squared norms of the numerator and |q| at each point.
-
-    Components are evaluated through the shared coefficient matrix in chunks
-    so large constructed maps never materialize a components-by-points dense
-    matrix.
-    """
-    monos, A = stacked_coefficients(f)
-    count = points.shape[0]
-    vals = monomial_values(monos, points).T  # monomials x points
-
-    signs = np.array([1.0] * f.m + [-1.0] * f.l)
-    num_norm = np.zeros(count)
-    nrows = f.target_dim
-    for start in range(0, nrows, chunk):
-        stop = min(start + chunk, nrows)
-        block = A[start:stop, :] @ vals
-        num_norm += (signs[start:stop, None] * (np.abs(block) ** 2)).sum(axis=0)
-    return num_norm, np.abs(A[nrows] @ vals)
+#: Component rows the sampler evaluates at once: no components-by-points array.
+_ROW_BLOCK = 2048
 
 
 def sphere_sample_check(
@@ -93,7 +74,14 @@ def sphere_sample_check(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, f.n)) + 1j * rng.standard_normal((count, f.n))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    num_norm, qabs = _evaluate_components(f, z)
+    monos, A = stacked_coefficients(f)
+    vals = monomial_values(monos, z).T  # the monomials x points array the kernel built
+    signs = np.array([1.0] * f.m + [-1.0] * f.l)
+    num_norm = np.zeros(count)
+    for start in range(0, f.target_dim, _ROW_BLOCK):
+        rows = slice(start, min(start + _ROW_BLOCK, f.target_dim))
+        num_norm += (signs[rows, None] * (np.abs(A[rows] @ vals) ** 2)).sum(axis=0)
+    qabs = np.abs(A[-1] @ vals)
     min_q = float(np.min(qabs))
     if min_q <= 1e-12:
         return SphereSampleResult(math.inf, False, count, tol, seed, min_q)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -282,8 +283,20 @@ def form_of(f: RationalMap) -> HermitianForm:
 # ---------------------------------------------------------------------------
 # division by the sphere and properness
 # ---------------------------------------------------------------------------
-def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, float]:
-    """Divide h by |z|^2 - 1: returns the quotient u and the residual.
+class SphereDivision:
+    """A division by |z|^2 - 1: the residual, and the quotient built on first read."""
+
+    def __init__(self, residual: float, assemble: Callable[[], HermitianForm]):
+        self.residual = residual
+        self._assemble = assemble
+
+    @cached_property
+    def quotient(self) -> HermitianForm:
+        return self._assemble()
+
+
+def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
+    """Divide h by |z|^2 - 1: the residual at once, the quotient u on first read.
 
     The residual is the largest |entry| of the remainder h - u (|z|^2 - 1);
     it vanishes (to rounding) exactly when h vanishes on the unit sphere.
@@ -306,7 +319,7 @@ def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, float]:
     n = h.nvars
     rows, cols = np.nonzero(h.mat)
     if not len(rows):
-        return HermitianForm.zero(n), 0.0
+        return SphereDivision(0.0, lambda: HermitianForm.zero(n))
     D = h.max_degree()
     monomial_keys = MonomialKeys(n, D)
     exps = exponent_array(h.basis, n)
@@ -370,51 +383,52 @@ def quotient_by_sphere(h: HermitianForm) -> tuple[HermitianForm, float]:
             remainder[at] -= gathered
         residual = max(residual, float(np.max(np.abs(remainder))))
 
-    # scatter u back onto (delta+ + c, delta- + c); the quotient's basis is
-    # the monomials with an entry above TAU_ZERO in their column
-    nonzero = np.flatnonzero((U.real != 0) | (U.imag != 0))
-    cell, of = np.divmod(nonzero, U.shape[1])
-    values = U.ravel()[nonzero]
-    monos, index = np.unique(
-        np.concatenate([
-            keys[cell] + monomial_keys.keys(plus[first])[of],
-            keys[cell] + monomial_keys.keys(minus[first])[of],
-        ]),
-        return_inverse=True,
-    )
-    row, col = np.split(index, 2)
-    kept = np.zeros(len(monos), dtype=bool)
-    kept[col[np.abs(values) > TAU_ZERO]] = True
-    basis = monomial_keys.exponents(monos[kept])
-    grlex = grlex_order(basis)
-    position = np.full(len(monos), -1)
-    position[np.flatnonzero(kept)[grlex]] = np.arange(len(grlex))
-    inside = kept[row] & kept[col]
-    i, j = position[row[inside]], position[col[inside]]
-    mat = np.zeros((len(grlex), len(grlex)), dtype=complex)
-    mat[i, j] = values[inside]
-    # u is Hermitian, but 0.5 * (m + m^H) is not idempotent on the signs of
-    # zero parts, which reach to_dict: symmetrize once here and once in the
-    # constructor, as a quotient formed over the whole simplex and then
-    # compressed would be
-    mat[i, j] = 0.5 * (mat[i, j] + mat[j, i].conj())
-    return HermitianForm(n, basis[grlex].tolist(), mat), residual
+    deltas = monomial_keys.keys(np.stack([plus[first], minus[first]]))
+
+    def quotient() -> HermitianForm:
+        # scatter u back onto (delta+ + c, delta- + c); the quotient's basis is
+        # the monomials with an entry above TAU_ZERO in their column
+        cell, of = np.nonzero(U)
+        values = U[cell, of]
+        monos, index = np.unique(keys[cell] + deltas[:, of], return_inverse=True)
+        row, col = index.reshape(2, -1)
+        kept = np.zeros(len(monos), dtype=bool)
+        kept[col[np.abs(values) > TAU_ZERO]] = True
+        position = np.cumsum(kept) - 1
+        inside = kept[row] & kept[col]
+        i, j = position[row[inside]], position[col[inside]]
+        mat = np.zeros((kept.sum(),) * 2, dtype=complex)
+        mat[i, j] = values[inside]
+        # u is Hermitian, but 0.5 * (m + m^H) is not idempotent on the signs of
+        # zero parts, which reach to_dict: symmetrize once here and once in the
+        # constructor (which also sorts the basis), as a quotient formed over
+        # the whole simplex and then compressed would be
+        mat[i, j] = 0.5 * (mat[i, j] + mat[j, i].conj())
+        return HermitianForm(n, monomial_keys.exponents(monos[kept]).tolist(), mat)
+
+    return SphereDivision(residual, quotient)
 
 
 @dataclass(frozen=True)
 class ProperResult:
+    """Properness of a map; the quotient is assembled from ``division`` when read."""
+
     proper: bool
-    quotient: HermitianForm
+    division: SphereDivision
     residual: float
     tolerance: float
+
+    @property
+    def quotient(self) -> HermitianForm:
+        return self.division.quotient
 
 
 def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
     """Certify properness by exact division of the form by |z|^2 - 1."""
     h = form_of(f)
-    quotient, residual = quotient_by_sphere(h)
+    division = quotient_by_sphere(h)
     threshold = tol_div * (1.0 + h.max_abs())
-    proper = residual <= threshold
+    proper = division.residual <= threshold
     if proper:
         # the denominator-degree bound holds for maps fixing the origin; a
         # violation there (or a vanishing form) flags a representation that
@@ -435,7 +449,7 @@ def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
                 "degree - 1; the representation is unlikely to be in lowest terms",
                 stacklevel=2,
             )
-    return ProperResult(proper, quotient, residual, threshold)
+    return ProperResult(proper, division, division.residual, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +528,12 @@ def image_rank(f: RationalMap, tol_sig: float = TAU_SIG, check: bool = True) -> 
 # tensor products of automorphisms
 # ---------------------------------------------------------------------------
 def _center_factor_forms(
-    points: Sequence[Sequence[complex]], nvars: int
-) -> tuple[list[float], list[HermitianForm]]:
-    cs: list[float] = []
-    omegas: list[HermitianForm] = []
+    points: Sequence[Sequence[complex]],
+) -> tuple[int, list[float], list[HermitianForm]]:
+    if not points:
+        raise ValueError("at least one center is required")
+    nvars = len(points[0])
+    cs, omegas = [], []
     monos = grlex_monomials(nvars, 1)
     for a in points:
         a = np.asarray(a, dtype=complex).reshape(-1)
@@ -529,7 +545,7 @@ def _center_factor_forms(
         cs.append(1.0 - norm2)
         # omega = |1 - <z, a>|^2; the degree-1 monomials run from z_n to z_1
         omegas.append(gram_form(nvars, monos, np.concatenate([[1.0], -a[::-1].conj()])[None]))
-    return cs, omegas
+    return nvars, cs, omegas
 
 
 def automorphism_tensor_form(points: Sequence[Sequence[complex]]) -> HermitianForm:
@@ -539,10 +555,7 @@ def automorphism_tensor_form(points: Sequence[Sequence[complex]]) -> HermitianFo
     and omega_j = |1 - <z, a_j>|^2; centers at the origin contribute the
     factor (rho + 1).
     """
-    if not points:
-        raise ValueError("at least one center is required")
-    nvars = len(points[0])
-    cs, omegas = _center_factor_forms(points, nvars)
+    nvars, cs, omegas = _center_factor_forms(points)
     rho = sphere_form(nvars)
     prod_mixed = HermitianForm.constant(nvars, 1.0)
     prod_omega = HermitianForm.constant(nvars, 1.0)
@@ -559,10 +572,7 @@ def automorphism_tensor_rho_expansion(
 
     B_0 is identically zero and B_K equals the constant prod_j c_j.
     """
-    if not points:
-        raise ValueError("at least one center is required")
-    nvars = len(points[0])
-    cs, omegas = _center_factor_forms(points, nvars)
+    nvars, cs, omegas = _center_factor_forms(points)
     K = len(points)
     out: list[HermitianForm] = [HermitianForm.zero(nvars)]
     for k in range(1, K + 1):

@@ -90,17 +90,19 @@ def monomial_values(monos: Sequence[Sequence[int]], points: np.ndarray) -> np.nd
     """Values z^alpha of the monomials at the points, shape (points, monomials).
 
     ``points`` has one row per point.  The values start at 1 and are
-    multiplied, one variable at a time, by the power of that coordinate.
+    multiplied, one variable at a time, by the powers of that coordinate,
+    tabled once up to its largest exponent, in a (monomials, points) array.
     """
     points = np.asarray(points, dtype=complex)
     count, nvars = points.shape
     exps = exponent_array(monos, nvars)
-    vals = np.ones((count, len(exps)), dtype=complex)
+    vals = np.ones((len(exps), count), dtype=complex)
     for i in range(nvars):
         nz = exps[:, i] > 0
         if np.any(nz):
-            vals[:, nz] *= points[:, i : i + 1] ** exps[nz, i][None, :]
-    return vals
+            powers = points[:, i] ** np.arange(exps[:, i].max() + 1)[:, None]
+            vals[nz] *= powers[exps[nz, i]]
+    return vals.T
 
 
 #: Coefficient products formed at once by :func:`row_products`.

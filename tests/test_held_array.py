@@ -310,7 +310,8 @@ def _assert_bit_identical(f, ref):
     h, ref_h = form_of(f), _ref_form(ref)
     assert h.basis == ref_h.basis and h.mat.tobytes() == ref_h.mat.tobytes()
     cert = is_proper(f)
-    quotient, residual = quotient_by_sphere(ref_h)
+    division = quotient_by_sphere(ref_h)
+    quotient, residual = division.quotient, division.residual
     assert cert.quotient.basis == quotient.basis
     assert cert.quotient.mat.tobytes() == quotient.mat.tobytes()
     assert np.float64(cert.residual).tobytes() == np.float64(residual).tobytes()

@@ -84,14 +84,16 @@ def test_form_of_generalized_target_signs():
 # quotient by the sphere
 # ---------------------------------------------------------------------------
 def test_quotient_of_sphere_form_is_one():
-    u, r = quotient_by_sphere(sphere_form(2))
+    division = quotient_by_sphere(sphere_form(2))
+    u, r = division.quotient, division.residual
     assert r < 1e-14
     assert u.max_entry_diff(HermitianForm.constant(2, 1.0)) < 1e-14
 
 
 def test_quotient_of_norm_fourth_minus_one():
     h = norm_power_form(2, 2) - HermitianForm.constant(2, 1.0)
-    u, r = quotient_by_sphere(h)
+    division = quotient_by_sphere(h)
+    u, r = division.quotient, division.residual
     expected = norm_power_form(2, 1) + HermitianForm.constant(2, 1.0)
     assert r < 1e-14
     assert u.max_entry_diff(expected) < 1e-14
@@ -100,7 +102,7 @@ def test_quotient_of_norm_fourth_minus_one():
 def test_quotient_detects_non_vanishing():
     # |z1|^2 - 1 in two variables does not vanish on the sphere
     h = gram_of([Polynomial.variable(2, 0)]) - HermitianForm.constant(2, 1.0)
-    _, r = quotient_by_sphere(h)
+    r = quotient_by_sphere(h).residual
     assert r > 0.1
 
 
@@ -108,7 +110,8 @@ def test_quotient_reconstructs_catalog_forms():
     for name in CATALOG_NAMES:
         f = catalog(name)
         h = form_of(f)
-        u, r = quotient_by_sphere(h)
+        division = quotient_by_sphere(h)
+        u, r = division.quotient, division.residual
         assert r <= 1e-9 * (1.0 + h.max_abs()), name
         back = u * sphere_form(f.n)
         assert back.max_entry_diff(h) <= 1e-9 * (1.0 + h.max_abs()), name

@@ -2,11 +2,13 @@
 
 The references below are the library's earlier sphere division (a dense
 matrix over the division simplex filled one row at a time through a
-tuple-keyed index), its sampler power loop, its scalar polynomial
-evaluation and its per-term evaluation of the invariance system.  Sphere
-division must return a bit-identical quotient form and, as its residual, the
-largest entry of the reference remainder; the sampler must return the same
-residual; the evaluations, whose powers are now taken by numpy, must agree to
+tuple-keyed index), its monomial power loop (each coordinate raised to
+each monomial's own exponent) and the sampler built on it, its scalar
+polynomial evaluation and its per-term evaluation of the invariance system.
+Sphere division must return a bit-identical quotient form and, as its
+residual, the largest entry of the reference remainder; the monomial values
+and the sampler's residual must be bit-identical; the evaluations, whose
+powers are now taken by numpy, must agree to
 1e-12 of the magnitude of their terms, plus the absolute error of products
 that underflow to subnormals.
 """
@@ -41,7 +43,7 @@ from ballmaps import (
 import ballmaps
 from ballmaps import invariance
 from ballmaps.maps import CATALOG_NAMES, stacked_coefficients
-from ballmaps.polynomials import grlex_monomials
+from ballmaps.polynomials import grlex_monomials, monomial_values
 
 from conftest import S3_GENERATORS
 
@@ -110,19 +112,30 @@ def _reference_quotient_by_sphere(h):
     return quotient, remainder
 
 
-def _reference_sample_residual(f, count=1000, seed=0):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, f.n)) + 1j * rng.standard_normal((count, f.n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    monos, A = stacked_coefficients(f)
-    mono_arr = np.array(monos, dtype=np.int64)
+def _reference_monomial_values(monos, points):
+    """Each coordinate raised to each monomial's own exponent, one variable at
+    a time, in a (points, monomials) array."""
+    points = np.asarray(points, dtype=complex)
+    count, n = points.shape
+    mono_arr = np.array(monos, dtype=np.int64).reshape(len(monos), n)
     vals = np.ones((count, len(monos)), dtype=complex)
-    for i in range(f.n):
+    for i in range(n):
         exps = mono_arr[:, i]
         nz = exps > 0
         if np.any(nz):
-            vals[:, nz] *= z[:, i : i + 1] ** exps[nz][None, :]
-    vals = vals.T
+            vals[:, nz] *= points[:, i : i + 1] ** exps[nz][None, :]
+    return vals
+
+
+def _sphere_points(count, n, seed=0):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _reference_sample_residual(f, count=1000, seed=0):
+    monos, A = stacked_coefficients(f)
+    vals = _reference_monomial_values(monos, _sphere_points(count, f.n, seed)).T
     signs = np.array([1.0] * f.m + [-1.0] * f.l)
     num_norm = np.zeros(count)
     for start in range(0, f.target_dim, 2048):
@@ -169,7 +182,8 @@ def _reference_system_residual(system, matrix):
 # sphere division is bit-identical to the per-row reference
 # ---------------------------------------------------------------------------
 def _assert_same_division(h):
-    quotient, residual = quotient_by_sphere(h)
+    division = quotient_by_sphere(h)
+    quotient, residual = division.quotient, division.residual
     want_quotient, want_remainder = _reference_quotient_by_sphere(h)
     assert quotient.basis == want_quotient.basis
     assert np.array_equal(quotient.mat, want_quotient.mat)
@@ -232,7 +246,8 @@ g = gram_form(4, *coefficient_matrix([
     Polynomial(4, {(12, 12, 0, 0): 1.0}),
     Polynomial(4, {(0, 0, 0, 0): 1.0, (0, 0, 24, 0): 0.5}),
 ]))
-quotient, residual = quotient_by_sphere(g * sphere_form(4))
+division = quotient_by_sphere(g * sphere_form(4))
+quotient, residual = division.quotient, division.residual
 assert residual == 0.0, residual
 assert quotient.basis == g.basis and np.array_equal(quotient.mat, g.mat)
 """
@@ -257,9 +272,59 @@ def test_sphere_division_of_degree_25_in_four_variables_within_3gb():
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+coordinates = st.one_of(
+    st.just(0j),
+    st.floats(-2.0, 2.0).map(complex),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(0, 20)] * n), max_size=12),
+            st.lists(st.lists(coordinates, min_size=n, max_size=n), min_size=1, max_size=6),
+        )
+    )
+)
+def test_monomial_values_equal_the_per_monomial_powers(case):
+    # a power table per variable takes the same numpy power of each coordinate
+    # as the monomial's own exponent did, so every bit agrees
+    monos, points = case
+    got = monomial_values(monos, points)
+    want = _reference_monomial_values(monos, points)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def _realized(name):
+    """A realized S_3 subgroup map, or the S_n map of ``"S<n>"``."""
+    if name in S3_GENERATORS:
+        return realize_subgroup(S3_GENERATORS[name], 3)
+    return symmetric_group_map(int(name[1:]))
+
+
+REALIZED = [*S3_GENERATORS, "S2", "S3", "S4", "S5", "S6"]
+
+
+@pytest.mark.parametrize("name", REALIZED)
+def test_monomial_values_equal_the_per_monomial_powers_on_realized_maps(name):
+    f = _realized(name)
+    z = _sphere_points(1000, f.n)
+    got = np.ascontiguousarray(monomial_values(f.monos, z))
+    assert got.tobytes() == _reference_monomial_values(f.monos, z).tobytes()
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_sampler_residual_unchanged_on_catalog(name):
     f = catalog(name)
+    assert sphere_sample_check(f, 1000, seed=0).max_residual == _reference_sample_residual(f)
+
+
+@pytest.mark.parametrize("name", REALIZED)
+def test_sampler_residual_unchanged_on_realized_maps(name):
+    f = _realized(name)
     assert sphere_sample_check(f, 1000, seed=0).max_residual == _reference_sample_residual(f)
 
 
