@@ -1,11 +1,12 @@
 """Constructions of proper maps with prescribed finite invariance groups.
 
 The workhorse is padding: given any polynomial map p, choose a positive
-combination of norm powers R = sum lambda_j^2 |z|^(2 m_j) and a small
-epsilon so that R - epsilon^2 |p|^2 stays positive semidefinite; factoring
-the remainder yields components q with epsilon p (+) q proper.  Stacked
-tensor powers then separate degrees so that the only surviving symmetries
-are the requested ones.
+combination of norm powers R = sum lambda_j^2 |z|^(2 m_j) and take epsilon
+at half the largest value for which R - epsilon^2 |p|^2 stays positive
+semidefinite, read in closed form off one eigenvalue because R is diagonal;
+factoring the remainder yields components q with epsilon p (+) q proper.
+Stacked tensor powers then separate degrees so that the only surviving
+symmetries are the requested ones.
 
 The realizations are built form first.  Properness, the invariance group
 and both ranks depend only on the form |f|^2 - 1, and two polynomial maps
@@ -51,7 +52,7 @@ from .maps import (
     tensor_power,
     unitary_automorphism,
 )
-from .polynomials import MultiIndex, Polynomial, TAU_ZERO, degree_monomials
+from .polynomials import MultiIndex, Polynomial, TAU_ZERO, degree_monomials, grlex_union
 
 
 class RealizationError(RuntimeError):
@@ -140,8 +141,9 @@ class PadResult:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadResult):
             return NotImplemented
-        same = ("epsilon", "components", "lambdas", "powers")
-        return all(getattr(self, k) == getattr(other, k) for k in same)
+        same = ("epsilon", "monos", "lambdas", "powers")
+        same_values = all(getattr(self, k) == getattr(other, k) for k in same)
+        return same_values and np.array_equal(self.rows, other.rows)
 
     def target_form(self, nvars: int) -> HermitianForm:
         return _norm_power_sum(nvars, self.lambdas, self.powers)
@@ -168,11 +170,17 @@ def pad_to_proper(
 ) -> PadResult:
     """Pad a polynomial map to a proper map via norm-power targets.
 
-    The target form uses powers 0..deg(p) with equal weights;
+    The target form R uses powers 0..deg(p) with equal weights;
     ``omit_empty_degrees`` drops powers where p has no monomials of that
     degree (the remainder then stays positive semidefinite on its support).
-    When epsilon is not supplied it is set to half the supremum of the
-    feasible values, located by bisection to 1e-3 relative accuracy.
+    When epsilon is not supplied it is half the supremum eps_sup of the
+    feasible values, which has a closed form: R is diagonal and positive on
+    the support of b = |p|^2, so with D the diagonal of R there and B the
+    matrix of b, R - e^2 b is positive semidefinite exactly when
+    e^2 <= 1 / lambda_max(D^(-1/2) B D^(-1/2)).  At eps_sup / 2 the scaled
+    remainder D^(-1/2) (R - eps^2 b) D^(-1/2) has eigenvalues in [3/4, 1].
+    A supplied epsilon must be finite and leave the remainder positive
+    semidefinite.
     """
     p = list(p)
     nvars = p[0].nvars if p else 0
@@ -190,35 +198,16 @@ def pad_to_proper(
     target = _norm_power_sum(nvars, weights, powers)
     b = gram_form(nvars, *coefficient_matrix(nonzero))
 
-    psd_slack = 1e-11 * max(1.0, target.max_abs())
-
-    def feasible(eps: float) -> bool:
-        return _min_eig(target - b.scale(eps * eps)) >= -psd_slack
-
-    if not nonzero:
-        eps = 1.0 if epsilon is None else float(epsilon)
-        remainder = target
-    elif epsilon is not None:
-        eps = float(epsilon)
-        remainder = target - b.scale(eps * eps)
-        if _min_eig(remainder) < -1e-8 * max(1.0, target.max_abs()):
-            raise MapConstructionError(
-                f"supplied epsilon {eps} is too large: remainder is not PSD"
-            )
-    else:
-        lo, hi = 0.0, 1.0
-        while feasible(hi):
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e8:
-                break
-        while (hi - lo) > 1e-3 * hi:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        eps = 0.5 * lo
-        remainder = target - b.scale(eps * eps)
+    eps = 1.0 if epsilon is None else float(epsilon)
+    if not math.isfinite(eps):
+        raise MapConstructionError(f"supplied epsilon {eps} is not finite")
+    if epsilon is None and b.size:
+        _, (_, at) = grlex_union(target.basis, b.basis)
+        s = 1.0 / np.sqrt(target.mat.real.diagonal()[at])
+        eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
+    remainder = target - b.scale(eps * eps)
+    if epsilon is not None and _min_eig(remainder) < -1e-8 * max(1.0, target.max_abs()):
+        raise MapConstructionError(f"supplied epsilon {eps} is too large: remainder is not PSD")
 
     factored = factor_form(remainder, tol_sig=1e-12)
     if np.abs(factored.negatives).max(initial=0.0) > 1e-6:

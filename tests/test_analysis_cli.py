@@ -326,6 +326,15 @@ def test_cli_pad_command(tmp_path):
     assert data["powers"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_pad_refuses_non_finite_epsilon(tmp_path, value):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({"components": [Polynomial.monomial((1, 1)).to_dict()]}))
+    out = tmp_path / "pad.json"
+    assert main(["pad", str(pf), "--epsilon", value, "-o", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_compose_source(tmp_path):
     mp = tmp_path / "map.json"
     main(["construct", "catalog", "--name", "faran-2", "-o", str(mp)])

@@ -192,7 +192,8 @@ def _ref_factor(h, tol_sig=TAU_SIG):
 
 
 def _ref_pad(p, omit_empty_degrees=False):
-    """(epsilon, padding components) of the bisection padding."""
+    """(epsilon, padding components) of the closed-form padding: half of
+    eps_sup = 1 / sqrt(lambda_max(D^-1/2 B D^-1/2)), D the target's diagonal."""
     nvars = p[0].nvars
     nonzero = [q for q in p if not q.is_zero()]
     powers = list(range(max(q.degree for q in p) + 1))
@@ -204,18 +205,8 @@ def _ref_pad(p, omit_empty_degrees=False):
         lam = 1.0 / math.sqrt(len(powers))
         target = target + norm_power_form(nvars, m).scale(lam * lam)
     b = _ref_gram(nonzero)
-    slack = 1e-11 * max(1.0, target.max_abs())
-
-    def feasible(eps):
-        return np.min(np.linalg.eigvalsh((target - b.scale(eps * eps)).mat)) >= -slack
-
-    lo, hi = 0.0, 1.0
-    while feasible(hi) and hi <= 1e8:
-        lo, hi = hi, 2.0 * hi
-    while (hi - lo) > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-    eps = 0.5 * lo
+    s = 1.0 / np.sqrt([target.entry(mono, mono).real for mono in b.basis])
+    eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
     return eps, _ref_factor(target - b.scale(eps * eps), 1e-12)[0]
 
 

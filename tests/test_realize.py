@@ -99,6 +99,14 @@ def test_pad_empty_map():
     assert pad.components[0].degree == 0
 
 
+def test_pad_map_whose_gram_form_is_below_the_zero_threshold():
+    # |1e-8 z1|^2 has its one entry below TAU_ZERO, so the Gram form is empty
+    p = [Polynomial(2, {(1, 0): 1e-8})]
+    pad = pad_to_proper(p)
+    assert pad.epsilon == 1.0
+    assert is_proper(padded_map(p, pad)).proper
+
+
 def test_pad_affine_map():
     p = [Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})]
     pad = pad_to_proper(p)
@@ -118,6 +126,9 @@ def test_pad_reconstruction_identity_holds(rng):
         pad = pad_to_proper(p)
         lhs = gram_of([q.scale(pad.epsilon) for q in p] + list(pad.components))
         assert lhs.max_entry_diff(pad.target_form(2)) < 1e-9 * max(1.0, lhs.max_abs())
+        mapped = padded_map(p, pad)
+        assert is_proper(mapped).proper
+        assert sphere_sample_check(mapped, 500, 1e-9, seed=7).passed
 
 
 def test_pad_omit_empty_degrees():
@@ -131,6 +142,97 @@ def test_pad_omit_empty_degrees():
 def test_pad_rejects_oversized_epsilon():
     with pytest.raises(MapConstructionError):
         pad_to_proper([Polynomial.monomial((1, 1))], epsilon=10.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_pad_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(MapConstructionError, match="not finite"):
+        pad_to_proper([Polynomial.monomial((1, 1))], epsilon=epsilon)
+
+
+def _affine(n):
+    affine = Polynomial.constant(n, 1.0)
+    for j in range(n):
+        affine = affine + Polynomial.variable(n, j)
+    return affine
+
+
+def _pad_input(kind, n):
+    """(p, omit_empty_degrees) as the realizations pad them: 1 + sum z_j, prod (1 + z_j),
+    and the monomial z^(1..n) averaged over the cyclic group of the n-cycle, plus 1."""
+    one = Polynomial.constant(n, 1.0)
+    if kind == "affine":
+        return [_affine(n)], False
+    if kind == "product":
+        prod = one
+        for j in range(n):
+            prod = prod * (one + Polynomial.variable(n, j))
+        return [prod], False
+    tau = one
+    for perm in close_permutation_group([[*range(1, n), 0]], n):
+        tau = tau + Polynomial.monomial([perm.index(j) + 1 for j in range(n)], 1.0)
+    return [tau], True
+
+
+PAD_INPUTS = [(kind, n) for kind in ("affine", "product", "cyclic-tau") for n in (2, 3, 4)]
+
+
+def _scaled_min_eig(target, b, e):
+    """Smallest eigenvalue of D^-1/2 (R - e^2 b) D^-1/2, D the diagonal of the target R."""
+    at = [target.basis.index(mono) for mono in b.basis]
+    B = np.zeros_like(target.mat)
+    B[np.ix_(at, at)] = b.mat
+    s = 1.0 / np.sqrt(target.mat.diagonal().real)
+    return np.linalg.eigvalsh(s[:, None] * (target.mat - e * e * B) * s)[0]
+
+
+def _bisection_bracket(target, b):
+    """Final [lo, hi] of a doubling-then-bisection search, to 1e-3 relative, for the
+    largest e with R - e^2 b positive semidefinite up to a 1e-11 relative slack."""
+    slack = 1e-11 * max(1.0, target.max_abs())
+
+    def feasible(e):
+        return np.min(np.linalg.eigvalsh((target - b.scale(e * e)).mat)) >= -slack
+
+    lo, hi = 0.0, 1.0
+    while feasible(hi) and hi <= 1e8:
+        lo, hi = hi, 2.0 * hi
+    while (hi - lo) > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("kind,n", PAD_INPUTS)
+def test_pad_epsilon_sup_is_the_psd_boundary(kind, n):
+    p, omit = _pad_input(kind, n)
+    pad = pad_to_proper(p, omit_empty_degrees=omit)
+    target, b, eps_sup = pad.target_form(n), gram_of(p), 2.0 * pad.epsilon
+    assert abs(_scaled_min_eig(target, b, eps_sup)) <= 1e-12
+    assert _scaled_min_eig(target, b, 1.01 * eps_sup) < 0.0
+
+
+@pytest.mark.parametrize("kind,n", PAD_INPUTS)
+def test_pad_epsilon_sup_lies_in_the_bisection_bracket(kind, n):
+    p, omit = _pad_input(kind, n)
+    pad = pad_to_proper(p, omit_empty_degrees=omit)
+    lo, hi = _bisection_bracket(pad.target_form(n), gram_of(p))
+    assert lo <= 2.0 * pad.epsilon <= hi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pad_affine_epsilon_is_exact(n):
+    # B is all ones over (1, z_1, ..., z_n) and D = I / 2, so eps_sup^2 = 1 / (2 (n + 1))
+    pad = pad_to_proper([_affine(n)])
+    assert pad.epsilon == pytest.approx(1.0 / (2.0 * math.sqrt(2.0 * (n + 1))), rel=1e-12)
+
+
+def test_pad_finds_epsilon_with_one_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    pad_to_proper([_affine(3)])
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
