@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 malformed input, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -416,9 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept: building
+    it costs more than most commands.  No command mutates a parsed default."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

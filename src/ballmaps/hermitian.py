@@ -20,6 +20,7 @@ import numpy as np
 
 from .maps import RationalMap
 from .polynomials import (
+    CapabilityError,
     MonomialKeys,
     MultiIndex,
     TAU_ZERO,
@@ -40,6 +41,11 @@ TAU_DIV = 1e-9
 
 #: Relative eigenvalue threshold for signature counting.
 TAU_SIG = 1e-8
+
+#: Division by the sphere is refused above this many (x-simplex cell, torus
+#: class) entries: its two complex arrays take 16 bytes an entry each, so at
+#: 2^25 entries they hold 1 GiB together.
+MAX_DIVISION_CELLS = 2**25
 
 
 class HermitianForm:
@@ -314,7 +320,9 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     gather per variable; every entry is summed in the same order as a dense
     recursion over the pairs of monomials would sum it.  Cells and classes
     are keyed by :class:`MonomialKeys` in base D + 1, a class by the pair
-    (key(delta+), key(delta-)).
+    (key(delta+), key(delta-)).  A division whose array would exceed
+    MAX_DIVISION_CELLS entries raises :class:`CapabilityError` before it is
+    allocated.
     """
     n = h.nvars
     rows, cols = np.nonzero(h.mat)
@@ -333,6 +341,12 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
         plus_id * (minus_id.max() + 1) + minus_id, return_index=True, return_inverse=True
     )
     bound = D - np.maximum(plus[first].sum(axis=1), minus[first].sum(axis=1))
+    entries = math.comb(int(bound.max()) + n, n) * len(first)
+    if entries > MAX_DIVISION_CELLS:
+        raise CapabilityError(
+            f"sphere division needs {entries} (cell, class) entries, above the "
+            f"budget MAX_DIVISION_CELLS = {MAX_DIVISION_CELLS}"
+        )
     order = np.argsort(-bound, kind="stable")
     bound, first = bound[order], first[order]
     cls = np.argsort(order)[cls]

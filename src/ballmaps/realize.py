@@ -6,7 +6,8 @@ at half the largest value for which R - epsilon^2 |p|^2 stays positive
 semidefinite, read in closed form off one eigenvalue because R is diagonal;
 factoring the remainder yields components q with epsilon p (+) q proper.
 Stacked tensor powers then separate degrees so that the only surviving
-symmetries are the requested ones.
+symmetries are the requested ones; a subgroup G of S_n is read off the
+G-average of the monomial z^mu with mu = (0, 1, ..., n - 1).
 
 The realizations are built form first.  Properness, the invariance group
 and both ranks depend only on the form |f|^2 - 1, and two polynomial maps
@@ -332,12 +333,15 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     """Proper polynomial map whose permutation symmetries are exactly the group.
 
     The group is closed from the generators; the full symmetric group
-    delegates to :func:`symmetric_group_map`.  Otherwise a group-averaged
-    monomial with strictly increasing exponents (1, 2, ..., n) is padded and
-    juxtaposed against the symmetric-group map behind degree-separating
-    tensor powers, so unitary symmetries must preserve both blocks.  The
-    positive form 1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + |q|^2 |z|^(2 k3))
-    |z|^(2 k4) is factored into the components of the returned map.
+    delegates to :func:`symmetric_group_map`.  Otherwise the group-averaged
+    monomial tau = 1 + sum_{g in G} z^(g mu), with mu = (0, 1, ..., n - 1),
+    is padded and juxtaposed against the symmetric-group map behind
+    degree-separating tensor powers, so unitary symmetries must preserve
+    both blocks.  The entries of mu are distinct, so distinct elements of G
+    give distinct monomials and a permutation keeps tau exactly when it lies
+    in G; the smallest such mu keeps the degree low.  The positive form
+    1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + |q|^2 |z|^(2 k3)) |z|^(2 k4) is
+    factored into the components of the returned map.
     """
     if n > MAX_PERMUTATION_DIM:
         raise CapabilityError(f"subgroup realization is capped at n <= {MAX_PERMUTATION_DIM}")
@@ -345,7 +349,7 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     if len(group) == math.factorial(n):
         return symmetric_group_map(n)
 
-    mu = list(range(1, n + 1))
+    mu = list(range(n))
     tau = Polynomial.constant(n, 1.0)
     for perm in group:
         exp = [0] * n

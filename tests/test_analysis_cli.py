@@ -373,6 +373,41 @@ def test_cli_construct_juxtapose(tmp_path):
     assert json.loads(out.read_text())["properness"]["proper"] is True
 
 
+#: CLI calls in order, each with its expected exit code; the second juxtapose
+#: omits --maps right after a call that gave it, and each --tol-div call is
+#: followed by one that takes the default.
+_CALL_SEQUENCE = [
+    (["construct", "power", "--n", "2", "--m", "1", "-o", "a.json", "--skip-proper-check"], 0),
+    (["construct", "power", "--n", "2", "--m", "2", "-o", "b.json"], 0),
+    (["construct", "juxtapose", "--maps", "a.json", "b.json", "--lambdas", "0.6", "0.8",
+      "-o", "j.json"], 0),
+    (["construct", "juxtapose", "--lambdas", "1.0", "-o", "k.json"], 2),
+    (["construct", "juxtapose", "-f", "a.json", "-g", "b.json", "-o", "t.json"], 0),
+    (["analyze", "j.json", "--tol-sig", "1e-3", "-o", "an1.json"], 0),
+    (["analyze", "j.json", "-o", "an2.json"], 0),
+    (["realize", "symmetric", "--n", "2", "--tol-div", "1e-20", "-o", "r1.json"], 3),
+    (["realize", "symmetric", "--n", "2", "-o", "r2.json"], 0),
+    (["sample", "t.json", "--count", "50", "--seed", "3", "-o", "s.json"], 0),
+]
+
+
+def _run_sequence(directory, monkeypatch):
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    codes = [main(argv) for argv, _ in _CALL_SEQUENCE]
+    assert codes == [code for _, code in _CALL_SEQUENCE]
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_cli_reuses_one_parser_with_the_results_of_fresh_ones(tmp_path, monkeypatch):
+    assert cli._parser() is cli._parser()
+    reused = _run_sequence(tmp_path / "reused", monkeypatch)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _run_sequence(tmp_path / "fresh", monkeypatch)
+    assert "k.json" not in fresh
+    assert reused == fresh
+
+
 def test_cli_realize_symmetric(tmp_path):
     out = tmp_path / "s2.json"
     assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 0

@@ -54,11 +54,11 @@ ETA = np.exp(2j * np.pi / 3)
 # ---------------------------------------------------------------------------
 # references: component-built constructions and the per-entry product
 # ---------------------------------------------------------------------------
-def _reference_realize_subgroup(generators, n):
+def _reference_realize_subgroup(generators, n, mu=None):
     group = close_permutation_group(generators, n)
     if len(group) == math.factorial(n):
         return symmetric_group_map(n)
-    mu = list(range(1, n + 1))
+    mu = list(range(n)) if mu is None else list(mu)
     tau = Polynomial.constant(n, 1.0)
     for perm in group:
         exp = [0] * n
@@ -157,13 +157,13 @@ def _assert_matches_reference(f, ref):
 #: generators, n and the number of components of the realized map: the rank
 #: of the positive form, or the components of symmetric_group_map(n) for S_n
 SUBGROUPS = {
-    "s3-trivial": ([], 3, 281),
-    "s3-transposition-12": ([(1, 0, 2)], 3, 281),
-    "s3-transposition-23": ([(0, 2, 1)], 3, 281),
-    "s3-transposition-13": ([(2, 1, 0)], 3, 281),
-    "s3-alternating": ([(1, 2, 0)], 3, 281),
+    "s3-trivial": ([], 3, 155),
+    "s3-transposition-12": ([(1, 0, 2)], 3, 155),
+    "s3-transposition-23": ([(0, 2, 1)], 3, 155),
+    "s3-transposition-13": ([(2, 1, 0)], 3, 155),
+    "s3-alternating": ([(1, 2, 0)], 3, 155),
     "s3-full": ([(1, 2, 0), (1, 0, 2)], 3, 25),
-    "s2-trivial": ([], 2, 34),
+    "s2-trivial": ([], 2, 28),
     "s2-full": ([(1, 0)], 2, 11),
 }
 
@@ -212,10 +212,11 @@ def test_symmetric_group_map_v2_matches_component_reference(n):
 
 
 def test_factoring_the_transposition_form_stays_proper():
-    # the positive form has a nonzero eigenvalue 4.5e-9 times its largest; an
-    # unscaled eigendecomposition at the relative threshold 1e-8 drops it and
-    # the factored map is no longer proper (residual 3.7e4)
-    p = gram_of(_reference_realize_subgroup([(1, 0, 2)], 3).numerator)
+    # built with mu = (1, 2, 3), the degree-17 positive form has a nonzero
+    # eigenvalue 4.5e-9 times its largest; an unscaled eigendecomposition at
+    # the relative threshold 1e-8 drops it and the factored map is no longer
+    # proper (residual 3.7e4)
+    p = gram_of(_reference_realize_subgroup([(1, 0, 2)], 3, mu=(1, 2, 3)).numerator)
     res = factor_form(p)
     f = polynomial_map_of_rows(3, res.monos, res.positives)
     assert is_proper(f).residual <= 1e-8

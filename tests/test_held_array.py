@@ -254,7 +254,7 @@ def _ref_realize_subgroup(generators, n):
     group = close_permutation_group(generators, n)
     if len(group) == math.factorial(n):
         return _ref_symmetric_group_map(n)
-    mu = list(range(1, n + 1))
+    mu = list(range(n))
     tau = Polynomial.constant(n, 1.0)
     for perm in group:
         exp = [0] * n

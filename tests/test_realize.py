@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ballmaps import (
+    TAU_SIG,
     MapConstructionError,
     Polynomial,
     catalog,
@@ -14,6 +15,8 @@ from ballmaps import (
     factor_form,
     form_of,
     gram_form,
+    hermitian_rank,
+    image_rank,
     is_proper,
     membership,
     norm_power_form,
@@ -24,6 +27,7 @@ from ballmaps import (
     power_chain_check,
     realize_from_invariants,
     realize_subgroup,
+    signature,
     sphere_form,
     sphere_sample_check,
     strict_stabilizer,
@@ -32,7 +36,7 @@ from ballmaps import (
     unitary_automorphism,
 )
 
-from conftest import gram_of
+from conftest import S3_GENERATORS, gram_of
 
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
@@ -159,7 +163,9 @@ def _affine(n):
 
 def _pad_input(kind, n):
     """(p, omit_empty_degrees) as the realizations pad them: 1 + sum z_j, prod (1 + z_j),
-    and the monomial z^(1..n) averaged over the cyclic group of the n-cycle, plus 1."""
+    and a tau of realize_subgroup with the exponents (1..n) in place of (0..n-1) (at
+    n = 2 those would make tau affine): the monomial z^(1..n) averaged over the cyclic
+    group of the n-cycle, plus 1."""
     one = Polynomial.constant(n, 1.0)
     if kind == "affine":
         return [_affine(n)], False
@@ -318,6 +324,49 @@ def test_realize_subgroup_members_have_unit_constant():
     perm_mat[0, 1] = perm_mat[1, 0] = perm_mat[2, 2] = 1.0
     res = membership(f, unitary_automorphism(perm_mat))
     assert res.member and res.c_gamma == pytest.approx(1.0)
+
+
+#: Generators of every subgroup of S_2 and S_3.
+SMALL_SUBGROUPS = {
+    **{f"s3-{name}": (gens, 3) for name, gens in S3_GENERATORS.items()},
+    "s2-trivial": ([], 2),
+    "s2-full": ([(1, 0)], 2),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_SUBGROUPS)
+def test_realized_map_decides_its_ranks_far_from_the_threshold(name):
+    generators, n = SMALL_SUBGROUPS[name]
+    f = realize_subgroup(generators, n)
+    assert signature(form_of(f)).margin >= 10 * TAU_SIG
+    assert hermitian_rank(f) == image_rank(f, check=False) + 1
+    # |f|^2 has one positive eigenvalue per independent component; a proper
+    # subgroup's components come from a factorization, so they are independent
+    positive = signature(gram_form(f.n, f.monos, f.coeffs[:-1]))
+    rank = np.linalg.matrix_rank(f.coeffs[:-1])
+    assert (positive.positive, positive.negative) == (rank, 0)
+    assert positive.margin >= 10 * TAU_SIG
+    if len(close_permutation_group(generators, n)) < math.factorial(n):
+        assert rank == f.target_dim
+
+
+#: Generators of C_4, of the normal Klein four-group and of the trivial
+#: subgroup of S_4.
+S4_SUBGROUPS = {
+    "cyclic-4": [(1, 2, 3, 0)],
+    "klein-4": [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "trivial": [],
+}
+
+
+@pytest.mark.parametrize("name", S4_SUBGROUPS)
+def test_realize_subgroup_of_s4(name):
+    generators = S4_SUBGROUPS[name]
+    f = realize_subgroup(generators, 4)
+    assert is_proper(f).proper
+    assert sorted(permutation_stabilizer(f)) == close_permutation_group(generators, 4)
+    assert diagonal_stabilizer(f).is_trivial
+    assert sphere_sample_check(f, 1000, 1e-9, seed=4).passed
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,28 @@
-"""Sphere division builds the quotient form only when it is read.
+"""Sphere division builds the quotient form only when it is read, within a
+memory budget.
 
 ``quotient_by_sphere`` returns the residual at once and keeps the
 recursion's per-class array; the quotient form is assembled from it on first
 read and kept.  ``is_proper`` divides once, through the module's own
 ``quotient_by_sphere`` binding (the one the benchmark tracer wraps), and
-builds no form of its own.
+builds no form of its own.  A division whose per-class array would exceed
+``MAX_DIVISION_CELLS`` entries is refused with ``CapabilityError`` before the
+array is allocated.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import ballmaps
 from ballmaps import (
+    CapabilityError,
     HermitianForm,
     analyze_map,
     catalog,
@@ -24,6 +34,7 @@ from ballmaps import (
 )
 from ballmaps import hermitian
 from ballmaps.maps import CATALOG_NAMES
+from ballmaps.polynomials import degree_monomials
 
 from conftest import S3_GENERATORS
 
@@ -94,3 +105,75 @@ def test_zero_form_divides_to_the_zero_quotient():
     division = quotient_by_sphere(HermitianForm.zero(2))
     assert division.residual == 0.0
     assert division.quotient.basis == () and division.quotient.mat.shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the division budget
+# ---------------------------------------------------------------------------
+def _division_entries(h):
+    """(x-simplex cells up to the largest class bound) x (torus classes),
+    counted entry by entry."""
+    exps = np.array(h.basis)
+    classes, top = set(), 0
+    for i, j in zip(*np.nonzero(h.mat)):
+        cell = np.minimum(exps[i], exps[j])
+        plus, minus = exps[i] - cell, exps[j] - cell
+        classes.add((tuple(plus), tuple(minus)))
+        top = max(top, h.max_degree() - max(plus.sum(), minus.sum()))
+    return math.comb(int(top) + h.nvars, h.nvars) * len(classes)
+
+
+@pytest.mark.parametrize("case", ["faran-2", "S3", "s3-trivial"])
+def test_division_budget_admits_exactly_up_to_its_entries(case, monkeypatch):
+    h = form_of(_map(case))
+    entries = _division_entries(h)
+    monkeypatch.setattr(hermitian, "MAX_DIVISION_CELLS", entries)
+    quotient_by_sphere(h)
+    monkeypatch.setattr(hermitian, "MAX_DIVISION_CELLS", entries - 1)
+    with pytest.raises(CapabilityError, match="MAX_DIVISION_CELLS"):
+        quotient_by_sphere(h)
+
+
+def test_division_over_budget_is_refused_before_allocating():
+    # 42 monomials of degree 40 in 4 variables: 135,751 cells x 1,685 classes,
+    # two complex arrays of 3.4 GiB each
+    basis = degree_monomials(4, 40)[::300]
+    h = HermitianForm(4, basis, np.ones((len(basis), len(basis))))
+    assert _division_entries(h) > 4 * hermitian.MAX_DIVISION_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            quotient_by_sphere(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+_CAPPED_REALIZE = """
+import resource, sys
+cap = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from ballmaps.cli import main
+sys.exit(main(["realize", "subgroup", "--group", sys.argv[1], "-o", sys.argv[2]]))
+"""
+
+
+def test_cli_certifies_c4_within_3gb(tmp_path):
+    # the division of the C_4 = <(1 2 3 0)> map has 9.7 M entries, within the budget
+    pytest.importorskip("resource")
+    spec, out = tmp_path / "group.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"n": 4, "generators": [[1, 2, 3, 0]]}))
+    src = os.path.dirname(os.path.dirname(ballmaps.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_REALIZE, str(spec), str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(out.read_text())["verification"]
+    assert summary["proper"] is True and summary["matches_requested_group"] is True
