@@ -52,8 +52,8 @@ class HermitianForm:
     """Hermitian matrix over a graded-lex monomial basis.
 
     ``basis[i]`` is the multi-index of the i-th monomial and ``mat[i, j]`` is
-    the coefficient of z^basis[i] * conj(z^basis[j]).  The matrix is kept
-    exactly Hermitian (symmetrized on construction).
+    the coefficient of z^basis[i] * conj(z^basis[j]).  The constructor sorts and
+    symmetrizes; a slice, real multiple, sum or difference is held as formed.
     """
 
     __slots__ = ("nvars", "basis", "mat")
@@ -67,11 +67,19 @@ class HermitianForm:
             raise ValueError("matrix shape does not match basis size")
         if (order != np.arange(len(order))).any():
             mat = mat[np.ix_(order, order)]
-        mat = 0.5 * (mat + mat.conj().T)
+        self._hold(nvars, basis, 0.5 * (mat + mat.conj().T))
+
+    def _hold(self, nvars: int, basis: tuple[MultiIndex, ...], mat: np.ndarray) -> None:
         mat.setflags(write=False)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "mat", mat)
+        for name, value in zip(self.__slots__, (nvars, basis, mat)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _held(cls, nvars: int, basis: Sequence[MultiIndex], mat: np.ndarray) -> "HermitianForm":
+        """The form holding ``mat``, Hermitian over the graded-lex sorted ``basis``."""
+        h = object.__new__(cls)
+        h._hold(nvars, tuple(basis), mat)
+        return h
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("HermitianForm is immutable")
@@ -142,7 +150,7 @@ class HermitianForm:
         if len(keep) == self.size:
             return self
         basis = [self.basis[i] for i in keep.tolist()]
-        return HermitianForm(self.nvars, basis, self.mat[np.ix_(keep, keep)])
+        return HermitianForm._held(self.nvars, basis, self.mat[np.ix_(keep, keep)])
 
     def __repr__(self) -> str:
         return f"HermitianForm(nvars={self.nvars}, basis_size={self.size})"
@@ -159,14 +167,14 @@ class HermitianForm:
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         basis, a, b = self._aligned(other)
-        return HermitianForm(self.nvars, basis, a + b).compressed()
+        return HermitianForm._held(self.nvars, basis, a + b).compressed()
 
     def __sub__(self, other: "HermitianForm") -> "HermitianForm":
         basis, a, b = self._aligned(other)
-        return HermitianForm(self.nvars, basis, a - b).compressed()
+        return HermitianForm._held(self.nvars, basis, a - b).compressed()
 
     def scale(self, factor: float) -> "HermitianForm":
-        return HermitianForm(self.nvars, self.basis, self.mat * float(factor))
+        return HermitianForm._held(self.nvars, self.basis, self.mat * float(factor))
 
     def __mul__(self, other: "HermitianForm") -> "HermitianForm":
         """Product as real polynomials in (z, conj z).
@@ -250,10 +258,18 @@ def sphere_form(nvars: int) -> HermitianForm:
 
 def norm_power_form(nvars: int, power: int) -> HermitianForm:
     """|z|^(2 power) as a diagonal form with multinomial coefficients."""
-    entries = {
-        (alpha, alpha): float(multinomial(alpha)) for alpha in degree_monomials(nvars, power)
-    }
-    return HermitianForm.from_entries(nvars, entries)
+    return _norm_power_sum(nvars, (1.0,), (power,))
+
+
+def _norm_power_sum(nvars: int, lambdas: Sequence[float], powers: Sequence[int]) -> HermitianForm:
+    """sum_j lambda_j^2 |z|^(2 m_j), the diagonal form of the weighted multinomials."""
+    basis = [alpha for m in powers for alpha in degree_monomials(nvars, m)]
+    diagonal = [
+        float(multinomial(alpha)) * (lam * lam)
+        for lam, m in zip(lambdas, powers)
+        for alpha in degree_monomials(nvars, m)
+    ]
+    return HermitianForm(nvars, basis, np.diag(np.array(diagonal, dtype=complex)))
 
 
 def gram_form(
@@ -413,11 +429,6 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
         i, j = position[row[inside]], position[col[inside]]
         mat = np.zeros((kept.sum(),) * 2, dtype=complex)
         mat[i, j] = values[inside]
-        # u is Hermitian, but 0.5 * (m + m^H) is not idempotent on the signs of
-        # zero parts, which reach to_dict: symmetrize once here and once in the
-        # constructor (which also sorts the basis), as a quotient formed over
-        # the whole simplex and then compressed would be
-        mat[i, j] = 0.5 * (mat[i, j] + mat[j, i].conj())
         return HermitianForm(n, monomial_keys.exponents(monos[kept]).tolist(), mat)
 
     return SphereDivision(residual, quotient)

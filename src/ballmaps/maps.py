@@ -587,8 +587,16 @@ def first_descendant(f: RationalMap) -> RationalMap:
 # ---------------------------------------------------------------------------
 # standard maps and the fixture catalog
 # ---------------------------------------------------------------------------
+def _monomial_map(n: int, exps: Sequence[MultiIndex], coeffs: Sequence[float]) -> RationalMap:
+    """The polynomial map whose k-th component is coeffs[k] z^exps[k]."""
+    monos, (at,) = grlex_union(exps)
+    rows = np.zeros((len(exps), len(monos)))
+    rows[np.arange(len(exps)), at] = coeffs
+    return polynomial_map_of_rows(n, monos, rows)
+
+
 def identity_map(n: int) -> RationalMap:
-    return polynomial_map([Polynomial.variable(n, i) for i in range(n)])
+    return tensor_power(n, 1)
 
 
 def tensor_power(n: int, m: int) -> RationalMap:
@@ -600,13 +608,8 @@ def tensor_power(n: int, m: int) -> RationalMap:
     """
     if n < 1 or m < 0:
         raise MapConstructionError("tensor power requires n >= 1 and m >= 0")
-    if m == 0:
-        return polynomial_map([Polynomial.constant(n, 1.0)])
-    comps = [
-        Polynomial.monomial(alpha, math.sqrt(multinomial(alpha)))
-        for alpha in sorted(degree_monomials(n, m), reverse=True)
-    ]
-    return polynomial_map(comps)
+    exps = degree_monomials(n, m)[::-1]
+    return _monomial_map(n, exps, [math.sqrt(multinomial(alpha)) for alpha in exps])
 
 
 def whitney_map(n: int) -> RationalMap:

@@ -4,7 +4,7 @@ The workhorse is padding: given any polynomial map p, choose a positive
 combination of norm powers R = sum lambda_j^2 |z|^(2 m_j) and take epsilon
 at half the largest value for which R - epsilon^2 |p|^2 stays positive
 semidefinite, read in closed form off one eigenvalue because R is diagonal;
-factoring the remainder yields components q with epsilon p (+) q proper.
+the remainder is |q|^2 for components q with epsilon p (+) q proper.
 Stacked tensor powers then separate degrees so that the only surviving
 symmetries are the requested ones; a subgroup G of S_n is read off the
 G-average of the monomial z^mu with mu = (0, 1, ..., n - 1).
@@ -12,18 +12,19 @@ G-average of the monomial z^mu with mu = (0, 1, ..., n - 1).
 The realizations are built form first.  Properness, the invariance group
 and both ranks depend only on the form |f|^2 - 1, and two polynomial maps
 with the same |f|^2 differ by a target isometry, so each construction
-assembles its positive form |f|^2 from Gram forms: a juxtaposition is a
-weighted sum and a tensor product with the power z^(x)k is a product with
-the norm power |z|^(2k).  :func:`factor_form` then splits that form once
-into rank-many sparse components.  :func:`symmetric_group_map` keeps its
-component construction: its components, and with them its strict
-(component-level) stabilizer, are analysed as they are built.
+assembles its positive form |f|^2 from coefficient rows: a juxtaposition is
+a weighted sum, a padding enters as its remainder form, and a tensor product
+with z^(x)k is a product with |z|^(2k).  :func:`factor_form` then splits that
+form once into rank-many sparse components.  Only :func:`pad_to_proper` and
+:func:`symmetric_group_map` factor a padding: the latter keeps its
+components, and with them its strict stabilizer, as they are built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from .hermitian import (
     HermitianForm,
     TAU_SIG,
+    _norm_power_sum,
     _support_blocks,
     form_of,
     gram_form,
@@ -40,12 +42,13 @@ from .invariance import MAX_PERMUTATION_DIM, CapabilityError, membership, _form_
 from .maps import (
     MapConstructionError,
     RationalMap,
+    _monomial_map,
     catalog,
     coefficient_matrix,
+    identity_map,
     juxtapose_theta,
     numerator_rows,
     oplus,
-    polynomial_map,
     polynomial_map_of_rows,
     polynomials_of_rows,
     pruned_rows,
@@ -53,7 +56,15 @@ from .maps import (
     tensor_power,
     unitary_automorphism,
 )
-from .polynomials import MultiIndex, Polynomial, TAU_ZERO, degree_monomials, grlex_union
+from .polynomials import (
+    MultiIndex,
+    Polynomial,
+    TAU_EQ,
+    TAU_ZERO,
+    degree_monomials,
+    grlex_monomials,
+    grlex_union,
+)
 
 
 class RealizationError(RuntimeError):
@@ -150,54 +161,32 @@ class PadResult:
         return _norm_power_sum(nvars, self.lambdas, self.powers)
 
 
-def _norm_power_sum(nvars: int, lambdas: Sequence[float], powers: Sequence[int]) -> HermitianForm:
-    """sum_j lambda_j^2 |z|^(2 m_j)."""
-    acc = HermitianForm.zero(nvars)
-    for lam, m in zip(lambdas, powers):
-        acc = acc + norm_power_form(nvars, m).scale(lam * lam)
-    return acc
-
-
-def _min_eig(h: HermitianForm) -> float:
-    if not h.size:
-        return 0.0
-    return float(np.min(np.linalg.eigvalsh(h.mat)))
-
-
-def pad_to_proper(
-    p: Sequence[Polynomial],
+def _padding(
+    nvars: int,
+    monos: Sequence[MultiIndex],
+    rows: np.ndarray,
     epsilon: float | None = None,
     omit_empty_degrees: bool = False,
-) -> PadResult:
-    """Pad a polynomial map to a proper map via norm-power targets.
+) -> tuple[float, tuple[float, ...], tuple[int, ...], HermitianForm, HermitianForm]:
+    """The padding of the polynomials with coefficient rows ``rows`` over the
+    monomials ``monos`` they use: epsilon, the weights lambda_j and powers
+    m_j of the target R, eps^2 |p|^2, and the remainder R - eps^2 |p|^2.
 
-    The target form R uses powers 0..deg(p) with equal weights;
-    ``omit_empty_degrees`` drops powers where p has no monomials of that
-    degree (the remainder then stays positive semidefinite on its support).
     When epsilon is not supplied it is half the supremum eps_sup of the
     feasible values, which has a closed form: R is diagonal and positive on
     the support of b = |p|^2, so with D the diagonal of R there and B the
     matrix of b, R - e^2 b is positive semidefinite exactly when
     e^2 <= 1 / lambda_max(D^(-1/2) B D^(-1/2)).  At eps_sup / 2 the scaled
     remainder D^(-1/2) (R - eps^2 b) D^(-1/2) has eigenvalues in [3/4, 1].
-    A supplied epsilon must be finite and leave the remainder positive
-    semidefinite.
     """
-    p = list(p)
-    nvars = p[0].nvars if p else 0
-    if any(q.nvars != nvars for q in p):
-        raise MapConstructionError("padding requires a common variable count")
-    degree = max((q.degree for q in p), default=0)
-    nonzero = [q for q in p if not q.is_zero()]
-
-    powers = list(range(degree + 1))
+    degrees = {sum(alpha) for alpha in monos}
+    powers = tuple(range(max(degrees, default=0) + 1))
     if omit_empty_degrees:
-        present = {sum(exp) for q in nonzero for exp in q.terms}
-        powers = [j for j in powers if j in present] or [0]
-    weights = [1.0 / math.sqrt(len(powers))] * len(powers)
+        powers = tuple(j for j in powers if j in degrees) or (0,)
+    weights = (1.0 / math.sqrt(len(powers)),) * len(powers)
 
     target = _norm_power_sum(nvars, weights, powers)
-    b = gram_form(nvars, *coefficient_matrix(nonzero))
+    b = gram_form(nvars, monos, rows[rows.any(axis=1)])
 
     eps = 1.0 if epsilon is None else float(epsilon)
     if not math.isfinite(eps):
@@ -206,10 +195,16 @@ def pad_to_proper(
         _, (_, at) = grlex_union(target.basis, b.basis)
         s = 1.0 / np.sqrt(target.mat.real.diagonal()[at])
         eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
-    remainder = target - b.scale(eps * eps)
-    if epsilon is not None and _min_eig(remainder) < -1e-8 * max(1.0, target.max_abs()):
+    scaled = b.scale(eps * eps)
+    remainder = target - scaled
+    floor = -1e-8 * max(1.0, target.max_abs())
+    if epsilon is not None and np.linalg.eigvalsh(remainder.mat).min(initial=0.0) < floor:
         raise MapConstructionError(f"supplied epsilon {eps} is too large: remainder is not PSD")
+    return eps, weights, powers, scaled, remainder
 
+
+def _components(remainder: HermitianForm) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """The padding components q with |q|^2 the remainder, as read-only rows."""
     factored = factor_form(remainder, tol_sig=1e-12)
     if np.abs(factored.negatives).max(initial=0.0) > 1e-6:
         raise MapConstructionError(
@@ -217,7 +212,30 @@ def pad_to_proper(
         )
     monos, rows = pruned_rows(factored.monos, factored.positives)
     rows.setflags(write=False)
-    return PadResult(eps, tuple(monos), rows, tuple(weights), tuple(powers))
+    return tuple(monos), rows
+
+
+def pad_to_proper(
+    p: Sequence[Polynomial],
+    epsilon: float | None = None,
+    omit_empty_degrees: bool = False,
+) -> PadResult:
+    """Pad a polynomial map, of at least one component, to a proper map.
+
+    The target R has equal weights on the powers 0..deg(p), or with
+    ``omit_empty_degrees`` on the degrees of p's monomials only; epsilon is
+    that of :func:`_padding` unless supplied, and a supplied one must be
+    finite and leave R - epsilon^2 |p|^2 positive semidefinite.
+    """
+    p = list(p)
+    if not p:
+        raise MapConstructionError("padding requires at least one component")
+    nvars = p[0].nvars
+    if any(q.nvars != nvars for q in p):
+        raise MapConstructionError("padding requires a common variable count")
+    monos, rows = coefficient_matrix(p)
+    eps, weights, powers, _, remainder = _padding(nvars, monos, rows, epsilon, omit_empty_degrees)
+    return PadResult(eps, *_components(remainder), weights, powers)
 
 
 def padded_map(p: Sequence[Polynomial], pad: PadResult) -> RationalMap:
@@ -274,20 +292,19 @@ def symmetric_group_map(n: int) -> RationalMap:
         raise MapConstructionError("n must be positive")
     if n == 1:
         return catalog("corollary-6-2")
-    zs = [Polynomial.variable(n, i) for i in range(n)]
-    pair_block = [zs[j] * zs[k] for j in range(n) for k in range(j + 1, n)]
-    squares = [z * z for z in zs]
-    z_map = polynomial_map(zs)
-    pair_map = polynomial_map([q.scale(math.sqrt(2.0)) for q in pair_block])
-    g = oplus(tensor(pair_map, z_map), polynomial_map(squares))
+    # descending lex order lists z_j z_k by (j, k), and z_1^2 first
+    quadratic = degree_monomials(n, 2)[::-1]
+    pairs = [alpha for alpha in quadratic if max(alpha) == 1]
+    squares = [alpha for alpha in quadratic if max(alpha) == 2]
+    z_map = identity_map(n)
+    pair_map = _monomial_map(n, pairs, [math.sqrt(2.0)] * len(pairs))
+    g = oplus(tensor(pair_map, z_map), _monomial_map(n, squares, [1.0] * n))
 
-    affine = Polynomial.constant(n, 1.0)
-    for z in zs:
-        affine = affine + z
-    pad = pad_to_proper([affine])
+    affine = grlex_monomials(n, 1)
+    eps, _, _, _, remainder = _padding(n, affine, np.ones((1, n + 1)))
     h = oplus(
-        polynomial_map([affine.scale(pad.epsilon)]),
-        tensor(polynomial_map_of_rows(n, pad.monos, pad.rows), z_map),
+        polynomial_map_of_rows(n, affine, np.full((1, n + 1), eps)),
+        tensor(polynomial_map_of_rows(n, *_components(remainder)), z_map),
     )
     return juxtapose_theta(g, h, math.pi / 4.0)
 
@@ -295,20 +312,15 @@ def symmetric_group_map(n: int) -> RationalMap:
 def symmetric_group_map_v2(n: int) -> RationalMap:
     """Higher-degree alternative realization of S_n from prod (1 + z_j).
 
-    The positive form is eps^2 |prod|^2 |z|^2 + |q|^2 |z|^(2(n + 2)) for the
-    padding q of prod, factored once into the components of the map.
+    The positive form eps^2 |prod|^2 |z|^2 + (R - eps^2 |prod|^2) |z|^(2(n + 2)),
+    R the padding target of prod, is factored into the components of the map.
     """
     if n < 1:
         raise MapConstructionError("n must be positive")
-    zs = [Polynomial.variable(n, i) for i in range(n)]
-    prod = Polynomial.constant(n, 1.0)
-    for z in zs:
-        prod = prod * (Polynomial.constant(n, 1.0) + z)
-    pad = pad_to_proper([prod])
-    m = n + 2
-    positive = gram_form(n, *coefficient_matrix([prod])).scale(pad.epsilon**2)
-    positive = positive * norm_power_form(n, 1)
-    positive = positive + gram_form(n, pad.monos, pad.rows) * norm_power_form(n, m)
+    # prod (1 + z_j) is the sum of the 2^n monomials with exponents 0 or 1
+    prod = grlex_union([tuple((k >> j) & 1 for j in range(n)) for k in range(2**n)])[0]
+    _, _, _, scaled, remainder = _padding(n, prod, np.ones((1, len(prod))))
+    positive = scaled * norm_power_form(n, 1) + remainder * norm_power_form(n, n + 2)
     return _map_of_positive_form(positive)
 
 
@@ -318,15 +330,6 @@ def _map_of_positive_form(h: HermitianForm) -> RationalMap:
     if len(factored.negatives):
         raise RealizationError("the positive form of the construction has a negative part")
     return polynomial_map_of_rows(h.nvars, factored.monos, factored.positives)
-
-
-def _verify_permutation_group(
-    f: RationalMap, perms: Sequence[tuple[int, ...]]
-) -> None:
-    keep = _form_search(form_of(f), 1e-8).keeps(np.array(perms).reshape(len(perms), f.n))
-    lost = np.flatnonzero(~keep)
-    if lost.size:
-        raise RealizationError(f"constructed map lost the symmetry {perms[lost[0]]}")
 
 
 def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap:
@@ -340,8 +343,8 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     both blocks.  The entries of mu are distinct, so distinct elements of G
     give distinct monomials and a permutation keeps tau exactly when it lies
     in G; the smallest such mu keeps the degree low.  The positive form
-    1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + |q|^2 |z|^(2 k3)) |z|^(2 k4) is
-    factored into the components of the returned map.
+    1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + (R - eps^2 |tau|^2) |z|^(2 k3))
+    |z|^(2 k4), R the padding target of tau, is factored into the map.
     """
     if n > MAX_PERMUTATION_DIM:
         raise CapabilityError(f"subgroup realization is capped at n <= {MAX_PERMUTATION_DIM}")
@@ -349,38 +352,25 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     if len(group) == math.factorial(n):
         return symmetric_group_map(n)
 
-    mu = list(range(n))
-    tau = Polynomial.constant(n, 1.0)
-    for perm in group:
-        exp = [0] * n
-        for j in range(n):
-            exp[perm[j]] = mu[j]
-        tau = tau + Polynomial.monomial(exp, 1.0)
-    pad = pad_to_proper([tau], omit_empty_degrees=True)
-    k3 = sum(mu) + 1
+    # z^(g mu) has the exponent g^-1, as mu_j = j, and G holds the inverses
+    tau = grlex_union([(0,) * n] + group)[0]
+    _, _, _, scaled, remainder = _padding(n, tau, np.ones((1, len(tau))), omit_empty_degrees=True)
+    k3 = n * (n - 1) // 2 + 1
     f_sym = symmetric_group_map(n)
     k4 = f_sym.degree + 1
-    padded = gram_form(n, *coefficient_matrix([tau])).scale(pad.epsilon**2)
-    padded = padded + gram_form(n, pad.monos, pad.rows) * norm_power_form(n, k3)
+    padded = scaled + remainder * norm_power_form(n, k3)
     positive = gram_form(n, *numerator_rows(f_sym)) + padded * norm_power_form(n, k4)
-    positive = positive.scale(0.5)
-    result = _map_of_positive_form(positive)
-    _verify_permutation_group(result, group)
+    result = _map_of_positive_form(positive.scale(0.5))
+    keep = _form_search(form_of(result), TAU_EQ).keeps(np.array(group))
+    if not keep.all():
+        lost = group[np.flatnonzero(~keep)[0]]
+        raise RealizationError(f"constructed map lost the symmetry {lost}")
     return result
 
 
 # ---------------------------------------------------------------------------
 # realization from a supplied invariant basis
 # ---------------------------------------------------------------------------
-def _support_of_summand(h: Polynomial, m: int) -> set[MultiIndex]:
-    base = set(h.terms) | {(0,) * h.nvars}
-    out = set()
-    for beta in degree_monomials(h.nvars, m):
-        for alpha in base:
-            out.add(tuple(a + b for a, b in zip(alpha, beta)))
-    return out
-
-
 def realize_from_invariants(
     invariants: Sequence[Polynomial],
     group: Sequence[np.ndarray],
@@ -390,9 +380,9 @@ def realize_from_invariants(
     The caller provides a generating set of the group-invariant polynomial
     algebra (each vanishing at the origin); a Noether basis is not computed
     here.  Each 1 + h_i is tensored with a power of the identity chosen so
-    the summands' monomial supports are pairwise disjoint, then the whole
-    block is padded to a proper map and separated by one more tensor power;
-    the positive form of that map is factored into its components.
+    the summands' monomial supports are pairwise disjoint.  The positive form
+    eps^2 |s|^2 + (R - eps^2 |s|^2) |z|^(2 m) of the padding of the summands
+    s, R its target, is factored into the components of the map.
     """
     invariants = list(invariants)
     if not invariants:
@@ -404,31 +394,26 @@ def realize_from_invariants(
         if abs(h.constant_term()) > TAU_ZERO:
             raise MapConstructionError("invariants must vanish at the origin")
 
-    # each invariant takes the first power whose support misses the earlier
-    # ones; a power a band above the previous one always does
+    # the rows of 1 + h_i: the invariants vanish at the origin, so no
+    # monomial of theirs is the constant one
+    monos, rows = coefficient_matrix(invariants)
+    rows = np.hstack([np.ones((len(rows), 1)), rows])
+    # each block (1 + h_i) z^(x)m takes the first power m above the previous
+    # one whose support misses the earlier blocks'; a band above always does
     band = max(h.degree for h in invariants) + 1
-    exponents: list[int] = []
-    supports: list[set[MultiIndex]] = []
-    for h in invariants:
-        start = exponents[-1] + 1 if exponents else 1
-        for m in range(start, start + band):
-            support = _support_of_summand(h, m)
-            if not any(support & s for s in supports):
+    blocks, supports, m = [], set(), 0
+    for row in rows:
+        one_plus_h = polynomial_map_of_rows(n, [(0,) * n] + monos, row[None])
+        for m in range(m + 1, m + 1 + band):
+            block = tensor(one_plus_h, tensor_power(n, m))
+            support = set(numerator_rows(block)[0])
+            if not support & supports:
                 break
-        exponents.append(m)
-        supports.append(support)
-
-    one = Polynomial.constant(n, 1.0)
-    summands: list[Polynomial] = []
-    for h, m in zip(invariants, exponents):
-        block = tensor(
-            polynomial_map([one + h]), tensor_power(n, m)
-        )
-        summands.extend(block.numerator)
-    pad = pad_to_proper(summands, omit_empty_degrees=True)
-    m_final = max(q.degree for q in summands) + 1
-    padding = gram_form(n, pad.monos, pad.rows) * norm_power_form(n, m_final)
-    positive = gram_form(n, *coefficient_matrix(summands)).scale(pad.epsilon**2) + padding
+        blocks.append(block)
+        supports |= support
+    monos, summands = numerator_rows(reduce(oplus, blocks))
+    _, _, _, scaled, remainder = _padding(n, monos, summands, omit_empty_degrees=True)
+    positive = scaled + remainder * norm_power_form(n, sum(monos[-1]) + 1)
     result = _map_of_positive_form(positive)
     for gmat in group:
         res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))

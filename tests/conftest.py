@@ -3,6 +3,7 @@ import pytest
 
 from ballmaps import gram_form
 from ballmaps.maps import coefficient_matrix
+from ballmaps.polynomials import degree_monomials
 
 #: Generators (0-based images) of the six subgroups of S_3.
 S3_GENERATORS = {
@@ -13,6 +14,16 @@ S3_GENERATORS = {
     "alternating": [(1, 2, 0)],
     "full": [(1, 2, 0), (1, 0, 2)],
 }
+
+
+def support_of_summand(h, m):
+    """The monomials of (1 + h) times those of degree m."""
+    base = set(h.terms) | {(0,) * h.nvars}
+    return {
+        tuple(a + b for a, b in zip(alpha, beta))
+        for beta in degree_monomials(h.nvars, m)
+        for alpha in base
+    }
 
 
 def gram_of(polys, signs=None):

@@ -177,6 +177,7 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         (["construct", "catalog", "--name", "faran-x"], {}),
         (["construct", "catalog", "--name", "whitney-seq-x"], {}),
         (["pad", "{data}"], {"data": {"polynomials": []}}),
+        (["pad", "{data}"], {"data": {"components": []}}),
         (["realize", "subgroup", "--group", "{data}"], {"data": {"generators": [[1, 0]]}}),
         (["realize", "from-invariants", "--group", "{data}"], {"data": {"generators": []}}),
         (["analyze", "{map}"], {"map": {**_FARAN_2, "m": 2}}),
@@ -199,6 +200,7 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         "faran-x",
         "whitney-seq-x",
         "pad-no-components",
+        "pad-empty-components",
         "subgroup-no-n",
         "invariants-missing",
         "map-m-mismatch",

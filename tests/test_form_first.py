@@ -41,12 +41,13 @@ from ballmaps import (
     tensor,
     tensor_power,
 )
+from ballmaps import realize
 from ballmaps.lattice import invariant_factors
 from ballmaps.maps import polynomial_map_of_rows
-from ballmaps.polynomials import TAU_ZERO, degree_monomials, grlex_monomials
+from ballmaps.polynomials import TAU_ZERO, grlex_monomials
 from ballmaps.realize import _support_blocks
 
-from conftest import gram_of, random_center
+from conftest import gram_of, random_center, support_of_summand
 
 ETA = np.exp(2j * np.pi / 3)
 
@@ -87,15 +88,6 @@ def _reference_symmetric_group_map_v2(n):
     return oplus(left, right)
 
 
-def _support_of_summand(h, m):
-    base = set(h.terms) | {(0,) * h.nvars}
-    return {
-        tuple(a + b for a, b in zip(alpha, beta))
-        for beta in degree_monomials(h.nvars, m)
-        for alpha in base
-    }
-
-
 def _reference_realize_from_invariants(invariants):
     n = invariants[0].nvars
     band = max(h.degree for h in invariants) + 1
@@ -103,7 +95,7 @@ def _reference_realize_from_invariants(invariants):
     one = Polynomial.constant(n, 1.0)
     for h in invariants:
         for m in range(prev + 1, prev + band + 1):
-            cand = _support_of_summand(h, m)
+            cand = support_of_summand(h, m)
             if all(not (cand & s) for s in supports):
                 break
         supports.append(cand)
@@ -202,6 +194,28 @@ def test_realize_from_invariants_matches_component_reference(name):
     ref = _reference_realize_from_invariants(invariants)
     _assert_matches_reference(f, ref)
     assert f.target_dim == _positive_rank(ref)
+
+
+@pytest.mark.parametrize(
+    "build, calls",
+    [
+        # one factorization of the positive form, one of symmetric_group_map's padding
+        (lambda: realize_subgroup([(1, 0, 2)], 3), 2),
+        (lambda: symmetric_group_map_v2(3), 1),
+        (lambda: realize_from_invariants(INVARIANT_CASES["cyclic-three"], []), 1),
+    ],
+    ids=["subgroup", "v2", "invariants"],
+)
+def test_realizations_factor_their_positive_form_once(monkeypatch, build, calls):
+    counted = []
+
+    def count(*args, **kwargs):
+        counted.append(args)
+        return factor_form(*args, **kwargs)
+
+    monkeypatch.setattr(realize, "factor_form", count)
+    build()
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

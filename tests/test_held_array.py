@@ -51,9 +51,9 @@ from ballmaps import maps
 from ballmaps.maps import CATALOG_NAMES, Subspace, _tensor_pair_order, stacked_coefficients
 from ballmaps.hermitian import TAU_SIG
 from ballmaps.polynomials import TAU_ZERO, grlex_key, polys_close
-from ballmaps.realize import _support_blocks, _support_of_summand
+from ballmaps.realize import _support_blocks
 
-from conftest import S3_GENERATORS, random_center, random_unitary
+from conftest import S3_GENERATORS, random_center, random_unitary, support_of_summand
 
 ETA = np.exp(2j * np.pi / 3)
 
@@ -191,9 +191,10 @@ def _ref_factor(h, tol_sig=TAU_SIG):
     return pos, neg
 
 
-def _ref_pad(p, omit_empty_degrees=False):
-    """(epsilon, padding components) of the closed-form padding: half of
-    eps_sup = 1 / sqrt(lambda_max(D^-1/2 B D^-1/2)), D the target's diagonal."""
+def _ref_padding(p, omit_empty_degrees=False):
+    """(epsilon, eps^2 |p|^2, remainder R - eps^2 |p|^2) of the closed-form
+    padding: epsilon is half of eps_sup = 1 / sqrt(lambda_max(D^-1/2 B D^-1/2)),
+    D the diagonal of the target R."""
     nvars = p[0].nvars
     nonzero = [q for q in p if not q.is_zero()]
     powers = list(range(max(q.degree for q in p) + 1))
@@ -207,7 +208,14 @@ def _ref_pad(p, omit_empty_degrees=False):
     b = _ref_gram(nonzero)
     s = 1.0 / np.sqrt([target.entry(mono, mono).real for mono in b.basis])
     eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
-    return eps, _ref_factor(target - b.scale(eps * eps), 1e-12)[0]
+    scaled = b.scale(eps * eps)
+    return eps, scaled, target - scaled
+
+
+def _ref_pad(p):
+    """(epsilon, padding components) of the closed-form padding."""
+    eps, _, remainder = _ref_padding(p)
+    return eps, _ref_factor(remainder, 1e-12)[0]
 
 
 def _ref_map_of_positive_form(h):
@@ -244,9 +252,8 @@ def _ref_symmetric_group_map_v2(n):
     prod = Polynomial.constant(n, 1.0)
     for i in range(n):
         prod = prod * (Polynomial.constant(n, 1.0) + Polynomial.variable(n, i))
-    eps, comps = _ref_pad([prod])
-    positive = _ref_gram([prod]).scale(eps**2) * norm_power_form(n, 1)
-    positive = positive + _ref_gram(comps) * norm_power_form(n, n + 2)
+    _, scaled, remainder = _ref_padding([prod])
+    positive = scaled * norm_power_form(n, 1) + remainder * norm_power_form(n, n + 2)
     return _ref_map_of_positive_form(positive)
 
 
@@ -261,10 +268,9 @@ def _ref_realize_subgroup(generators, n):
         for j in range(n):
             exp[perm[j]] = mu[j]
         tau = tau + Polynomial.monomial(exp, 1.0)
-    eps, comps = _ref_pad([tau], omit_empty_degrees=True)
+    _, scaled, remainder = _ref_padding([tau], omit_empty_degrees=True)
     f_sym = _ref_symmetric_group_map(n)
-    padded = _ref_gram([tau]).scale(eps**2)
-    padded = padded + _ref_gram(comps) * norm_power_form(n, sum(mu) + 1)
+    padded = scaled + remainder * norm_power_form(n, sum(mu) + 1)
     positive = _ref_gram(f_sym.numerator) + padded * norm_power_form(n, f_sym.degree + 1)
     return _ref_map_of_positive_form(positive.scale(0.5))
 
@@ -276,17 +282,16 @@ def _ref_realize_from_invariants(invariants):
     one = Polynomial.constant(n, 1.0)
     for h in invariants:
         for m in range(prev + 1, prev + band + 1):
-            cand = _support_of_summand(h, m)
+            cand = support_of_summand(h, m)
             if all(not (cand & s) for s in supports):
                 break
         supports.append(cand)
         prev = m
         power = _built_with_polynomial_maps(maps.tensor_power, n, m)
         summands.extend(_ref_tensor(_ref_polynomial_map([one + h]), power).numerator)
-    eps, comps = _ref_pad(summands, omit_empty_degrees=True)
-    positive = _ref_gram(summands).scale(eps**2)
+    _, scaled, remainder = _ref_padding(summands, omit_empty_degrees=True)
     m_final = max(q.degree for q in summands) + 1
-    positive = positive + _ref_gram(comps) * norm_power_form(n, m_final)
+    positive = scaled + remainder * norm_power_form(n, m_final)
     return _ref_map_of_positive_form(positive)
 
 
@@ -524,6 +529,7 @@ def test_constructions_build_no_polynomial(monkeypatch):
     subspaces = [
         Subspace.from_vectors(f.target_dim, rng.standard_normal((2, f.target_dim))) for f in maps_
     ]
+    invariants = [Polynomial.monomial(e) for e in ((3, 0), (0, 3), (1, 1))]
     built = []
     init = Polynomial.__init__
 
@@ -540,4 +546,9 @@ def test_constructions_build_no_polynomial(monkeypatch):
         f.to_dict()
         is_proper(f)
         analyze_map(f)
+    realize_subgroup([(1, 0, 2)], 3)
+    realize_subgroup(S3_GENERATORS["full"], 3)
+    symmetric_group_map(3)
+    symmetric_group_map_v2(3)
+    realize_from_invariants(invariants, [np.diag([ETA, ETA**2])])
     assert not built

@@ -27,6 +27,7 @@ from ballmaps import (
     whitney_map,
 )
 from ballmaps.maps import CATALOG_NAMES
+from ballmaps.polynomials import grlex_monomials
 
 from conftest import gram_of, random_center, random_unitary
 
@@ -41,6 +42,36 @@ def form_power(h, k):
     for _ in range(k):
         out = out * h
     return out
+
+
+# ---------------------------------------------------------------------------
+# held matrices: symmetrized on construction only
+# ---------------------------------------------------------------------------
+def test_arithmetic_holds_the_slice_product_or_sum_it_forms(rng):
+    # parts are zero with either sign half of the time; the constructor
+    # symmetrizes, and a slice, a real multiple, a sum or a difference of
+    # Hermitian matrices is held as formed, -0.0 parts included
+    basis = grlex_monomials(3, 1)
+    forms = []
+    for _ in range(500):
+        parts = rng.standard_normal((2, 4, 4)) * (rng.random((2, 4, 4)) < 0.5)
+        parts = np.copysign(parts, rng.choice([-1.0, 1.0], (2, 4, 4)))
+        parts[0][np.diag_indices(4)] = 1.0
+        mat = np.empty((4, 4), dtype=complex)
+        mat.real, mat.imag = parts
+        h = HermitianForm(3, basis, mat)
+        assert h.mat.tobytes() == (0.5 * (mat + mat.conj().T)).tobytes()
+        forms.append(h)
+    for h, g in zip(forms, forms[1:]):
+        assert h.scale(1.0).mat.tobytes() == (h.mat * 1.0).tobytes()
+        assert (h + g).mat.tobytes() == (h.mat + g.mat).tobytes()
+        assert (h - g).mat.tobytes() == (h.mat - g.mat).tobytes()
+        small = h.mat.copy()
+        small[1], small[:, 1] = 1e-15, 1e-15
+        k = HermitianForm(3, basis, small)
+        kept = k.compressed()
+        assert list(kept.basis) == basis[:1] + basis[2:]
+        assert kept.mat.tobytes() == k.mat[np.ix_([0, 2, 3], [0, 2, 3])].tobytes()
 
 
 # ---------------------------------------------------------------------------
