@@ -46,8 +46,8 @@ def _read_json(path: str) -> dict:
         raise CliInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _write_json(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=False)
+def _write_json(data: dict, path: str | None, indent: int | None = 2) -> None:
+    text = json.dumps(data, indent=indent, sort_keys=False)
     if path is None or path == "-":
         print(text)
     else:
@@ -305,7 +305,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_emit_system(args) -> int:
     f = _load_map(args.map)
-    _write_json(emit_invariance_system(f), args.output)
+    _write_json(emit_invariance_system(f), args.output, indent=None)  # solver input: one line
     return EXIT_OK
 
 

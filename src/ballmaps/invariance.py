@@ -54,6 +54,9 @@ MAX_PERMUTATION_DIM = 8
 #: term pairs (E1, E2) on the support of the form.
 MAX_SYSTEM_PAIRS = 400_000
 
+#: The schema of the document :func:`emit_invariance_system` returns.
+SYSTEM_SCHEMA = "invariance-system/2"
+
 
 class GroupClosureError(RuntimeError):
     """Raised when closing a generating set exceeds the element cap."""
@@ -747,9 +750,14 @@ def emit_invariance_system(f: RationalMap) -> dict:
     v1 = v2 = (0, d), where every E takes its whole column sums from the last
     row: lambda(U) = sum h[a, b] u^(last row a) conj(u)^(last row b), and
     h00 = h[0, 0] = |p(0)|^2_l - |q(0)|^2 (-1 when f(0) = 0).  Each equation
-    is a sesquilinear polynomial in the flattened (n+1) x (n+1) matrix
-    unknowns, its terms pruned at TAU_ZERO and sorted by (u, ubar); metric and
-    determinant constraints on the matrix are emitted alongside.
+    is a sesquilinear polynomial in the entries of U, its terms pruned at
+    TAU_ZERO and kept in the lexicographic order of their dense exponent
+    vectors (u, ubar); metric and determinant constraints on U are emitted
+    alongside.  In the document (schema SYSTEM_SCHEMA) a term's ``u`` and
+    ``ubar`` list the flat indices i * (n + 1) + j of its factors U_ij,
+    ascending, one entry per factor (u_0^2 u_4 is [0, 0, 4]): d in each list
+    of an equation term, 1 and 1 in a metric term, n + 1 and none in a
+    determinant term.  Terms with the same expansion share one index list.
 
     Raises, before building any term: CapabilityError for n >
     MAX_PERMUTATION_DIM (the determinant constraint has (n + 1)! terms);
@@ -797,17 +805,16 @@ def emit_invariance_system(f: RationalMap) -> dict:
     # the basis row of the alpha part of each v, where it is in the basis
     _, (of_basis, of_v) = grlex_union(h.basis, [v[:n] for v in vs])
     row_of, in_basis = find_sorted(of_basis, of_v)
-    u_of = E.tolist()
+    # each expansion as its d flat unknown indices, ascending, one per factor
+    u_of = np.repeat(np.tile(np.arange(n1 * n1), K), E.ravel()).reshape(K, d).tolist()
 
     equations = []
-    for i1, v1 in enumerate(vs):
-        g1 = groups[i1]
+    for i1, (v1, g1) in enumerate(zip(vs, groups)):
         for i2 in range(i1, len(vs)):
             v2, g2 = vs[i2], groups[i2]
             keys = np.add.outer(g1 * K, g2).ravel()
             values = (np.outer(w[g1], w[g2]) * h.mat[np.ix_(col[g1], col[g2])]).ravel()
-            in_h = in_basis[i1] and in_basis[i2]
-            h_value = h.mat[row_of[i1], row_of[i2]] if in_h else 0.0
+            h_value = h.mat[row_of[i1], row_of[i2]] if in_basis[i1] and in_basis[i2] else 0.0
             if abs(h_value) > TAU_ZERO:
                 keys, at = np.unique(np.concatenate([keys, lam_keys]), return_inverse=True)
                 total = np.zeros(len(keys), dtype=complex)
@@ -817,6 +824,7 @@ def emit_invariance_system(f: RationalMap) -> dict:
             if not keep.any():
                 continue
             keys, values = keys[keep], values[keep]
+            columns = (keys // K, keys % K, values.real, values.imag)
             equations.append(
                 {
                     "alpha": list(v1[:n]),
@@ -824,59 +832,39 @@ def emit_invariance_system(f: RationalMap) -> dict:
                     "beta": list(v2[:n]),
                     "nu": v2[n],
                     "terms": [
-                        {"u": list(u_of[k1]), "ubar": list(u_of[k2]), "re": re, "im": im}
-                        for k1, k2, re, im in zip(
-                            (keys // K).tolist(),
-                            (keys % K).tolist(),
-                            values.real.tolist(),
-                            values.imag.tolist(),
-                        )
+                        {"u": u_of[k1], "ubar": u_of[k2], "re": re, "im": im}
+                        for k1, k2, re, im in zip(*(c.tolist() for c in columns))
                     ],
                 }
             )
 
     # metric constraints: U J U^dagger = J with J = diag(1..1, -1)
-    metric = []
-    for k in range(n1):
-        for m in range(k, n1):
-            terms = {}
-            for j in range(n1):
-                jj = 1.0 if j < n1 - 1 else -1.0
-                ue = [0] * (n1 * n1)
-                ve = [0] * (n1 * n1)
-                ue[k * n1 + j] = 1
-                ve[m * n1 + j] = 1
-                terms[(tuple(ue), tuple(ve))] = jj
-            constant = 0.0
-            if k == m:
-                constant = -1.0 if k < n1 - 1 else 1.0
-            metric.append(
-                {
-                    "row": k,
-                    "col": m,
-                    "constant": constant,
-                    "terms": [
-                        {"u": list(ue), "ubar": list(ve), "re": c, "im": 0.0}
-                        for (ue, ve), c in terms.items()
-                    ],
-                }
-            )
+    metric = [
+        {
+            "row": k,
+            "col": m,
+            "constant": (-1.0 if k < n1 - 1 else 1.0) if k == m else 0.0,
+            "terms": [
+                {"u": [k * n1 + j], "ubar": [m * n1 + j], "re": sign, "im": 0.0}
+                for j, sign in enumerate([1.0] * n + [-1.0])
+            ],
+        }
+        for k in range(n1)
+        for m in range(k, n1)
+    ]
 
-    det_terms = []
-    for perm in itertools.permutations(range(n1)):
-        inv = sum(
-            1 for i in range(n1) for j in range(i + 1, n1) if perm[i] > perm[j]
-        )
-        sign = -1.0 if inv % 2 else 1.0
-        ue = [0] * (n1 * n1)
-        for i, j in enumerate(perm):
-            ue[i * n1 + j] += 1
-        det_terms.append(
-            {"u": ue, "ubar": [0] * (n1 * n1), "re": sign, "im": 0.0}
-        )
+    det_terms = [
+        {
+            "u": [i * n1 + j for i, j in enumerate(perm)],
+            "ubar": [],
+            "re": (-1.0) ** sum(a > b for a, b in itertools.combinations(perm, 2)),
+            "im": 0.0,
+        }
+        for perm in itertools.permutations(range(n1))
+    ]
 
     return {
-        "schema": "invariance-system/1",
+        "schema": SYSTEM_SCHEMA,
         "n": f.n,
         "degree": d,
         "target_signature": [f.m, f.l],
@@ -892,17 +880,28 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
 
     The system is scale-covariant, so any nonzero multiple of a projective
     automorphism matrix can be substituted directly.  Every term is a
-    monomial in (u, conj u) with exponents (u, ubar), evaluated by
-    :func:`monomial_values`, and summed into its equation in order.
+    monomial in (u, conj u) with one factor per listed index, evaluated by
+    :func:`monomial_values`, and summed into its equation in order.  Raises
+    ValueError for a document of any other schema than SYSTEM_SCHEMA.
     """
-    n1 = system["unknowns"]["shape"][0]
+    if system.get("schema") != SYSTEM_SCHEMA:
+        raise ValueError(f"expected schema {SYSTEM_SCHEMA}, got {system.get('schema')!r}")
+    size = system["unknowns"]["shape"][0] ** 2
     u = np.asarray(matrix, dtype=complex).reshape(-1)
-    if u.shape[0] != n1 * n1:
+    if u.shape[0] != size:
         raise ValueError("matrix shape does not match the system unknowns")
     equations = system["equations"]
     terms = [term for eq in equations for term in eq["terms"]]
-    coeffs = np.array([complex(term["re"], term["im"]) for term in terms], dtype=complex)
-    exps = [term["u"] + term["ubar"] for term in terms]
+    # row t holds term t's exponents: of u_k in column k, of conj(u_k) in size + k
+    exps = np.zeros((len(terms), 2 * size), dtype=np.int64)
+    for key, shift in (("u", 0), ("ubar", size)):
+        lists = [term[key] for term in terms]
+        index = np.fromiter(itertools.chain.from_iterable(lists), np.int64)
+        if index.size and not 0 <= index.min() <= index.max() < size:
+            raise ValueError(f"a {key} index is outside 0..{size - 1}")
+        rows = np.repeat(np.arange(len(terms)), np.fromiter(map(len, lists), np.int64))
+        np.add.at(exps, (rows, index + shift), 1)
+    coeffs = np.array([t["re"] for t in terms]) + 1j * np.array([t["im"] for t in terms])
     values = coeffs * monomial_values(exps, [np.concatenate([u, u.conj()])])[0]
     eq = np.repeat(np.arange(len(equations)), [len(e["terms"]) for e in equations])
     totals = np.bincount(eq, values.real, len(equations)) + 1j * np.bincount(

@@ -14,6 +14,8 @@ from ballmaps import (
     Polynomial,
     analyze_map,
     catalog,
+    emit_invariance_system,
+    evaluate_invariance_system,
     identity_map,
     is_proper,
     polynomial_map,
@@ -264,11 +266,40 @@ def test_cli_emit_system_schema(tmp_path):
     out = tmp_path / "sys.json"
     assert main(["emit-system", str(mp), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "invariance-system/1"
+    assert doc["schema"] == "invariance-system/2"
     assert doc["unknowns"]["shape"] == [3, 3]
     assert doc["equations"] and doc["metric_constraints"]
+    d = doc["degree"]
+
+    def assert_indices(term, u_len, ubar_len):
+        assert (len(term["u"]), len(term["ubar"])) == (u_len, ubar_len)
+        for index in (term["u"], term["ubar"]):
+            assert index == sorted(index) and all(0 <= i < 9 for i in index)
+
     for eq in doc["equations"]:
         assert set(eq) == {"alpha", "mu", "beta", "nu", "terms"}
+        for term in eq["terms"]:
+            assert_indices(term, d, d)
+    for eq in doc["metric_constraints"]:
+        for term in eq["terms"]:
+            assert_indices(term, 1, 1)
+    assert len(doc["determinant_constraint"]["terms"]) == 6
+    for term in doc["determinant_constraint"]["terms"]:
+        assert_indices(term, 3, 0)
+
+
+@pytest.mark.parametrize("name", ["faran-2", "example-7-2", "whitney-seq-3", "corollary-6-2"])
+def test_cli_emit_system_round_trip(tmp_path, name):
+    mp = tmp_path / "map.json"
+    main(["construct", "catalog", "--name", name, "-o", str(mp)])
+    out = tmp_path / "sys.json"
+    assert main(["emit-system", str(mp), "-o", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    f = catalog(name)
+    doc = json.loads(text)
+    assert doc == emit_invariance_system(f)
+    assert evaluate_invariance_system(doc, np.eye(f.n + 1)) <= 1e-9
 
 
 def test_cli_emit_system_refuses_nine_variables(tmp_path, capsys, monkeypatch):

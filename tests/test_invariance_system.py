@@ -6,7 +6,9 @@ n + 1 + (n + 1)^2 variables, and assembles both sides of the equation from
 the grouped terms.  The library now reads every equation off form_of(f);
 both must give the same equations, with the same term keys in the same
 order, every coefficient within 1e-14 of the reference's relative to it, and
-equal metric and determinant constraints.
+equal metric and determinant constraints.  The reference writes dense
+exponent vectors (schema invariance-system/1); the library's index lists
+(schema invariance-system/2) are densified before the comparison.
 """
 
 import functools
@@ -31,6 +33,7 @@ from ballmaps import (
     catalog,
     compose_source,
     emit_invariance_system,
+    evaluate_invariance_system,
     juxtapose_lambda,
     polynomial_map,
     symmetric_group_map,
@@ -188,9 +191,35 @@ def reference_emit(f):
     }
 
 
+def densify(doc):
+    """The document with every term's index lists turned into the dense
+    (n+1)^2-entry exponent vectors the reference writes; each list must be
+    ascending."""
+    size = doc["unknowns"]["shape"][0] ** 2
+
+    def dense(index):
+        assert index == sorted(index) and all(0 <= i < size for i in index), index
+        return np.bincount(np.array(index, dtype=int), minlength=size).tolist()
+
+    def terms(ts):
+        return [dict(t, u=dense(t["u"]), ubar=dense(t["ubar"])) for t in ts]
+
+    return dict(
+        doc,
+        equations=[dict(e, terms=terms(e["terms"])) for e in doc["equations"]],
+        metric_constraints=[dict(e, terms=terms(e["terms"])) for e in doc["metric_constraints"]],
+        determinant_constraint=dict(
+            doc["determinant_constraint"], terms=terms(doc["determinant_constraint"]["terms"])
+        ),
+    )
+
+
 def assert_systems_agree(doc, ref):
-    assert {k: v for k, v in doc.items() if k != "equations"} == {
-        k: v for k, v in ref.items() if k != "equations"
+    assert doc["schema"] == "invariance-system/2"
+    doc = densify(doc)
+    skip = ("schema", "equations")
+    assert {k: v for k, v in doc.items() if k not in skip} == {
+        k: v for k, v in ref.items() if k not in skip
     }
     heads = lambda s: [(e["alpha"], e["mu"], e["beta"], e["nu"]) for e in s["equations"]]
     assert heads(doc) == heads(ref)
@@ -233,6 +262,22 @@ CASES = {
 def test_system_matches_substitution_reference(name):
     f = CASES[name]()
     assert_systems_agree(emit_invariance_system(f), reference_emit(f))
+
+
+def test_evaluator_refuses_other_schemas():
+    # read as index lists, the dense [1, 0, 0, ...] of a /1 term would be u_1 u_0^(n1^2 - 1)
+    f = catalog("faran-2")
+    unlabelled = {k: v for k, v in emit_invariance_system(f).items() if k != "schema"}
+    for doc in (reference_emit(f), unlabelled):
+        with pytest.raises(ValueError, match="invariance-system/2"):
+            evaluate_invariance_system(doc, np.eye(3))
+
+
+def test_evaluator_refuses_indices_outside_the_matrix():
+    doc = emit_invariance_system(catalog("faran-2"))
+    doc["equations"][0]["terms"][0] = dict(doc["equations"][0]["terms"][0], u=[0, 0, 9])
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_invariance_system(doc, np.eye(3))
 
 
 def test_whitney_composite_has_complex_coefficients():
@@ -339,7 +384,14 @@ def _run_capped(tmp_path, n, timeout):
 def test_cli_emits_s3_within_3gb(tmp_path):
     done, out = _run_capped(tmp_path, 3, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert len(json.loads(out.read_text())["equations"]) == 209
+    # the dense exponent lists of schema invariance-system/1 made this 49.5 MB
+    assert out.stat().st_size < 8 * 1024**2
+    doc = json.loads(out.read_text())
+    assert len(doc["equations"]) == 209
+    for perm in itertools.permutations(range(3)):
+        matrix = np.eye(4, dtype=complex)
+        matrix[:3, :3] = np.eye(3)[list(perm)]
+        assert evaluate_invariance_system(doc, matrix) <= 1e-9, perm
 
 
 def test_cli_refuses_s5_quickly_within_3gb(tmp_path):

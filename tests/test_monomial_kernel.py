@@ -159,19 +159,18 @@ def _reference_evaluate(p, point):
 
 
 def _reference_system_residual(system, matrix):
-    """Old per-term loop; also returns the largest sum of term magnitudes."""
+    """Per-term loop, one factor per listed index; also returns the largest
+    sum of term magnitudes."""
     u = np.asarray(matrix, dtype=complex).reshape(-1)
     worst = scale = 0.0
     for eq in system["equations"]:
         total, size = 0.0 + 0.0j, 0.0
         for term in eq["terms"]:
             val = complex(term["re"], term["im"])
-            for idx, e in enumerate(term["u"]):
-                if e:
-                    val *= u[idx] ** e
-            for idx, e in enumerate(term["ubar"]):
-                if e:
-                    val *= u[idx].conjugate() ** e
+            for idx in term["u"]:
+                val *= u[idx]
+            for idx in term["ubar"]:
+                val *= u[idx].conjugate()
             total += val
             size += abs(val)
         worst, scale = max(worst, abs(total)), max(scale, size)
