@@ -133,11 +133,7 @@ def _cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CAPABILITY
-    try:
-        bundle = analyze_map(f, args.tol_eq, args.tol_div, args.tol_sig)
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    bundle = analyze_map(f, args.tol_eq, args.tol_div, args.tol_sig)
     _write_json(bundle.to_dict(), args.output)
     if args.require_proper and not bundle.proper.proper:
         print("error: map is not proper", file=sys.stderr)

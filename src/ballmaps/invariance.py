@@ -382,9 +382,9 @@ def strict_permutation_stabilizer(
 ) -> list[tuple[int, ...]]:
     """Coordinate permutations with f o sigma = f componentwise (n <= 8).
 
-    Each numerator component and the denominator p must satisfy
-    ``polys_close(p o sigma, p, tol)``: coefficients agree to tol * max(1,
-    max|p|) over the union of both supports.  The list equals full
+    For each numerator component and the denominator p, every coefficient
+    of p o sigma - p, over the union of the supports of p and p o sigma, is
+    at most tol * max(1, max|p|) in magnitude.  The list equals full
     enumeration, in the order of ``itertools.permutations(range(n))``
     (lexicographic).
     """
@@ -395,9 +395,9 @@ def strict_permutation_stabilizer(
     monos, A = stacked_coefficients(f)
     scale = np.maximum(1.0, np.abs(A).max(axis=1, initial=0.0))
     search = _PermutationSearch(f.n, monos, A, tol * scale, permute_rows=False)
-    # polys_close compares at every key of supp(p) and sigma(supp(p)): at
-    # sigma(a) that is |p[sigma a] - p[a]|, the entries the search checks; at a
-    # it is |p[a] - p[sigma^-1 a]|, the same check for the inverse permutation
+    # the union of supp(p) and sigma(supp(p)) holds, at sigma(a), the entry
+    # |p[sigma a] - p[a]| the search checks and, at a, |p[a] - p[sigma^-1 a]|,
+    # the same check for the inverse permutation
     perms = search.search()
     return _as_tuples(perms[search.keeps(np.argsort(perms, axis=1))])
 

@@ -81,8 +81,9 @@ class RationalMap:
         return f
 
     def _hold(self, n: int, monos: Sequence[MultiIndex], coeffs: np.ndarray, l: int) -> None:
-        """Hold the rows pruned (:func:`pruned_rows`) and rescaled so that
-        q(0) = 1, then pruned again, as the Polynomial arithmetic would."""
+        """Hold the rows pruned (:func:`pruned_rows`) and, unless q(0) = 1,
+        multiplied by 1 / q(0), each product rounded by :func:`times`, and
+        pruned again."""
         if not 0 <= l < len(coeffs):
             raise MapConstructionError(f"invalid negative-signature count l={l}")
         monos, coeffs = pruned_rows(monos, coeffs)
@@ -164,7 +165,10 @@ def polynomial_map(components: Sequence[Polynomial], l: int = 0) -> RationalMap:
     """The map with the given components over the denominator 1."""
     if not components:
         raise MapConstructionError("a rational map needs at least one component")
-    return RationalMap(components, Polynomial.constant(components[0].nvars, 1.0), l=l)
+    n = components[0].nvars
+    if any(p.nvars != n for p in components):
+        raise MapConstructionError("components live in different variable counts")
+    return _map_of_terms(n, [p.terms for p in components], l)
 
 
 def polynomial_map_of_rows(n: int, monos: Sequence[MultiIndex], rows: np.ndarray) -> RationalMap:
@@ -184,10 +188,18 @@ def coefficient_matrix(
     Columns are indexed by the graded-lex sorted union of all monomial
     supports.  :func:`polynomials_of_rows` is the inverse.
     """
-    monos, positions = grlex_union(*(p.terms for p in polys))
-    mat = np.zeros((len(polys), len(monos)), dtype=complex)
-    for r, (p, at) in enumerate(zip(polys, positions)):
-        mat[r, at] = list(p.terms.values())
+    return _term_rows([p.terms for p in polys])
+
+
+def _term_rows(
+    tables: Sequence[Mapping[MultiIndex, complex]],
+) -> tuple[list[MultiIndex], np.ndarray]:
+    """One coefficient row per term table (exponent -> coefficient) over the
+    graded-lex sorted union of their exponents."""
+    monos, positions = grlex_union(*tables)
+    mat = np.zeros((len(tables), len(monos)), dtype=complex)
+    for row, terms, at in zip(mat, tables, positions):
+        row[at] = list(terms.values())
     return monos, mat
 
 
@@ -257,6 +269,8 @@ class BallAutomorphism:
         a = np.asarray(a, dtype=complex).reshape(-1)
         if a.shape[0] != dim:
             raise MapConstructionError("center length differs from matrix size")
+        if not (np.isfinite(U).all() and np.isfinite(a).all()):
+            raise MapConstructionError("matrix and center must be finite")
         if np.linalg.norm(a) >= 1.0:
             raise MapConstructionError("automorphism center must lie inside the ball")
         if np.max(np.abs(U.conj().T @ U - np.eye(dim))) > 1e-7:
@@ -587,12 +601,12 @@ def first_descendant(f: RationalMap) -> RationalMap:
 # ---------------------------------------------------------------------------
 # standard maps and the fixture catalog
 # ---------------------------------------------------------------------------
-def _monomial_map(n: int, exps: Sequence[MultiIndex], coeffs: Sequence[float]) -> RationalMap:
-    """The polynomial map whose k-th component is coeffs[k] z^exps[k]."""
-    monos, (at,) = grlex_union(exps)
-    rows = np.zeros((len(exps), len(monos)))
-    rows[np.arange(len(exps)), at] = coeffs
-    return polynomial_map_of_rows(n, monos, rows)
+def _map_of_terms(
+    n: int, tables: Sequence[Mapping[MultiIndex, complex]], l: int = 0
+) -> RationalMap:
+    """The map whose k-th component has the terms (exponent -> coefficient)
+    of ``tables[k]``, over the denominator 1."""
+    return RationalMap._of_rows(n, *_term_rows([*tables, {(0,) * n: 1.0}]), l)
 
 
 def identity_map(n: int) -> RationalMap:
@@ -609,84 +623,62 @@ def tensor_power(n: int, m: int) -> RationalMap:
     if n < 1 or m < 0:
         raise MapConstructionError("tensor power requires n >= 1 and m >= 0")
     exps = degree_monomials(n, m)[::-1]
-    return _monomial_map(n, exps, [math.sqrt(multinomial(alpha)) for alpha in exps])
+    return _map_of_terms(n, [{alpha: math.sqrt(multinomial(alpha))} for alpha in exps])
 
 
 def whitney_map(n: int) -> RationalMap:
     """(z_1, ..., z_{n-1}, z_1 z_n, ..., z_{n-1} z_n, z_n^2)."""
     if n < 1:
         raise MapConstructionError("whitney map requires n >= 1")
-    zs = [Polynomial.variable(n, i) for i in range(n)]
-    comps = zs[: n - 1] + [zs[i] * zs[n - 1] for i in range(n - 1)] + [zs[n - 1] ** 2]
-    return polynomial_map(comps)
-
-
-def _faran(index: int) -> RationalMap:
-    z1 = Polynomial.variable(2, 0)
-    z2 = Polynomial.variable(2, 1)
-    if index == 1:
-        return polynomial_map([z1, z2, Polynomial.zero(2)])
-    if index == 2:
-        return polynomial_map([z1, z1 * z2, z2 * z2])
-    if index == 3:
-        return polynomial_map([z1 * z1, (z1 * z2).scale(math.sqrt(2.0)), z2 * z2])
-    if index == 4:
-        return polynomial_map(
-            [z1 * z1 * z1, (z1 * z2).scale(math.sqrt(3.0)), z2 * z2 * z2]
-        )
-    raise MapConstructionError(f"unknown faran index {index}")
+    units = np.eye(n, dtype=int)
+    exps = np.vstack([units[:-1], units[:-1] + units[-1], 2 * units[-1:]])
+    return _map_of_terms(n, [{tuple(alpha): 1.0} for alpha in exps.tolist()])
 
 
 def _whitney_sequence(k: int) -> RationalMap:
     """Planar Whitney sequence: (z1, z1 z2, ..., z1 z2^k, z2^(k+1))."""
     if k < 1:
         raise MapConstructionError("whitney-seq index must be >= 1")
-    z1 = Polynomial.variable(2, 0)
-    z2 = Polynomial.variable(2, 1)
-    comps = [z1] + [z1 * z2**j for j in range(1, k + 1)] + [z2 ** (k + 1)]
-    return polynomial_map(comps)
+    return _map_of_terms(2, [{(1, j): 1.0} for j in range(k + 1)] + [{(0, k + 1): 1.0}])
 
 
-def _twisted_planar_map() -> RationalMap:
-    """Degree-3 planar map with trivial invariance structure."""
-    c = 1.0 / math.sqrt(2.0)
-    z = Polynomial.variable(2, 0)
-    w = Polynomial.variable(2, 1)
-    a = (z + w * w).scale(c)
-    b = (z - w * w).scale(c)
-    plus = (b + z * w).scale(c)
-    minus = (b - z * w).scale(c)
-    return polynomial_map([a, plus, minus * z, minus * w])
-
-
-def _unit_circle_cubic() -> RationalMap:
-    """(1/2)(z + z^2, z^2 - z^3): a proper disc map with trivial symmetry."""
-    z = Polynomial.variable(1, 0)
-    return polynomial_map([(z + z * z).scale(0.5), (z * z - z * z * z).scale(0.5)])
-
-
-def _inessential_family(theta: float) -> RationalMap:
+def _example_7_4(family: str, theta: float) -> RationalMap:
+    """Example 7.4: the inessential family f and the essential family g, one
+    monomial per component, mixed by the angle theta."""
+    if not math.isfinite(theta):
+        raise MapConstructionError(f"theta {theta} is not finite")
     c, s = math.cos(theta), math.sin(theta)
-    z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
-    return polynomial_map(
-        [z1, z2, z3.scale(c), (z1 * z3).scale(s), (z2 * z3).scale(s), (z3 * z3).scale(s)]
-    )
+    if family == "f":
+        exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+        weights = [1.0, 1.0, c, s, s, s]
+    else:
+        exps = [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+        weights = [c, 1.0, s, s, math.sqrt(1.0 + s * s), 1.0, 1.0]
+    return _map_of_terms(3, [{alpha: w} for alpha, w in zip(exps, weights)])
 
 
-def _essential_family(theta: float) -> RationalMap:
-    c, s = math.cos(theta), math.sin(theta)
-    z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
-    return polynomial_map(
-        [
-            z1.scale(c),
-            z2,
-            (z1 * z1).scale(s),
-            (z1 * z2).scale(s),
-            (z1 * z3).scale(math.sqrt(1.0 + s * s)),
-            z2 * z3,
-            z3 * z3,
-        ]
-    )
+#: Example 7.2's weights 1 / sqrt 2 and its square.
+_C = 1.0 / math.sqrt(2.0)
+_CC = _C * _C
+
+#: Source dimension and term tables of the fixed catalog maps: Faran's four
+#: planar maps into B^3 (Invent. Math. 67, 1982); the degree-3 planar map of
+#: example 7.2, with trivial invariance structure, (a, c_+, c_- z, c_- w) for
+#: a, b = (z +- w^2) / sqrt 2 and c_+- = (b +- z w) / sqrt 2; and the disc map
+#: (1/2)(z + z^2, z^2 - z^3) of corollary 6.2, with trivial symmetry.
+_TABLES = {
+    "faran-1": (2, [{(1, 0): 1.0}, {(0, 1): 1.0}, {}]),
+    "faran-2": (2, [{(1, 0): 1.0}, {(1, 1): 1.0}, {(0, 2): 1.0}]),
+    "faran-3": (2, [{(2, 0): 1.0}, {(1, 1): math.sqrt(2.0)}, {(0, 2): 1.0}]),
+    "faran-4": (2, [{(3, 0): 1.0}, {(1, 1): math.sqrt(3.0)}, {(0, 3): 1.0}]),
+    "example-7-2": (2, [
+        {(1, 0): _C, (0, 2): _C},
+        {(1, 0): _CC, (0, 2): -_CC, (1, 1): _C},
+        {(2, 0): _CC, (1, 2): -_CC, (2, 1): -_C},
+        {(1, 1): _CC, (0, 3): -_CC, (1, 2): -_C},
+    ]),
+    "corollary-6-2": (1, [{(1,): 0.5, (2,): 0.5}, {(2,): 0.5, (3,): -0.5}]),
+}
 
 
 CATALOG_NAMES = (
@@ -709,22 +701,16 @@ def catalog(name: str, theta: float = math.pi / 4) -> RationalMap:
     """Named proper-map fixtures with their published component order.
 
     ``whitney-seq-k`` accepts any positive integer suffix; the two
-    ``example-7-4`` families take the mixing angle ``theta``.
+    ``example-7-4`` families take the mixing angle ``theta``.  Example 3.1 is
+    the Whitney map of B^3.
     """
     prefix, _, index = name.rpartition("-")
-    if prefix == "faran" and index.isdecimal():
-        return _faran(int(index))
+    if name in _TABLES:
+        return _map_of_terms(*_TABLES[name])
     if name == "example-3-1":
-        z1, z2, z3 = (Polynomial.variable(3, i) for i in range(3))
-        return polynomial_map([z1, z2, z1 * z3, z2 * z3, z3 * z3])
-    if name == "example-7-2":
-        return _twisted_planar_map()
-    if name == "corollary-6-2":
-        return _unit_circle_cubic()
+        return whitney_map(3)
     if prefix == "whitney-seq" and index.isdecimal():
         return _whitney_sequence(int(index))
-    if name == "example-7-4-f":
-        return _inessential_family(theta)
-    if name == "example-7-4-g":
-        return _essential_family(theta)
+    if name in ("example-7-4-f", "example-7-4-g"):
+        return _example_7_4(index, theta)
     raise MapConstructionError(f"unknown catalog name {name!r}")

@@ -1,15 +1,12 @@
 """Sparse multivariate polynomials over complex binary64 coefficients.
 
-A polynomial stores its terms in a dict keyed by exponent tuples (one
-non-negative integer per variable).  Coefficients whose magnitude is at most
-``TAU_ZERO`` are dropped on construction, so cancellations always produce the
-canonical zero polynomial.  Iteration, printing and serialization follow
-graded lexicographic order of the exponents, which keeps every downstream
-matrix indexing and JSON dump deterministic.
-
-Values are immutable by convention: every operation returns a fresh
-polynomial and never mutates its operands, so instances are safe to share
-between threads.
+A :class:`Polynomial` is the input and output view of a coefficient row: it
+stores its terms in a dict keyed by exponent tuples (one non-negative integer
+per variable), drops coefficients whose magnitude is at most ``TAU_ZERO`` on
+construction, and refuses non-finite coefficients.  Iteration, printing and
+serialization follow graded lexicographic order of the exponents, which
+keeps every downstream matrix indexing and JSON dump deterministic.  It has
+no arithmetic: every construction works on coefficient rows.
 
 The module also holds the one monomial kernel every layer orders, aligns,
 indexes, evaluates and multiplies monomials with: :func:`grlex_order` and
@@ -24,6 +21,7 @@ rounded by :func:`times`).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import Iterator, Mapping, Sequence
@@ -212,13 +210,15 @@ def grlex_monomials(nvars: int, max_degree: int) -> list[MultiIndex]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with complex coefficients.
+    """Immutable sparse polynomial with complex coefficients: the input and
+    output view of coefficient rows.
 
     Attributes:
         nvars: number of variables; every exponent tuple has this length.
         terms: mapping exponent tuple -> complex coefficient (pruned).
-        degree: max total degree over stored terms, -1 for the zero polynomial
-            by internal convention exposed as 0 via :attr:`degree`.
+
+    Exponents must be non-negative integers (integral floats are accepted)
+    and coefficients finite; anything else raises ``ValueError``.
     """
 
     __slots__ = ("nvars", "terms", "_degree")
@@ -227,21 +227,22 @@ class Polynomial:
         if nvars < 0:
             raise ValueError(f"nvars must be non-negative, got {nvars}")
         clean: dict[MultiIndex, complex] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != nvars:
-                    raise ValueError(
-                        f"exponent {exp} has length {len(exp)}, expected {nvars}"
-                    )
-                if any(e < 0 for e in exp):
-                    raise ValueError(f"negative exponent in {exp}")
-                c = complex(coeff)
-                if abs(c) > TAU_ZERO:
-                    clean[exp] = clean.get(exp, 0.0 + 0.0j) + c
-            # re-prune after accumulation (duplicate keys cannot occur from a
-            # dict, but callers may pass near-cancelling values)
-            clean = {e: c for e, c in clean.items() if abs(c) > TAU_ZERO}
+        for exp, coeff in (terms or {}).items():
+            try:
+                key = tuple(map(int, exp))
+            except OverflowError as exc:
+                raise ValueError(f"non-finite exponent in {exp}") from exc
+            if key != tuple(exp):
+                raise ValueError(f"non-integer exponent in {exp}")
+            if len(key) != nvars:
+                raise ValueError(f"exponent {key} has length {len(key)}, expected {nvars}")
+            if any(e < 0 for e in key):
+                raise ValueError(f"negative exponent in {key}")
+            c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of {key} is not finite")
+            clean[key] = clean.get(key, 0.0 + 0.0j) + c
+        clean = {e: c for e, c in clean.items() if abs(c) > TAU_ZERO}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_degree", max((sum(e) for e in clean), default=0))
@@ -249,29 +250,9 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Polynomial is immutable")
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
     @classmethod
     def constant(cls, nvars: int, value: complex) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} vars")
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls(nvars, {tuple(exp): 1.0})
-
-    @classmethod
-    def monomial(cls, exponent: Sequence[int], coeff: complex = 1.0) -> "Polynomial":
-        exp = tuple(int(e) for e in exponent)
-        return cls(len(exp), {exp: coeff})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -327,66 +308,6 @@ class Polynomial:
 
     __hash__ = None  # type: ignore[assignment]
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(
-                f"variable-count mismatch: {self.nvars} vs {other.nvars}"
-            )
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, 0.0 + 0.0j) + coeff
-        return Polynomial(self.nvars, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_compatible(other)
-            prod: dict[MultiIndex, complex] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    prod[key] = prod.get(key, 0.0 + 0.0j) + c1 * c2
-            return Polynomial(self.nvars, prod)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, factor: complex) -> "Polynomial":
-        factor = complex(factor)
-        return Polynomial(self.nvars, {e: c * factor for e, c in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers require a non-negative integer")
-        result = Polynomial.constant(self.nvars, 1.0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    # ------------------------------------------------------------------
-    # evaluation and substitution
-    # ------------------------------------------------------------------
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Evaluate at a point: the coefficient vector dotted with the
         values of the monomials there, from :func:`monomial_values`."""
@@ -397,23 +318,6 @@ class Polynomial:
         monos = list(self.terms)
         coeffs = np.array([self.terms[m] for m in monos], dtype=complex)
         return complex(monomial_values(monos, [point])[0] @ coeffs)
-
-    def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
-        """Return p(sigma(z)) where sigma(z)_i = z_{perm[i]} for the inverse view.
-
-        Concretely: the monomial z^alpha maps to the monomial whose exponent
-        of z_{perm[i]} is alpha_i; this is exactly composition with the
-        permutation unitary sending e_i to e_{perm[i]}.
-        """
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError(f"{perm} is not a permutation of 0..{self.nvars - 1}")
-        terms: dict[MultiIndex, complex] = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                new[perm[i]] = e
-            terms[tuple(new)] = terms.get(tuple(new), 0.0 + 0.0j) + coeff
-        return Polynomial(self.nvars, terms)
 
     # ------------------------------------------------------------------
     # serialization
@@ -429,12 +333,14 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Polynomial":
-        nvars = int(data["nvars"])
+        """The polynomial of a :meth:`to_dict` document; the coefficients of
+        repeated exponents are summed."""
         terms: dict[MultiIndex, complex] = {}
         for item in data.get("terms", []):
-            exp = tuple(int(e) for e in item["exp"])
-            terms[exp] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        return cls(nvars, terms)
+            exp = tuple(item["exp"])
+            c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            terms[exp] = terms.get(exp, 0.0 + 0.0j) + c
+        return cls(int(data["nvars"]), terms)
 
 
 def substitute_fractional(
@@ -480,22 +386,6 @@ def substitute_fractional(
         table_exps, table = row_products(m, (table_exps, table), (units, w), pairs)
     index = np.searchsorted(level, keys[:, -1])
     return [tuple(e) for e in table_exps.tolist()], rows[:, present] @ table[index]
-
-
-def max_coeff_diff(a: Polynomial, b: Polynomial) -> float:
-    """Largest coefficient magnitude of a - b (bases need not match)."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable-count mismatch")
-    keys = set(a.terms) | set(b.terms)
-    return max(
-        (abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys), default=0.0
-    )
-
-
-def polys_close(a: Polynomial, b: Polynomial, tol: float = TAU_EQ) -> bool:
-    """Coefficientwise comparison with tolerance scaled by the largest coeff."""
-    scale = max(1.0, a.max_abs_coeff(), b.max_abs_coeff())
-    return max_coeff_diff(a, b) <= tol * scale
 
 
 def multinomial(alpha: Sequence[int]) -> int:

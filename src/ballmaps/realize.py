@@ -42,7 +42,7 @@ from .invariance import MAX_PERMUTATION_DIM, CapabilityError, membership, _form_
 from .maps import (
     MapConstructionError,
     RationalMap,
-    _monomial_map,
+    _map_of_terms,
     catalog,
     coefficient_matrix,
     identity_map,
@@ -297,8 +297,8 @@ def symmetric_group_map(n: int) -> RationalMap:
     pairs = [alpha for alpha in quadratic if max(alpha) == 1]
     squares = [alpha for alpha in quadratic if max(alpha) == 2]
     z_map = identity_map(n)
-    pair_map = _monomial_map(n, pairs, [math.sqrt(2.0)] * len(pairs))
-    g = oplus(tensor(pair_map, z_map), _monomial_map(n, squares, [1.0] * n))
+    pair_map = _map_of_terms(n, [{alpha: math.sqrt(2.0)} for alpha in pairs])
+    g = oplus(tensor(pair_map, z_map), _map_of_terms(n, [{alpha: 1.0} for alpha in squares]))
 
     affine = grlex_monomials(n, 1)
     eps, _, _, _, remainder = _padding(n, affine, np.ones((1, n + 1)))

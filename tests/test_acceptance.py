@@ -13,7 +13,6 @@ import pytest
 from ballmaps import (
     BallAutomorphism,
     HermitianForm,
-    Polynomial,
     analyze_map,
     automorphism_tensor_form,
     automorphism_tensor_rho_expansion,
@@ -41,7 +40,7 @@ from ballmaps import (
     whitney_map,
 )
 
-from conftest import gram_of, random_center, random_diagonal_unitary, random_unitary
+from conftest import Poly, gram_of, random_center, random_diagonal_unitary, random_unitary
 
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
@@ -111,7 +110,7 @@ def test_criterion_02_cubic_form_expansion():
     h = form_of(catalog("faran-4"))
     one = HermitianForm.constant(2, 1.0)
     rho = sphere_form(2)
-    cross = gram_of([Polynomial.monomial((1, 1))])
+    cross = gram_of([Poly.monomial((1, 1))])
     expected = form_power(rho + one, 3) - one - (rho * cross).scale(3.0)
     err = h.max_entry_diff(expected)
     assert err <= 1e-12

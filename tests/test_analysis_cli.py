@@ -11,7 +11,6 @@ import pytest
 
 import ballmaps
 from ballmaps import (
-    Polynomial,
     analyze_map,
     catalog,
     emit_invariance_system,
@@ -27,6 +26,8 @@ from ballmaps import cli, invariance
 from ballmaps.cli import main
 from ballmaps.maps import CATALOG_NAMES
 
+from conftest import Poly
+
 
 # ---------------------------------------------------------------------------
 # sphere sampling
@@ -37,7 +38,7 @@ def test_sampler_accepts_cubic_catalog_map():
 
 
 def test_sampler_rejects_duplicated_component():
-    z1 = Polynomial.variable(2, 0)
+    z1 = Poly.variable(2, 0)
     res = sphere_sample_check(polynomial_map([z1, z1]), 500, 1e-9, seed=2)
     assert not res.passed
     # residual is max |2|z1|^2 - 1| over the samples, close to 1
@@ -85,7 +86,7 @@ def test_analyze_quadratic_power_bundle():
 
 
 def test_analyze_non_proper_map_reports():
-    z1 = Polynomial.variable(2, 0)
+    z1 = Poly.variable(2, 0)
     bundle = analyze_map(polynomial_map([z1, z1]))
     assert bundle.proper.proper is False
 
@@ -169,7 +170,22 @@ _FARAN_2 = {
 
 #: A polynomial in two variables with a one-entry exponent.
 _SHORT_EXP = {"nvars": 2, "terms": [{"exp": [1], "re": 1.0, "im": 0.0}]}
+#: Polynomials in two variables with a NaN or an infinite coefficient, and
+#: with a fractional exponent.
+_NAN_COEFF = {"nvars": 2, "terms": [{"exp": [1, 0], "re": math.nan, "im": 0.0}]}
+_INF_COEFF = {"nvars": 2, "terms": [{"exp": [1, 0], "re": 1.0, "im": math.inf}]}
+_HALF_EXP = {"nvars": 2, "terms": [{"exp": [1.5, 0], "re": 1.0, "im": 0.0}]}
+#: A 2 x 2 matrix and a 2-vector with a NaN entry.
+_NAN_MATRIX = {"matrix": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+_NAN_VECTOR = {"vector": [[math.nan, 0.0], [0.0, 0.0]]}
+
+
+def _faran_2_with(component):
+    """_FARAN_2 with its first component replaced."""
+    return {**_FARAN_2, "numerator": [component] + _FARAN_2["numerator"][1:]}
+
 _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
+_COMPOSE = ["compose", "source", "{map}"]
 
 
 @pytest.mark.parametrize(
@@ -178,6 +194,7 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         (["sample", "{map}", "--count", "0"], {"map": _FARAN_2}),
         (["construct", "catalog", "--name", "faran-x"], {}),
         (["construct", "catalog", "--name", "whitney-seq-x"], {}),
+        (["construct", "catalog", "--name", "example-7-4-f", "--theta", "nan"], {}),
         (["pad", "{data}"], {"data": {"polynomials": []}}),
         (["pad", "{data}"], {"data": {"components": []}}),
         (["realize", "subgroup", "--group", "{data}"], {"data": {"generators": [[1, 0]]}}),
@@ -196,11 +213,29 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         (_DESCEND, {"map": _FARAN_2, "data": {}}),
         (_DESCEND, {"map": _FARAN_2, "data": {"vectors": [[[1.0, 0.0]]]}}),
         (_DESCEND, {"map": _FARAN_2, "data": {"vectors": [[[1.0, 0.0]] * 2] * 3}}),
+        (["analyze", "{map}"], {"map": _faran_2_with(_NAN_COEFF)}),
+        (["analyze", "{map}"], {"map": _faran_2_with(_INF_COEFF)}),
+        (["analyze", "{map}"], {"map": _faran_2_with(_HALF_EXP)}),
+        (["pad", "{data}"], {"data": {"components": [_NAN_COEFF]}}),
+        (["pad", "{data}"], {"data": {"components": [_HALF_EXP]}}),
+        (
+            ["realize", "from-invariants", "--group", "{data}"],
+            {"data": {"invariants": [_INF_COEFF]}},
+        ),
+        (
+            ["realize", "from-invariants", "--group", "{data}"],
+            {"data": {"invariants": [_HALF_EXP]}},
+        ),
+        (_COMPOSE + ["--unitary", "{data}"], {"map": _FARAN_2, "data": _NAN_MATRIX}),
+        (_COMPOSE + ["--center", "{data}"], {"map": _FARAN_2, "data": _NAN_VECTOR}),
+        (["member", "{map}", "--unitary", "{data}"], {"map": _FARAN_2, "data": _NAN_MATRIX}),
+        (["member", "{map}", "--center", "{data}"], {"map": _FARAN_2, "data": _NAN_VECTOR}),
     ],
     ids=[
         "sample-count-0",
         "faran-x",
         "whitney-seq-x",
+        "catalog-theta-nan",
         "pad-no-components",
         "pad-empty-components",
         "subgroup-no-n",
@@ -216,6 +251,17 @@ _DESCEND = ["construct", "descend", "-f", "{map}", "--subspace", "{data}"]
         "descend-no-vectors",
         "descend-vector-length",
         "descend-vector-count",
+        "map-nan-coefficient",
+        "map-inf-coefficient",
+        "map-fractional-exponent",
+        "pad-nan-coefficient",
+        "pad-fractional-exponent",
+        "invariants-inf-coefficient",
+        "invariants-fractional-exponent",
+        "compose-nan-unitary",
+        "compose-nan-center",
+        "member-nan-unitary",
+        "member-nan-center",
     ],
 )
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, files):
@@ -235,7 +281,7 @@ def test_cli_missing_file_exit_code():
 
 
 def test_cli_require_proper_failure(tmp_path):
-    z1 = Polynomial.variable(2, 0)
+    z1 = Poly.variable(2, 0)
     f = polynomial_map([z1, z1])
     mp = tmp_path / "np.json"
     mp.write_text(json.dumps(f.to_dict()))
@@ -317,7 +363,7 @@ def test_cli_sample_pass_and_fail(tmp_path):
     mp = tmp_path / "map.json"
     main(["construct", "catalog", "--name", "faran-4", "-o", str(mp)])
     assert main(["sample", str(mp), "--count", "200", "-o", str(tmp_path / "s.json")]) == 0
-    z1 = Polynomial.variable(2, 0)
+    z1 = Poly.variable(2, 0)
     bad = polynomial_map([z1, z1])
     bp = tmp_path / "bad.json"
     bp.write_text(json.dumps(bad.to_dict()))
@@ -349,7 +395,7 @@ def test_cli_member_command(tmp_path):
 
 
 def test_cli_pad_command(tmp_path):
-    poly = Polynomial.monomial((1, 1))
+    poly = Poly.monomial((1, 1))
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps({"components": [poly.to_dict()]}))
     out = tmp_path / "pad.json"
@@ -362,7 +408,7 @@ def test_cli_pad_command(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_pad_refuses_non_finite_epsilon(tmp_path, value):
     pf = tmp_path / "p.json"
-    pf.write_text(json.dumps({"components": [Polynomial.monomial((1, 1)).to_dict()]}))
+    pf.write_text(json.dumps({"components": [Poly.monomial((1, 1)).to_dict()]}))
     out = tmp_path / "pad.json"
     assert main(["pad", str(pf), "--epsilon", value, "-o", str(out)]) == 2
     assert not out.exists()
@@ -513,7 +559,7 @@ def test_cli_realize_and_pad_certify_with_tol_div(tmp_path):
     assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 0
     assert main(["realize", "symmetric", "--n", "2", "--tol-div", "1e-20", "-o", str(out)]) == 3
     assert json.loads(out.read_text())["verification"]["proper"] is False
-    polys = [Polynomial.monomial((1, 1)), Polynomial.monomial((2, 0))]
+    polys = [Poly.monomial((1, 1)), Poly.monomial((2, 0))]
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps({"components": [p.to_dict() for p in polys]}))
     assert main(["pad", str(pf), "-o", str(out)]) == 0

@@ -44,9 +44,9 @@ from ballmaps.maps import (
     coefficient_matrix,
     polynomials_of_rows,
 )
-from ballmaps.polynomials import TAU_ZERO, degree_monomials, grlex_key, max_coeff_diff
+from ballmaps.polynomials import TAU_ZERO, degree_monomials, grlex_key
 
-from conftest import random_unitary
+from conftest import Poly, max_coeff_diff, poly_parts, random_unitary
 
 S3_GENERATORS = {
     "trivial": [],
@@ -96,17 +96,17 @@ def _reference_form_of(f):
 def _reference_compose_target(f, psi):
     N = f.target_dim
     L = psi.linear_part()
-    num, q = f.numerator, f.denominator
+    num, q = poly_parts(f)
     Lp = []
     for k in range(N):
-        acc = Polynomial.zero(f.n)
+        acc = Poly.zero(f.n)
         for i in range(N):
             if abs(L[k, i]) > TAU_ZERO:
                 acc = acc + num[i].scale(L[k, i])
         Lp.append(acc)
     comps = []
     for j in range(N):
-        acc = Polynomial.zero(f.n)
+        acc = Poly.zero(f.n)
         for k in range(N):
             u = psi.U[j, k]
             if abs(u) <= TAU_ZERO:
@@ -122,9 +122,9 @@ def _reference_compose_target(f, psi):
 
 
 def _reference_coords(f, basis):
-    out, num = [], f.numerator
+    out, (num, _) = [], poly_parts(f)
     for k in range(basis.shape[0]):
-        acc = Polynomial.zero(f.n)
+        acc = Poly.zero(f.n)
         for j in range(f.target_dim):
             w = complex(basis[k, j]).conjugate()
             if abs(w) > TAU_ZERO:
@@ -137,9 +137,10 @@ def _reference_descend(f, A, g):
     inside = _reference_coords(f, A.basis)
     outside = _reference_coords(f, A.orthogonal_complement_basis())
     pairs = _tensor_pair_order(len(inside), g.target_dim)
-    comps = [inside[i] * g.numerator[j] for i, j in pairs]
-    comps += [p * g.denominator for p in outside]
-    return RationalMap(comps, f.denominator * g.denominator, l=0)
+    g_num, g_den = poly_parts(g)
+    comps = [inside[i] * g_num[j] for i, j in pairs]
+    comps += [p * g_den for p in outside]
+    return RationalMap(comps, poly_parts(f)[1] * g_den, l=0)
 
 
 def _reference_lowest_order_subspace(f):
@@ -230,7 +231,7 @@ def test_descend_matches_component_loop(kind, key):
 
 
 def test_lowest_order_subspace_of_zero_map_is_refused():
-    f = RationalMap([Polynomial.zero(2)] * 2, Polynomial.constant(2, 1.0))
+    f = RationalMap([Poly.zero(2)] * 2, Poly.constant(2, 1.0))
     with pytest.raises(MapConstructionError):
         lowest_order_subspace(f)
 

@@ -47,7 +47,7 @@ from ballmaps.maps import polynomial_map_of_rows
 from ballmaps.polynomials import TAU_ZERO, grlex_monomials
 from ballmaps.realize import _support_blocks
 
-from conftest import gram_of, random_center, support_of_summand
+from conftest import Poly, gram_of, poly_parts, random_center, support_of_summand
 
 ETA = np.exp(2j * np.pi / 3)
 
@@ -60,12 +60,12 @@ def _reference_realize_subgroup(generators, n, mu=None):
     if len(group) == math.factorial(n):
         return symmetric_group_map(n)
     mu = list(range(n)) if mu is None else list(mu)
-    tau = Polynomial.constant(n, 1.0)
+    tau = Poly.constant(n, 1.0)
     for perm in group:
         exp = [0] * n
         for j in range(n):
             exp[perm[j]] = mu[j]
-        tau = tau + Polynomial.monomial(exp, 1.0)
+        tau = tau + Poly.monomial(exp, 1.0)
     pad = pad_to_proper([tau], omit_empty_degrees=True)
     k3 = sum(mu) + 1
     g1 = oplus(
@@ -78,10 +78,10 @@ def _reference_realize_subgroup(generators, n, mu=None):
 
 
 def _reference_symmetric_group_map_v2(n):
-    zs = [Polynomial.variable(n, i) for i in range(n)]
-    prod = Polynomial.constant(n, 1.0)
+    zs = [Poly.variable(n, i) for i in range(n)]
+    prod = Poly.constant(n, 1.0)
     for z in zs:
-        prod = prod * (Polynomial.constant(n, 1.0) + z)
+        prod = prod * (Poly.constant(n, 1.0) + z)
     pad = pad_to_proper([prod])
     left = tensor(polynomial_map([prod.scale(pad.epsilon)]), polynomial_map(zs))
     right = tensor(polynomial_map(list(pad.components)), tensor_power(n, n + 2))
@@ -92,7 +92,7 @@ def _reference_realize_from_invariants(invariants):
     n = invariants[0].nvars
     band = max(h.degree for h in invariants) + 1
     supports, prev, summands = [], 0, []
-    one = Polynomial.constant(n, 1.0)
+    one = Poly.constant(n, 1.0)
     for h in invariants:
         for m in range(prev + 1, prev + band + 1):
             cand = support_of_summand(h, m)
@@ -100,7 +100,7 @@ def _reference_realize_from_invariants(invariants):
                 break
         supports.append(cand)
         prev = m
-        summands.extend(tensor(polynomial_map([one + h]), tensor_power(n, m)).numerator)
+        summands.extend(poly_parts(tensor(polynomial_map([one + h]), tensor_power(n, m)))[0])
     pad = pad_to_proper(summands, omit_empty_degrees=True)
     m_final = max(q.degree for q in summands) + 1
     return oplus(
@@ -172,13 +172,13 @@ def test_realize_subgroup_matches_component_reference(name):
 
 
 INVARIANT_CASES = {
-    "sign-flip": [Polynomial.monomial((2,))],
+    "sign-flip": [Poly.monomial((2,))],
     "cyclic-three": [
-        Polynomial.monomial((3, 0)),
-        Polynomial.monomial((0, 3)),
-        Polynomial.monomial((1, 1)),
+        Poly.monomial((3, 0)),
+        Poly.monomial((0, 3)),
+        Poly.monomial((1, 1)),
     ],
-    "coordinates": [Polynomial.variable(2, i) for i in range(2)],
+    "coordinates": [Poly.variable(2, i) for i in range(2)],
 }
 INVARIANT_GROUPS = {
     "sign-flip": [np.array([[-1.0 + 0j]])],
@@ -315,7 +315,7 @@ def test_support_blocks_match_connected_components(rng):
 
 def test_factor_form_splits_disconnected_blocks():
     # blocks {z1, z1^2}, {z2, z2^2} and {z1 z2} interleave in the basis order
-    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
     h = gram_of([z1 + 1e-3 * z1 * z1, z2 + 1e-3 * z2 * z2, 1e2 * z1 * z2])
     res = factor_form(h)
     terms = np.count_nonzero(np.abs(res.positives) > TAU_ZERO, axis=1)

@@ -8,7 +8,11 @@ into polynomials, and the coefficient array and the form rebuilt from those
 polynomials.  The held array, the form, and the quotient and residual of the
 properness certificate must be bit-identical to it.  Composition with a
 source automorphism, substituted one component at a time in Polynomial
-arithmetic, must give the same monomials and coefficients to 1e-14.
+arithmetic, must give the same monomials and coefficients to 1e-14.  The
+arithmetic is the test-side oracle ``Poly`` (``conftest.py``); the library's
+``Polynomial`` has none.  The catalog fixtures, ``whitney_map`` and
+``tensor_power``, which the library writes as term tables, are built here
+from the variables by that arithmetic.
 """
 
 import functools
@@ -46,14 +50,23 @@ from ballmaps import (
     symmetric_group_map,
     symmetric_group_map_v2,
     tensor,
+    tensor_power,
+    whitney_map,
 )
-from ballmaps import maps
 from ballmaps.maps import CATALOG_NAMES, Subspace, _tensor_pair_order, stacked_coefficients
 from ballmaps.hermitian import TAU_SIG
-from ballmaps.polynomials import TAU_ZERO, grlex_key, polys_close
+from ballmaps.polynomials import TAU_ZERO, degree_monomials, grlex_key, multinomial
 from ballmaps.realize import _support_blocks
 
-from conftest import S3_GENERATORS, random_center, random_unitary, support_of_summand
+from conftest import (
+    Poly,
+    S3_GENERATORS,
+    polys_close,
+    poly_parts,
+    random_center,
+    random_unitary,
+    support_of_summand,
+)
 
 ETA = np.exp(2j * np.pi / 3)
 
@@ -82,7 +95,7 @@ class _PolynomialMap:
 
 
 def _ref_polynomial_map(components, l=0):
-    return _PolynomialMap(components, Polynomial.constant(components[0].nvars, 1.0), l)
+    return _PolynomialMap(components, Poly.constant(components[0].nvars, 1.0), l)
 
 
 def _ref_coefficient_matrix(polys):
@@ -112,17 +125,19 @@ def _ref_form(f):
 
 def _ref_tensor(f, g):
     pairs = _tensor_pair_order(f.target_dim, g.target_dim)
-    comps = [f.numerator[i] * g.numerator[j] for i, j in pairs]
-    return _PolynomialMap(comps, f.denominator * g.denominator)
+    (f_num, f_den), (g_num, g_den) = poly_parts(f), poly_parts(g)
+    comps = [f_num[i] * g_num[j] for i, j in pairs]
+    return _PolynomialMap(comps, f_den * g_den)
 
 
 def _ref_descend(f, A, g):
     monos, coeffs = _ref_coefficient_matrix(f.numerator)
     inside = _ref_rows_to_polynomials(f.n, monos, A.basis.conj() @ coeffs)
     outside = _ref_rows_to_polynomials(f.n, monos, A.orthogonal_complement_basis().conj() @ coeffs)
-    comps = [inside[i] * g.numerator[j] for i, j in _tensor_pair_order(len(inside), g.target_dim)]
-    comps += [p * g.denominator for p in outside]
-    return _PolynomialMap(comps, f.denominator * g.denominator)
+    g_num, g_den = poly_parts(g)
+    comps = [inside[i] * g_num[j] for i, j in _tensor_pair_order(len(inside), g.target_dim)]
+    comps += [p * g_den for p in outside]
+    return _PolynomialMap(comps, poly_parts(f)[1] * g_den)
 
 
 def _ref_substitute_fractional(p, numerators, denominator, degree_bound):
@@ -130,9 +145,9 @@ def _ref_substitute_fractional(p, numerators, denominator, degree_bound):
     denominator^(degree_bound - |alpha|), in Polynomial arithmetic."""
     num_power = functools.cache(lambda i, e: numerators[i] ** e)
     den_power = functools.cache(lambda e: denominator**e)
-    result = Polynomial.zero(denominator.nvars)
+    result = Poly.zero(denominator.nvars)
     for exp, coeff in p.sorted_terms():
-        term = Polynomial.constant(denominator.nvars, coeff)
+        term = Poly.constant(denominator.nvars, coeff)
         for i, e in enumerate(exp):
             if e:
                 term = term * num_power(i, e)
@@ -145,15 +160,16 @@ def _ref_substitute_fractional(p, numerators, denominator, degree_bound):
 def _ref_compose_source(f, gamma):
     """f o gamma, each component substituted on its own."""
     units = [(0,) * f.n] + [tuple(u) for u in np.eye(f.n, dtype=int).tolist()]
-    *nums, den = [Polynomial(f.n, dict(zip(units, row))) for row in gamma._affine_rows()]
+    *nums, den = [Poly(f.n, dict(zip(units, row))) for row in gamma._affine_rows()]
     P = [_ref_substitute_fractional(p, nums, den, f.degree) for p in f.numerator]
     return RationalMap(P, _ref_substitute_fractional(f.denominator, nums, den, f.degree), l=f.l)
 
 
 def _ref_oplus(f, g, weights=(1.0, 1.0)):
     assert polys_close(f.denominator, g.denominator)
-    pos = [p.scale(c) for h, c in zip((f, g), weights) for p in h.numerator[: h.m]]
-    neg = [p.scale(c) for h, c in zip((f, g), weights) for p in h.numerator[h.m :]]
+    (f_num, _), (g_num, _) = poly_parts(f), poly_parts(g)
+    pos = [p.scale(c) for h, num, c in zip((f, g), (f_num, g_num), weights) for p in num[: h.m]]
+    neg = [p.scale(c) for h, num, c in zip((f, g), (f_num, g_num), weights) for p in num[h.m :]]
     return _PolynomialMap(pos + neg, f.denominator, f.l + g.l)
 
 
@@ -169,7 +185,7 @@ def _ref_compose_target(f, psi):
 def _ref_rows_to_polynomials(nvars, monos, mat):
     present = np.abs(mat) > TAU_ZERO
     return [
-        Polynomial(nvars, dict(zip(compress(monos, keep), row[keep].tolist())))
+        Poly(nvars, dict(zip(compress(monos, keep), row[keep].tolist())))
         for row, keep in zip(mat, present)
     ]
 
@@ -224,20 +240,64 @@ def _ref_map_of_positive_form(h):
     return _ref_polynomial_map(pos)
 
 
-def _built_with_polynomial_maps(fn, *args):
-    """A library construction run with ``polynomial_map`` making reference maps."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "polynomial_map", _ref_polynomial_map)
-        return fn(*args)
+def _ref_tensor_power(n, m):
+    zs = [Poly.variable(n, i) for i in range(n)]
+    comps = []
+    for alpha in degree_monomials(n, m)[::-1]:
+        p = Poly.constant(n, 1.0)
+        for z, e in zip(zs, alpha):
+            p = p * z**e
+        comps.append(p.scale(math.sqrt(multinomial(alpha))))
+    return _ref_polynomial_map(comps)
+
+
+def _ref_whitney_map(n):
+    zs = [Poly.variable(n, i) for i in range(n)]
+    return _ref_polynomial_map(zs[:-1] + [z * zs[-1] for z in zs[:-1]] + [zs[-1] ** 2])
+
+
+def _ref_catalog(name, theta=math.pi / 4):
+    """The catalog fixture ``name`` built from the variables by dict arithmetic."""
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
+    z = Poly.variable(1, 0)
+    if name.startswith("whitney-seq-"):
+        k = int(name.rpartition("-")[2])
+        return _ref_polynomial_map([z1] + [z1 * z2**j for j in range(1, k + 1)] + [z2 ** (k + 1)])
+    r, c, s = 1.0 / math.sqrt(2.0), math.cos(theta), math.sin(theta)
+    a, b = (z1 + z2 * z2).scale(r), (z1 - z2 * z2).scale(r)
+    plus, minus = (b + z1 * z2).scale(r), (b - z1 * z2).scale(r)
+    components = {
+        "faran-1": [z1, z2, Poly.zero(2)],
+        "faran-2": [z1, z1 * z2, z2 * z2],
+        "faran-3": [z1 * z1, (z1 * z2).scale(math.sqrt(2.0)), z2 * z2],
+        "faran-4": [z1 * z1 * z1, (z1 * z2).scale(math.sqrt(3.0)), z2 * z2 * z2],
+        "example-3-1": [x1, x2, x1 * x3, x2 * x3, x3 * x3],
+        "example-7-2": [a, plus, minus * z1, minus * z2],
+        "corollary-6-2": [(z + z * z).scale(0.5), (z * z - z * z * z).scale(0.5)],
+        "example-7-4-f": [
+            x1, x2, x3.scale(c), (x1 * x3).scale(s), (x2 * x3).scale(s), (x3 * x3).scale(s),
+        ],
+        "example-7-4-g": [
+            x1.scale(c),
+            x2,
+            (x1 * x1).scale(s),
+            (x1 * x2).scale(s),
+            (x1 * x3).scale(math.sqrt(1.0 + s * s)),
+            x2 * x3,
+            x3 * x3,
+        ],
+    }
+    return _ref_polynomial_map(components[name])
 
 
 def _ref_symmetric_group_map(n):
-    zs = [Polynomial.variable(n, i) for i in range(n)]
+    zs = [Poly.variable(n, i) for i in range(n)]
     pair_block = [zs[j] * zs[k] for j in range(n) for k in range(j + 1, n)]
     z_map = _ref_polynomial_map(zs)
     pair_map = _ref_polynomial_map([q.scale(math.sqrt(2.0)) for q in pair_block])
     g = _ref_oplus(_ref_tensor(pair_map, z_map), _ref_polynomial_map([z * z for z in zs]))
-    affine = Polynomial.constant(n, 1.0)
+    affine = Poly.constant(n, 1.0)
     for z in zs:
         affine = affine + z
     eps, comps = _ref_pad([affine])
@@ -249,9 +309,9 @@ def _ref_symmetric_group_map(n):
 
 
 def _ref_symmetric_group_map_v2(n):
-    prod = Polynomial.constant(n, 1.0)
+    prod = Poly.constant(n, 1.0)
     for i in range(n):
-        prod = prod * (Polynomial.constant(n, 1.0) + Polynomial.variable(n, i))
+        prod = prod * (Poly.constant(n, 1.0) + Poly.variable(n, i))
     _, scaled, remainder = _ref_padding([prod])
     positive = scaled * norm_power_form(n, 1) + remainder * norm_power_form(n, n + 2)
     return _ref_map_of_positive_form(positive)
@@ -262,12 +322,12 @@ def _ref_realize_subgroup(generators, n):
     if len(group) == math.factorial(n):
         return _ref_symmetric_group_map(n)
     mu = list(range(n))
-    tau = Polynomial.constant(n, 1.0)
+    tau = Poly.constant(n, 1.0)
     for perm in group:
         exp = [0] * n
         for j in range(n):
             exp[perm[j]] = mu[j]
-        tau = tau + Polynomial.monomial(exp, 1.0)
+        tau = tau + Poly.monomial(exp, 1.0)
     _, scaled, remainder = _ref_padding([tau], omit_empty_degrees=True)
     f_sym = _ref_symmetric_group_map(n)
     padded = scaled + remainder * norm_power_form(n, sum(mu) + 1)
@@ -279,7 +339,7 @@ def _ref_realize_from_invariants(invariants):
     n = invariants[0].nvars
     band = max(h.degree for h in invariants) + 1
     supports, prev, summands = [], 0, []
-    one = Polynomial.constant(n, 1.0)
+    one = Poly.constant(n, 1.0)
     for h in invariants:
         for m in range(prev + 1, prev + band + 1):
             cand = support_of_summand(h, m)
@@ -287,8 +347,8 @@ def _ref_realize_from_invariants(invariants):
                 break
         supports.append(cand)
         prev = m
-        power = _built_with_polynomial_maps(maps.tensor_power, n, m)
-        summands.extend(_ref_tensor(_ref_polynomial_map([one + h]), power).numerator)
+        block = _ref_tensor(_ref_polynomial_map([one + h]), _ref_tensor_power(n, m))
+        summands.extend(block.numerator)
     _, scaled, remainder = _ref_padding(summands, omit_empty_degrees=True)
     m_final = max(q.degree for q in summands) + 1
     positive = scaled + remainder * norm_power_form(n, m_final)
@@ -315,7 +375,30 @@ def _assert_bit_identical(f, ref):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_catalog_fixture_is_bit_identical(name):
-    _assert_bit_identical(catalog(name), _built_with_polynomial_maps(maps.catalog, name))
+    _assert_bit_identical(catalog(name), _ref_catalog(name))
+
+
+@pytest.mark.parametrize(
+    "name,theta",
+    [(f"whitney-seq-{k}", math.pi / 4) for k in (7, 40)]
+    + [
+        (f"example-7-4-{family}", theta)
+        for family in "fg"
+        for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2, -0.7)
+    ],
+)
+def test_catalog_family_is_bit_identical(name, theta):
+    _assert_bit_identical(catalog(name, theta), _ref_catalog(name, theta))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_whitney_map_is_bit_identical(n):
+    _assert_bit_identical(whitney_map(n), _ref_whitney_map(n))
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 1), (2, 4), (3, 2), (4, 3)])
+def test_tensor_power_is_bit_identical(n, m):
+    _assert_bit_identical(tensor_power(n, m), _ref_tensor_power(n, m))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -336,9 +419,9 @@ def test_s3_realization_is_bit_identical(name):
 
 def test_realization_from_invariants_is_bit_identical():
     invariants = [
-        Polynomial.monomial((3, 0)),
-        Polynomial.monomial((0, 3)),
-        Polynomial.monomial((1, 1)),
+        Poly.monomial((3, 0)),
+        Poly.monomial((0, 3)),
+        Poly.monomial((1, 1)),
     ]
     f = realize_from_invariants(invariants, [np.diag([ETA, ETA**2])])
     _assert_bit_identical(f, _ref_realize_from_invariants(invariants))
@@ -349,9 +432,9 @@ def test_rescaling_rounds_as_polynomial_arithmetic(q0):
     # every coefficient is multiplied by 1 / q(0); the 1.5e-13 coefficient
     # falls below TAU_ZERO only after the rescaling, and 1 / (-2) = -0.5 - 0i
     # gives -0.0 imaginary parts, which a Polynomial holds as +0.0
-    z1, z2 = (Polynomial.variable(2, i) for i in range(2))
+    z1, z2 = (Poly.variable(2, i) for i in range(2))
     numerator = [z1 + z2.scale(1.5e-13), (z1 * z2).scale(0.7 - 0.2j), z2 * z2]
-    denominator = Polynomial.constant(2, q0) + z1.scale(0.3j)
+    denominator = Poly.constant(2, q0) + z1.scale(0.3j)
     _assert_bit_identical(
         RationalMap(numerator, denominator), _PolynomialMap(numerator, denominator)
     )
@@ -360,12 +443,12 @@ def test_rescaling_rounds_as_polynomial_arithmetic(q0):
 @pytest.mark.parametrize("name", ["faran-4", "example-3-1", "example-7-4-g"])
 def test_target_composition_and_weights_are_bit_identical(name):
     rng = np.random.default_rng(7)
-    f, ref = catalog(name), _built_with_polynomial_maps(maps.catalog, name)
+    f, ref = catalog(name), _ref_catalog(name)
     N = f.target_dim
     psi = BallAutomorphism(random_unitary(rng, N), random_center(rng, N, 0.4))
     _assert_bit_identical(compose_target(f, psi), _ref_compose_target(ref, psi))
     weights = (0.6, 0.8j)
-    g, ref_g = catalog("faran-1"), _built_with_polynomial_maps(maps.catalog, "faran-1")
+    g, ref_g = catalog("faran-1"), _ref_catalog("faran-1")
     if f.n == g.n:
         _assert_bit_identical(oplus(f, g, weights), _ref_oplus(ref, ref_g, weights))
 
@@ -529,7 +612,7 @@ def test_constructions_build_no_polynomial(monkeypatch):
     subspaces = [
         Subspace.from_vectors(f.target_dim, rng.standard_normal((2, f.target_dim))) for f in maps_
     ]
-    invariants = [Polynomial.monomial(e) for e in ((3, 0), (0, 3), (1, 1))]
+    invariants = [Poly.monomial(e) for e in ((3, 0), (0, 3), (1, 1))]
     built = []
     init = Polynomial.__init__
 
@@ -551,4 +634,7 @@ def test_constructions_build_no_polynomial(monkeypatch):
     symmetric_group_map(3)
     symmetric_group_map_v2(3)
     realize_from_invariants(invariants, [np.diag([ETA, ETA**2])])
+    for name in CATALOG_NAMES + ("whitney-seq-40",):
+        catalog(name)
+    whitney_map(4)
     assert not built

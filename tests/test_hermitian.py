@@ -29,7 +29,7 @@ from ballmaps import (
 from ballmaps.maps import CATALOG_NAMES
 from ballmaps.polynomials import grlex_monomials
 
-from conftest import gram_of, random_center, random_unitary
+from conftest import Poly, gram_of, random_center, random_unitary
 
 
 def rho_plus_one(n):
@@ -89,7 +89,7 @@ def test_form_of_cubic_planar_map():
     # |z1^3|^2 + 3|z1 z2|^2 + |z2^3|^2 - 1 == (rho+1)^3 - 1 - 3 rho |z1 z2|^2
     h = form_of(catalog("faran-4"))
     one = HermitianForm.constant(2, 1.0)
-    cross = gram_of([Polynomial.monomial((1, 1))])
+    cross = gram_of([Poly.monomial((1, 1))])
     expected = form_power(rho_plus_one(2), 3) - one - (sphere_form(2) * cross).scale(3.0)
     assert h.max_entry_diff(expected) <= 1e-12
 
@@ -103,7 +103,7 @@ def test_tensor_power_form_is_norm_power(n, m):
 
 
 def test_form_of_generalized_target_signs():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     f = polynomial_map([z, z], l=1)
     h = form_of(f)
     # |z|^2 - |z|^2 - 1 = -1
@@ -132,7 +132,7 @@ def test_quotient_of_norm_fourth_minus_one():
 
 def test_quotient_detects_non_vanishing():
     # |z1|^2 - 1 in two variables does not vanish on the sphere
-    h = gram_of([Polynomial.variable(2, 0)]) - HermitianForm.constant(2, 1.0)
+    h = gram_of([Poly.variable(2, 0)]) - HermitianForm.constant(2, 1.0)
     r = quotient_by_sphere(h).residual
     assert r > 0.1
 
@@ -157,7 +157,7 @@ def test_is_proper_accepts_catalog_entry():
 
 
 def test_is_proper_rejects_duplicated_component():
-    z1 = Polynomial.variable(2, 0)
+    z1 = Poly.variable(2, 0)
     cert = is_proper(polynomial_map([z1, z1]))
     assert not cert.proper
     assert cert.residual > 0.1
@@ -198,7 +198,7 @@ def test_signature_of_identity_form():
 
 
 def test_signature_of_cancelling_generalized_map():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     f = polynomial_map([z, z], l=1)
     sig = signature(form_of(f))
     assert sig.rank == 1 and sig.negative == 1
@@ -210,8 +210,8 @@ def test_hermitian_rank_of_planar_whitney():
 
 
 def test_image_rank_examples():
-    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    f = polynomial_map([z1, z2, Polynomial.zero(2)])
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    f = polynomial_map([z1, z2, Poly.zero(2)])
     assert image_rank(f) == 2
     assert image_rank(catalog("faran-3")) == 3
     for k in (1, 2, 3):
@@ -219,7 +219,7 @@ def test_image_rank_examples():
 
 
 def test_image_rank_rejects_generalized_targets():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     with pytest.raises(ValueError):
         image_rank(polynomial_map([z, z], l=1))
 

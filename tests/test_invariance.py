@@ -10,7 +10,6 @@ from ballmaps import (
     BallAutomorphism,
     CapabilityError,
     GroupClosureError,
-    Polynomial,
     block_partition,
     catalog,
     compose_automorphisms,
@@ -47,7 +46,7 @@ from ballmaps import invariance
 from ballmaps.invariance import TorusSubgroup
 from ballmaps.maps import CATALOG_NAMES, MapConstructionError
 
-from conftest import S3_GENERATORS, random_center, random_diagonal_unitary, random_unitary
+from conftest import Poly, S3_GENERATORS, random_center, random_diagonal_unitary, random_unitary
 
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
@@ -76,7 +75,7 @@ def test_identity_map_accepts_any_center(rng):
 
 
 def test_square_map_rejects_disc_move():
-    f = polynomial_map([Polynomial.monomial((2,), 1.0)])
+    f = polynomial_map([Poly.monomial((2,), 1.0)])
     assert not membership(f, BallAutomorphism(np.eye(1), [0.5])).member
 
 
@@ -110,7 +109,7 @@ def test_membership_conjugation_covariance(rng):
 
 
 def test_membership_generalized_target_unitary_only():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     f = polynomial_map([z, z * z, z * z], l=1)
     assert membership(f, unitary_automorphism(np.eye(1))).member
     with pytest.raises(MapConstructionError):
@@ -120,8 +119,8 @@ def test_membership_generalized_target_unitary_only():
 def test_unitary_that_flips_the_form_is_not_a_member():
     # |z1|^2 - |z2|^2 changes sign when z1 and z2 swap: the forms are
     # proportional, but a unitary member needs the constant 1
-    z1, z2 = (Polynomial.variable(2, i) for i in range(2))
-    f = polynomial_map([Polynomial.constant(2, 1.0), z1, z2], l=1)
+    z1, z2 = (Poly.variable(2, i) for i in range(2))
+    f = polynomial_map([Poly.constant(2, 1.0), z1, z2], l=1)
     res = membership(f, permutation_automorphism([1, 0]))
     assert not res.member
     assert res.c_gamma == -1.0 and res.deviation == 0.0

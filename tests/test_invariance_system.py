@@ -44,7 +44,7 @@ from ballmaps.invariance import _expansions
 from ballmaps.maps import CATALOG_NAMES, MapConstructionError
 from ballmaps.polynomials import TAU_ZERO, grlex_key
 
-from conftest import random_center, random_unitary
+from conftest import Poly, random_center, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +52,15 @@ from conftest import random_center, random_unitary
 # ---------------------------------------------------------------------------
 def _reference_homogenize(p, degree):
     terms = {exp + (degree - sum(exp),): c for exp, c in p.terms.items()}
-    return Polynomial(p.nvars + 1, terms)
+    return Poly(p.nvars + 1, terms)
 
 
 def _reference_substitute_fractional(p, numerators, denominator, degree_bound):
     """sum over terms coeff(alpha) prod_i numerators[i]^alpha_i
     denominator^(degree_bound - |alpha|), in Polynomial arithmetic."""
-    result = Polynomial.zero(denominator.nvars)
+    result = Poly.zero(denominator.nvars)
     for exp, coeff in p.sorted_terms():
-        term = Polynomial.constant(denominator.nvars, coeff)
+        term = Poly.constant(denominator.nvars, coeff)
         for i, e in enumerate(exp):
             if e:
                 term = term * numerators[i] ** e
@@ -80,8 +80,8 @@ def _reference_grouped_substitution(hat, n1):
             exp[i] = 1
             exp[n1 + i * n1 + j] = 1
             terms[tuple(exp)] = 1.0
-        w.append(Polynomial(total, terms))
-    one = Polynomial.constant(total, 1.0)
+        w.append(Poly(total, terms))
+    one = Poly.constant(total, 1.0)
     composed = _reference_substitute_fractional(hat, w, one, hat.degree)
     grouped = {}
     for exp, coeff in composed.terms.items():

@@ -25,7 +25,6 @@ from ballmaps import (
     juxtapose_lambda,
     juxtapose_theta,
     lowest_order_subspace,
-    max_coeff_diff,
     oplus,
     polynomial_map,
     tensor,
@@ -34,7 +33,7 @@ from ballmaps import (
 )
 from ballmaps.maps import CATALOG_NAMES
 
-from conftest import gram_of, random_center, random_unitary
+from conftest import Poly, gram_of, max_coeff_diff, random_center, random_unitary
 
 
 def maps_equal(f: RationalMap, g: RationalMap, tol=1e-12) -> bool:
@@ -49,10 +48,10 @@ def maps_equal(f: RationalMap, g: RationalMap, tol=1e-12) -> bool:
 # normalization
 # ---------------------------------------------------------------------------
 def test_rational_map_scales_constant_denominator():
-    z = Polynomial.variable(1, 0)
-    f = RationalMap([z], Polynomial.constant(1, 2.0))
+    z = Poly.variable(1, 0)
+    f = RationalMap([z], Poly.constant(1, 2.0))
     assert max_coeff_diff(f.numerator[0], z.scale(0.5)) < 1e-15
-    assert max_coeff_diff(f.denominator, Polynomial.constant(1, 1.0)) < 1e-15
+    assert max_coeff_diff(f.denominator, Poly.constant(1, 1.0)) < 1e-15
 
 
 def test_identity_map_shape():
@@ -61,7 +60,7 @@ def test_identity_map_shape():
 
 
 def test_denominator_vanishing_at_zero_rejected():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     with pytest.raises(MapConstructionError):
         RationalMap([z], z)
 
@@ -120,6 +119,27 @@ def test_non_unitary_rejected():
         BallAutomorphism(np.array([[2.0]]), [0.0])
 
 
+@pytest.mark.parametrize(
+    "U,a",
+    [
+        ([[math.nan, 0.0], [0.0, 1.0]], None),
+        ([[1.0, 0.0], [0.0, 1.0j * math.inf]], None),
+        (np.eye(2), [math.nan, 0.0]),
+        (np.eye(2), [0.1, complex(0.0, -math.inf)]),
+    ],
+)
+def test_non_finite_automorphism_rejected(U, a):
+    # NaN passes neither the unitarity nor the in-ball comparison as a failure
+    with pytest.raises(MapConstructionError):
+        BallAutomorphism(U, a)
+
+
+def test_catalog_refuses_a_non_finite_angle():
+    for theta in (math.nan, math.inf):
+        with pytest.raises(MapConstructionError):
+            catalog("example-7-4-g", theta)
+
+
 def test_compose_and_inverse_automorphisms(rng):
     for _ in range(5):
         g1 = BallAutomorphism(random_unitary(rng, 2), random_center(rng, 2))
@@ -136,7 +156,7 @@ def test_compose_and_inverse_automorphisms(rng):
 # ---------------------------------------------------------------------------
 def test_compose_source_square_with_disc_move():
     # frozen by hand expansion: numerator (1/2 - z)^2, denominator (1 - z/2)^2
-    f = polynomial_map([Polynomial.monomial((2,), 1.0)])
+    f = polynomial_map([Poly.monomial((2,), 1.0)])
     gamma = BallAutomorphism(np.eye(1), [0.5])
     g = compose_source(f, gamma)
     num_expected = Polynomial(1, {(0,): 0.25, (1,): -1.0, (2,): 1.0})
@@ -188,7 +208,7 @@ def test_compose_target_unitary_keeps_denominator(rng):
 
 
 def test_compose_target_rejects_generalized_targets():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     f = polynomial_map([z, z], l=1)
     with pytest.raises(MapConstructionError):
         compose_target(f, BallAutomorphism(np.eye(2), [0.1, 0.0]))
@@ -208,7 +228,7 @@ def test_tensor_of_identity_with_itself():
 
 def test_tensor_with_constant_one_is_identity():
     f = catalog("faran-2")
-    one = polynomial_map([Polynomial.constant(2, 1.0)])
+    one = polynomial_map([Poly.constant(2, 1.0)])
     assert form_of(tensor(f, one)).max_entry_diff(form_of(f)) < 1e-12
 
 
@@ -238,7 +258,7 @@ def test_tensor_requires_matching_source():
 def test_juxtaposition_form_identity():
     # J_{pi/4} of the two planar degree-2 maps equals the weighted pair
     # (sqrt2/2)(z1^2, sqrt2 z1 z2, z2^2) (+) (sqrt2/2)(z1, z2) up to target unitary
-    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
     f = polynomial_map([z1, z1 * z2, z2 * z2])
     g = polynomial_map([z1 * z1, z1 * z2, z2])
     j = juxtapose_theta(f, g, math.pi / 4)
@@ -251,7 +271,7 @@ def test_juxtapose_theta_zero_keeps_first_map():
     f = catalog("faran-2")
     g = catalog("faran-3")
     j = juxtapose_theta(f, g, 0.0)
-    assert maps_equal(j, oplus(f, polynomial_map([Polynomial.zero(2)] * 3)))
+    assert maps_equal(j, oplus(f, polynomial_map([Poly.zero(2)] * 3)))
 
 
 def test_juxtapose_lambda_tensor_powers():
@@ -280,7 +300,7 @@ def test_juxtapose_rejects_mixed_denominators():
 
 
 def test_oplus_signature_layout():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     f = polynomial_map([z, z * z], l=1)  # (m, l) = (1, 1)
     g = polynomial_map([z * z * z, z], l=1)
     h = oplus(f, g)
@@ -372,7 +392,7 @@ def test_juxtapose_lambda_of_proper_maps_is_proper(rng):
 
 def test_compose_source_rejects_denominator_pole_at_center(rng):
     # a rational (non-proper) map whose denominator vanishes at the center
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     den = Polynomial(1, {(0,): 1.0, (1,): -1.0 / 0.3})
     f = RationalMap([z], den)
     with pytest.raises(MapConstructionError):
@@ -387,7 +407,7 @@ def test_descend_dimension_mismatch():
 
 
 def test_generalized_map_json_round_trip():
-    z = Polynomial.variable(1, 0)
+    z = Poly.variable(1, 0)
     f = polynomial_map([z, z * z, z], l=1)
     g = RationalMap.from_dict(f.to_dict())
     assert (g.m, g.l) == (2, 1)

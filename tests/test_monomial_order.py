@@ -271,3 +271,60 @@ def test_ordering_guard_flags_each_pattern():
     assert sorted(_ordering_sites(ast.parse(source))) == [
         (1, "grlex_key"), (2, "grlex_key"), (3, "index dict"), (4, "index dict"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Polynomial is an input/output view: no arithmetic in the package
+# ---------------------------------------------------------------------------
+_ARITHMETIC = {"__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__"}
+
+
+def _polynomial_arithmetic_sites(tree):
+    """Arithmetic dunders defined or assigned in the body of Polynomial or of a
+    class deriving from it, or assigned onto Polynomial from outside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and "Polynomial" in (
+            node.name, *(getattr(b, "id", getattr(b, "attr", None)) for b in node.bases)
+        ):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                else:
+                    names = [getattr(t, "id", None) for t in getattr(item, "targets", [])]
+                yield from ((item.lineno, name) for name in names if name in _ARITHMETIC)
+        if isinstance(node, ast.Assign):
+            yield from (
+                (node.lineno, t.attr)
+                for t in node.targets
+                if isinstance(t, ast.Attribute)
+                and t.attr in _ARITHMETIC
+                and getattr(t.value, "id", None) == "Polynomial"
+            )
+
+
+def test_polynomial_defines_no_arithmetic():
+    package = Path(ballmaps.__file__).parent
+    found = {
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.rglob("*.py"))
+        for line, name in _polynomial_arithmetic_sites(ast.parse(path.read_text()))
+    }
+    assert not found
+    assert not [name for name in _ARITHMETIC if hasattr(ballmaps.Polynomial, name)]
+
+
+def test_arithmetic_guard_flags_each_pattern():
+    source = (
+        "class Polynomial:\n"
+        "    def __add__(self, other): ...\n"
+        "class Poly(polynomials.Polynomial):\n"
+        "    __rmul__ = scale\n"
+        "Polynomial.__pow__ = power\n"
+        "class HermitianForm:\n"
+        "    def __mul__(self, other): ...\n"
+    )
+    assert sorted(_polynomial_arithmetic_sites(ast.parse(source))) == [
+        (2, "__add__"), (4, "__rmul__"), (5, "__pow__"),
+    ]
+    conftest = Path(__file__).with_name("conftest.py").read_text()
+    assert {name for _, name in _polynomial_arithmetic_sites(ast.parse(conftest))} == _ARITHMETIC

@@ -17,7 +17,6 @@ from ballmaps import (
     BallAutomorphism,
     CapabilityError,
     HermitianForm,
-    Polynomial,
     RationalMap,
     catalog,
     close_permutation_group,
@@ -28,7 +27,6 @@ from ballmaps import (
     permutation_automorphism,
     permutation_stabilizer,
     polynomial_map,
-    polys_close,
     symmetric_group_map,
     tensor,
     tensor_power,
@@ -39,7 +37,7 @@ from ballmaps.invariance import _form_search, strict_permutation_stabilizer
 from ballmaps.maps import CATALOG_NAMES
 from ballmaps.polynomials import TAU_EQ, TAU_ZERO
 
-from conftest import random_center, random_unitary
+from conftest import Poly, poly_parts, polys_close, random_center, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +72,13 @@ def reference_form_stabilizer(h, tol=TAU_EQ):
 
 
 def reference_strict_stabilizer(f, tol=TAU_EQ):
+    num, den = poly_parts(f)
     return [
         perm
         for perm in itertools.permutations(range(f.n))
         if all(
             polys_close(p.permute_variables(perm), p, tol)
-            for p in list(f.numerator) + [f.denominator]
+            for p in [*num, den]
         )
     ]
 
@@ -92,7 +91,7 @@ def search_form_stabilizer(h, tol=TAU_EQ):
 # random construction chains
 # ---------------------------------------------------------------------------
 def _variables(n):
-    return [Polynomial.variable(n, i) for i in range(n)]
+    return [Poly.variable(n, i) for i in range(n)]
 
 
 def _symmetric_pairs_map(n):
@@ -106,7 +105,7 @@ def _symmetric_pairs_map(n):
 def _power_sums_map(n):
     """Components z_0^k + ... + z_{n-1}^k: each one is symmetric."""
     z = _variables(n)
-    sums = [sum((x**k for x in z), Polynomial.zero(n)) for k in (1, 2)]
+    sums = [sum((x**k for x in z), Poly.zero(n)) for k in (1, 2)]
     return polynomial_map([p.scale(0.5 / n) for p in sums])
 
 
@@ -153,7 +152,8 @@ def construction_chains(draw):
     ending = draw(st.sampled_from(["plain", "offset", "generalized"]))
     if ending == "offset":
         # 0.6 (+) 0.8 f, written over f's own denominator
-        comps = [f.denominator.scale(0.6)] + [p.scale(0.8) for p in f.numerator]
+        num, den = poly_parts(f)
+        comps = [den.scale(0.6)] + [p.scale(0.8) for p in num]
         f = RationalMap(comps, f.denominator, l=f.l)
     elif ending == "generalized":
         extra = _variables(n)[0].scale(0.5)
@@ -200,7 +200,7 @@ def test_strict_search_at_the_tolerance_boundary(f, scale_of_cut, pick):
         return
     exp = sorted(p.terms)[pick % len(p.terms)]
     delta = scale_of_cut * TAU_EQ * max(1.0, p.max_abs_coeff())
-    comps[r] = p + Polynomial.monomial(exp, delta)
+    comps[r] = Poly.of(p) + Poly.monomial(exp, delta)
     g = RationalMap(comps, f.denominator, l=f.l)
     assert strict_permutation_stabilizer(g) == reference_strict_stabilizer(g)
 
@@ -252,7 +252,7 @@ def test_eight_variables_with_a_small_stabilizer():
 
 def test_exponents_overflowing_the_monomial_keys_are_refused():
     # keys read exponent vectors in base D + 1: 301**8 exceeds int64
-    f = polynomial_map([Polynomial.monomial([300] + [0] * 7)])
+    f = polynomial_map([Poly.monomial([300] + [0] * 7)])
     with pytest.raises(CapabilityError):
         permutation_stabilizer(f)
     with pytest.raises(CapabilityError):

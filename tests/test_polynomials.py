@@ -1,4 +1,5 @@
-"""Polynomial core: arithmetic, evaluation, fractional substitution."""
+"""Polynomial core: input checks, evaluation, fractional substitution, and the
+test-side arithmetic oracle ``Poly``."""
 
 import numpy as np
 import pytest
@@ -9,45 +10,45 @@ from ballmaps.polynomials import (
     Polynomial,
     grlex_key,
     grlex_monomials,
-    max_coeff_diff,
     multinomial,
-    polys_close,
     substitute_fractional,
 )
 from ballmaps.maps import polynomials_of_rows
 
+from conftest import Poly, max_coeff_diff, polys_close
+
 
 def poly_from(nvars, terms):
-    return Polynomial(nvars, terms)
+    return Poly(nvars, terms)
 
 
 # ---------------------------------------------------------------------------
 # arithmetic basics
 # ---------------------------------------------------------------------------
 def test_single_term_product():
-    z1 = Polynomial.variable(2, 0)
-    z2 = Polynomial.variable(2, 1)
+    z1 = Poly.variable(2, 0)
+    z2 = Poly.variable(2, 1)
     assert (z1 * z2).terms == {(1, 1): 1.0 + 0.0j}
 
 
 def test_cancellation_yields_zero():
-    one = Polynomial.constant(1, 1.0)
-    z = Polynomial.variable(1, 0)
+    one = Poly.constant(1, 1.0)
+    z = Poly.variable(1, 0)
     p = (one + z) + (one + z).scale(-1.0)
     assert p.is_zero()
     assert p.degree == 0
 
 
 def test_scale_by_imaginary_unit():
-    p = Polynomial.monomial((2,), 1.0).scale(1j)
+    p = Poly.monomial((2,), 1.0).scale(1j)
     assert p.terms == {(2,): 1j}
 
 
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
-        Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
+        Poly.variable(2, 0) + Poly.variable(3, 0)
     with pytest.raises(ValueError):
-        Polynomial.variable(2, 0) * Polynomial.variable(1, 0)
+        Poly.variable(2, 0) * Poly.variable(1, 0)
 
 
 def test_tiny_coefficients_are_pruned():
@@ -59,22 +60,22 @@ def test_tiny_coefficients_are_pruned():
 # evaluation
 # ---------------------------------------------------------------------------
 def test_evaluate_product_monomial():
-    p = Polynomial.monomial((1, 1), 1.0)
+    p = Poly.monomial((1, 1), 1.0)
     assert p.evaluate([2.0, 3.0]) == pytest.approx(6.0)
 
 
 def test_evaluate_affine_at_imaginary_point():
-    p = Polynomial.constant(1, 1.0) + Polynomial.variable(1, 0)
+    p = Poly.constant(1, 1.0) + Poly.variable(1, 0)
     assert p.evaluate([1j]) == pytest.approx(1 + 1j)
 
 
 def test_evaluate_zero_polynomial():
-    assert Polynomial.zero(3).evaluate([1.0, 2.0, 3.0]) == 0.0
+    assert Poly.zero(3).evaluate([1.0, 2.0, 3.0]) == 0.0
 
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
-        Polynomial.variable(2, 0).evaluate([1.0])
+        Poly.variable(2, 0).evaluate([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -93,28 +94,28 @@ def test_substitute_fractional_one_variable():
     # p = z^2 with numerator 1/2 - z over denominator 1 - z/2, bound 2.
     # Expected coefficients frozen from the independent convolution oracle:
     # numpy.convolve([0.5, -1], [0.5, -1]) == [0.25, -1.0, 1.0].
-    p = Polynomial.monomial((2,), 1.0)
+    p = Poly.monomial((2,), 1.0)
     result = _substitute(p, [[0.5, -1.0], [1.0, -0.5]], 2)
     oracle = np.convolve([0.5, -1.0], [0.5, -1.0])
-    expected = Polynomial(1, {(k,): oracle[k] for k in range(3)})
+    expected = Poly(1, {(k,): oracle[k] for k in range(3)})
     assert max_coeff_diff(result, expected) < 1e-14
 
 
 def test_substitute_identity():
-    p = Polynomial.variable(1, 0)
+    p = Poly.variable(1, 0)
     out = _substitute(p, [[0.0, 1.0], [1.0, 0.0]], 1)
     assert out == p
 
 
 def test_substitute_constant_picks_up_denominator_power():
-    p = Polynomial.constant(1, 1.0)
-    den = Polynomial(1, {(0,): 1.0, (1,): -0.5})
+    p = Poly.constant(1, 1.0)
+    den = Poly(1, {(0,): 1.0, (1,): -0.5})
     out = _substitute(p, [[0.0, 1.0], [1.0, -0.5]], 3)
     assert max_coeff_diff(out, den**3) < 1e-14
 
 
 def test_substitute_degree_bound_too_small():
-    p = Polynomial.monomial((2,), 1.0)
+    p = Poly.monomial((2,), 1.0)
     with pytest.raises(ValueError):
         _substitute(p, [[0.0, 1.0], [1.0, 0.0]], 1)
 
@@ -126,7 +127,7 @@ def test_substitute_identity_on_random_polys(rng):
         for _ in range(4):
             exp = tuple(int(e) for e in rng.integers(0, 3, size=nvars))
             terms[exp] = complex(rng.standard_normal(), rng.standard_normal())
-        p = Polynomial(nvars, terms)
+        p = Poly(nvars, terms)
         # w_i = z_i over w_0 = 1
         idents = np.vstack([np.eye(nvars, nvars + 1, 1), np.eye(1, nvars + 1)])
         out = _substitute(p, idents, p.degree)
@@ -150,7 +151,7 @@ def sparse_polys(draw, nvars=2, max_terms=4, max_exp=3):
             draw(st.integers(0, max_exp)) for _ in range(nvars)
         )
         terms[exp] = draw(coeff_st)
-    return Polynomial(nvars, terms)
+    return Poly(nvars, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,12 +189,48 @@ def test_grlex_ordering():
 
 
 def test_permute_variables_matches_composition():
-    p = Polynomial(3, {(2, 1, 0): 2.0, (0, 0, 1): 1j})
+    p = Poly(3, {(2, 1, 0): 2.0, (0, 0, 1): 1j})
     perm = (1, 2, 0)
     q = p.permute_variables(perm)
     point = np.array([0.3 + 0.1j, -0.4, 0.2j])
     permuted_point = np.array([point[perm[i]] for i in range(3)])
     assert q.evaluate(point) == pytest.approx(p.evaluate(permuted_point))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): float("nan")},
+        {(1, 0): complex(0.0, float("inf"))},
+        {(1.5, 0): 1.0},
+        {(float("inf"), 0): 1.0},
+        {(float("nan"), 0): 1.0},
+        {("1", 0): 1.0},
+        {(1, -1): 1.0},
+        {(1,): 1.0},
+    ],
+)
+def test_constructor_refuses_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        Polynomial(2, terms)
+
+
+def test_constructor_accepts_integral_float_exponents():
+    assert Polynomial(2, {(2.0, 0): 1.0}).terms == {(2, 0): 1.0 + 0.0j}
+
+
+def test_from_dict_sums_repeated_exponents():
+    data = {
+        "nvars": 2,
+        "terms": [
+            {"exp": [1, 0], "re": 0.5},
+            {"exp": [0, 1], "re": 1.0},
+            {"exp": [1, 0], "im": 2.0},
+        ],
+    }
+    assert Polynomial.from_dict(data).terms == {(1, 0): 0.5 + 2j, (0, 1): 1.0 + 0j}
+    cancelling = {"nvars": 1, "terms": [{"exp": [1], "re": 0.5}, {"exp": [1], "re": -0.5}]}
+    assert Polynomial.from_dict(cancelling).is_zero()
 
 
 def test_json_round_trip_and_order():
@@ -211,8 +248,8 @@ def test_multinomial():
 
 
 def test_power_and_close():
-    z = Polynomial.variable(1, 0)
-    p = (Polynomial.constant(1, 1.0) + z) ** 3
+    z = Poly.variable(1, 0)
+    p = (Poly.constant(1, 1.0) + z) ** 3
     assert p.coefficient((1,)) == pytest.approx(3.0)
     assert p.coefficient((2,)) == pytest.approx(3.0)
     assert polys_close(p, p)

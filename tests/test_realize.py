@@ -8,7 +8,6 @@ import pytest
 from ballmaps import (
     TAU_SIG,
     MapConstructionError,
-    Polynomial,
     catalog,
     close_permutation_group,
     diagonal_stabilizer,
@@ -36,7 +35,7 @@ from ballmaps import (
     unitary_automorphism,
 )
 
-from conftest import S3_GENERATORS, gram_of
+from conftest import Poly, S3_GENERATORS, gram_of
 
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
@@ -67,7 +66,7 @@ def test_factor_cubic_form_signature_split():
 def test_factor_reconstruction_random(rng):
     for _ in range(4):
         polys = [
-            Polynomial(2, {tuple(rng.integers(0, 3, 2)): complex(*rng.standard_normal(2))})
+            Poly(2, {tuple(rng.integers(0, 3, 2)): complex(*rng.standard_normal(2))})
             for _ in range(3)
         ]
         h = gram_of(polys, [1.0, 1.0, -1.0])
@@ -80,13 +79,13 @@ def test_factor_reconstruction_random(rng):
 # ---------------------------------------------------------------------------
 def test_pad_pair_monomial_with_forced_epsilon():
     # (2/3)|z1 z2|^2 + (1/3)(1 + |z|^2 + |z1|^4 + |z2|^4) = (1/3)(1 + |z|^2 + |z|^4)
-    p = [Polynomial.monomial((1, 1))]
+    p = [Poly.monomial((1, 1))]
     pad = pad_to_proper(p, epsilon=math.sqrt(2.0 / 3.0))
     assert pad.powers == (0, 1, 2)
     assert all(lam == pytest.approx(1.0 / math.sqrt(3.0)) for lam in pad.lambdas)
-    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
     expected = gram_of(
-        [Polynomial.constant(2, 1.0), z1, z2, z1 * z1, z2 * z2]
+        [Poly.constant(2, 1.0), z1, z2, z1 * z1, z2 * z2]
     ).scale(1.0 / 3.0)
     assert gram_of(list(pad.components)).max_entry_diff(expected) < 1e-10
     assert pad == pad_to_proper(p, epsilon=math.sqrt(2.0 / 3.0))
@@ -97,7 +96,7 @@ def test_pad_pair_monomial_with_forced_epsilon():
 
 
 def test_pad_empty_map():
-    pad = pad_to_proper([Polynomial.zero(2)])
+    pad = pad_to_proper([Poly.zero(2)])
     assert pad.powers == (0,)
     assert len(pad.components) == 1
     assert pad.components[0].degree == 0
@@ -105,14 +104,14 @@ def test_pad_empty_map():
 
 def test_pad_map_whose_gram_form_is_below_the_zero_threshold():
     # |1e-8 z1|^2 has its one entry below TAU_ZERO, so the Gram form is empty
-    p = [Polynomial(2, {(1, 0): 1e-8})]
+    p = [Poly(2, {(1, 0): 1e-8})]
     pad = pad_to_proper(p)
     assert pad.epsilon == 1.0
     assert is_proper(padded_map(p, pad)).proper
 
 
 def test_pad_affine_map():
-    p = [Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})]
+    p = [Poly(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})]
     pad = pad_to_proper(p)
     mapped = padded_map(p, pad)
     assert is_proper(mapped).proper
@@ -124,7 +123,7 @@ def test_pad_affine_map():
 def test_pad_reconstruction_identity_holds(rng):
     for _ in range(3):
         p = [
-            Polynomial(2, {tuple(rng.integers(0, 3, 2)): complex(*rng.standard_normal(2))})
+            Poly(2, {tuple(rng.integers(0, 3, 2)): complex(*rng.standard_normal(2))})
             for _ in range(2)
         ]
         pad = pad_to_proper(p)
@@ -136,7 +135,7 @@ def test_pad_reconstruction_identity_holds(rng):
 
 
 def test_pad_omit_empty_degrees():
-    p = [Polynomial.monomial((1, 1))]
+    p = [Poly.monomial((1, 1))]
     pad = pad_to_proper(p, omit_empty_degrees=True)
     assert pad.powers == (2,)
     mapped = padded_map(p, pad)
@@ -145,19 +144,19 @@ def test_pad_omit_empty_degrees():
 
 def test_pad_rejects_oversized_epsilon():
     with pytest.raises(MapConstructionError):
-        pad_to_proper([Polynomial.monomial((1, 1))], epsilon=10.0)
+        pad_to_proper([Poly.monomial((1, 1))], epsilon=10.0)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_pad_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(MapConstructionError, match="not finite"):
-        pad_to_proper([Polynomial.monomial((1, 1))], epsilon=epsilon)
+        pad_to_proper([Poly.monomial((1, 1))], epsilon=epsilon)
 
 
 def _affine(n):
-    affine = Polynomial.constant(n, 1.0)
+    affine = Poly.constant(n, 1.0)
     for j in range(n):
-        affine = affine + Polynomial.variable(n, j)
+        affine = affine + Poly.variable(n, j)
     return affine
 
 
@@ -166,17 +165,17 @@ def _pad_input(kind, n):
     and a tau of realize_subgroup with the exponents (1..n) in place of (0..n-1) (at
     n = 2 those would make tau affine): the monomial z^(1..n) averaged over the cyclic
     group of the n-cycle, plus 1."""
-    one = Polynomial.constant(n, 1.0)
+    one = Poly.constant(n, 1.0)
     if kind == "affine":
         return [_affine(n)], False
     if kind == "product":
         prod = one
         for j in range(n):
-            prod = prod * (one + Polynomial.variable(n, j))
+            prod = prod * (one + Poly.variable(n, j))
         return [prod], False
     tau = one
     for perm in close_permutation_group([[*range(1, n), 0]], n):
-        tau = tau + Polynomial.monomial([perm.index(j) + 1 for j in range(n)], 1.0)
+        tau = tau + Poly.monomial([perm.index(j) + 1 for j in range(n)], 1.0)
     return [tau], True
 
 
@@ -373,7 +372,7 @@ def test_realize_subgroup_of_s4(name):
 # realization from invariants
 # ---------------------------------------------------------------------------
 def test_realize_sign_flip_group_on_disc():
-    zsq = Polynomial.monomial((2,))
+    zsq = Poly.monomial((2,))
     f = realize_from_invariants([zsq], [np.array([[-1.0 + 0j]])])
     assert is_proper(f).proper
     d = diagonal_stabilizer(f)
@@ -382,9 +381,9 @@ def test_realize_sign_flip_group_on_disc():
 
 
 def test_realize_cyclic_three_group():
-    z1cubed = Polynomial.monomial((3, 0))
-    z2cubed = Polynomial.monomial((0, 3))
-    cross = Polynomial.monomial((1, 1))
+    z1cubed = Poly.monomial((3, 0))
+    z2cubed = Poly.monomial((0, 3))
+    cross = Poly.monomial((1, 1))
     f = realize_from_invariants([z1cubed, z2cubed, cross], [CUBE_ROOTS_DIAG])
     assert is_proper(f).proper
     assert membership(f, unitary_automorphism(CUBE_ROOTS_DIAG)).member
@@ -392,14 +391,14 @@ def test_realize_cyclic_three_group():
 
 
 def test_realize_trivial_group_from_coordinates():
-    invs = [Polynomial.variable(2, i) for i in range(2)]
+    invs = [Poly.variable(2, i) for i in range(2)]
     f = realize_from_invariants(invs, [])
     assert is_proper(f).proper
     assert diagonal_stabilizer(f).is_trivial
 
 
 def test_realize_rejects_nonvanishing_invariants():
-    bad = Polynomial.constant(1, 1.0) + Polynomial.variable(1, 0)
+    bad = Poly.constant(1, 1.0) + Poly.variable(1, 0)
     with pytest.raises(MapConstructionError):
         realize_from_invariants([bad], [])
 
@@ -407,7 +406,7 @@ def test_realize_rejects_nonvanishing_invariants():
 def test_strict_stabilizer_of_realized_sign_flip():
     # the output form has the order-2 lattice even though the map itself is
     # only Hermitian-invariant, not strictly invariant
-    zsq = Polynomial.monomial((2,))
+    zsq = Poly.monomial((2,))
     f = realize_from_invariants([zsq], [np.array([[-1.0 + 0j]])])
     s = strict_stabilizer(f)
     assert s.diagonal.order in (1, 2)
@@ -420,7 +419,7 @@ def test_strict_stabilizer_of_realized_sign_flip():
 def test_pairwise_product_block_admits_only_diag_perm_symmetries(rng):
     # |p o U|^2 = |p|^2 for p = (z_j z_k)_{j<k} holds for diagonal-times-
     # permutation unitaries and fails for generic rotations
-    zs = [Polynomial.variable(3, i) for i in range(3)]
+    zs = [Poly.variable(3, i) for i in range(3)]
     p = polynomial_map([zs[j] * zs[k] for j in range(3) for k in range(j + 1, 3)])
     h = gram_of(list(p.numerator))
     from ballmaps import compose_source, permutation_automorphism
