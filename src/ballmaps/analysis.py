@@ -32,7 +32,7 @@ from .invariance import (
     strict_stabilizer,
 )
 from .maps import RationalMap, stacked_coefficients
-from .polynomials import TAU_EQ, monomial_values
+from .polynomials import TAU_EQ, exponent_array, monomial_values
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +58,15 @@ class SphereSampleResult:
         }
 
 
-#: Component rows the sampler evaluates at once: no components-by-points array.
+#: Component rows the sampler evaluates at once in each block of points, so
+#: no array grows with both the components and the points.
 _ROW_BLOCK = 2048
+
+#: (monomial, point) values the sampler evaluates at once: the points go in
+#: blocks of _POINT_BLOCK // monomials, a 256 KiB complex array that stays in
+#: cache on a large map, while a catalog fixture (at most 8 monomials) takes
+#: its 1000 points in one block.
+_POINT_BLOCK = 1 << 14
 
 
 def sphere_sample_check(
@@ -68,20 +75,30 @@ def sphere_sample_check(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> SphereSampleResult:
-    """Sample |f|^2_l - 1 on the unit sphere (normalized complex Gaussians)."""
+    """Sample |f|^2_l - 1 on the unit sphere (normalized complex Gaussians).
+
+    The points are evaluated in blocks of ``_POINT_BLOCK // monomials``, and
+    each block's |f|^2_l is summed over ``_ROW_BLOCK`` component rows at a
+    time; every point's value is the same however the points are blocked.
+    """
     if count < 1:
         raise ValueError("at least one sample is required")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, f.n)) + 1j * rng.standard_normal((count, f.n))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     monos, A = stacked_coefficients(f)
-    vals = monomial_values(monos, z).T  # the monomials x points array the kernel built
+    exps = exponent_array(monos, f.n)
+    A = A.astype(complex)  # the product with the complex values, cast once
     signs = np.array([1.0] * f.m + [-1.0] * f.l)
-    num_norm = np.zeros(count)
-    for start in range(0, f.target_dim, _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, f.target_dim))
-        num_norm += (signs[rows, None] * (np.abs(A[rows] @ vals) ** 2)).sum(axis=0)
-    qabs = np.abs(A[-1] @ vals)
+    num_norm, qabs = np.zeros(count), np.empty(count)
+    step = max(1, _POINT_BLOCK // len(monos))
+    for lo in range(0, count, step):
+        block = slice(lo, lo + step)
+        vals = monomial_values(exps, z[block]).T  # the monomials x points array the kernel built
+        for start in range(0, f.target_dim, _ROW_BLOCK):
+            rows = slice(start, min(start + _ROW_BLOCK, f.target_dim))
+            num_norm[block] += (signs[rows, None] * (np.abs(A[rows] @ vals) ** 2)).sum(axis=0)
+        qabs[block] = np.abs(A[-1] @ vals)
     min_q = float(np.min(qabs))
     if min_q <= 1e-12:
         return SphereSampleResult(math.inf, False, count, tol, seed, min_q)

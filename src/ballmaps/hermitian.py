@@ -24,6 +24,8 @@ from .polynomials import (
     MonomialKeys,
     MultiIndex,
     TAU_ZERO,
+    checked_coefficient,
+    checked_exponent,
     degree_monomials,
     exponent_array,
     find_sorted,
@@ -31,6 +33,7 @@ from .polynomials import (
     grlex_order,
     grlex_sums,
     grlex_union,
+    held_array,
     monomial_values,
     multinomial,
     row_products,
@@ -43,8 +46,8 @@ TAU_DIV = 1e-9
 TAU_SIG = 1e-8
 
 #: Division by the sphere is refused above this many (x-simplex cell, torus
-#: class) entries: its two complex arrays take 16 bytes an entry each, so at
-#: 2^25 entries they hold 1 GiB together.
+#: class) entries: its two arrays take 16 bytes an entry each when complex, so
+#: at 2^25 entries they hold 1 GiB together (half that when real).
 MAX_DIVISION_CELLS = 2**25
 
 
@@ -54,6 +57,8 @@ class HermitianForm:
     ``basis[i]`` is the multi-index of the i-th monomial and ``mat[i, j]`` is
     the coefficient of z^basis[i] * conj(z^basis[j]).  The constructor sorts and
     symmetrizes; a slice, real multiple, sum or difference is held as formed.
+    A matrix whose imaginary part is exactly zero is held as float64, any
+    other as complex128 (:func:`ballmaps.polynomials.held_array`).
     """
 
     __slots__ = ("nvars", "basis", "mat")
@@ -62,7 +67,7 @@ class HermitianForm:
         exps = exponent_array(basis, nvars)
         order = grlex_order(exps)
         basis = tuple(map(tuple, exps[order].tolist()))
-        mat = np.asarray(mat, dtype=complex)
+        mat = np.asarray(mat)
         if mat.shape != (len(basis), len(basis)):
             raise ValueError("matrix shape does not match basis size")
         if (order != np.arange(len(order))).any():
@@ -70,6 +75,7 @@ class HermitianForm:
         self._hold(nvars, basis, 0.5 * (mat + mat.conj().T))
 
     def _hold(self, nvars: int, basis: tuple[MultiIndex, ...], mat: np.ndarray) -> None:
+        mat = held_array(mat)
         mat.setflags(write=False)
         for name, value in zip(self.__slots__, (nvars, basis, mat)):
             object.__setattr__(self, name, value)
@@ -87,16 +93,20 @@ class HermitianForm:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, nvars: int) -> "HermitianForm":
-        return cls(nvars, [], np.zeros((0, 0), dtype=complex))
+        return cls(nvars, [], np.zeros((0, 0)))
 
     @classmethod
     def from_entries(
         cls, nvars: int, entries: Mapping[tuple[MultiIndex, MultiIndex], complex]
     ) -> "HermitianForm":
-        pairs = [(tuple(a), tuple(b)) for a, b in entries]
+        """The form with entry c at (alpha, beta) for each item.  Exponents
+        must be non-negative integers and entries finite; anything else
+        raises ``ValueError``."""
+        pairs = [(checked_exponent(a, nvars), checked_exponent(b, nvars)) for a, b in entries]
+        values = [checked_coefficient(c, at) for at, c in zip(pairs, entries.values())]
         basis, (rows, cols) = grlex_union([a for a, _ in pairs], [b for _, b in pairs])
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for i, j, c in zip(rows.tolist(), cols.tolist(), entries.values()):
+        for i, j, c in zip(rows.tolist(), cols.tolist(), values):
             if abs(c) > TAU_ZERO:
                 mat[i, j] += 0.5 * c
                 mat[j, i] += 0.5 * complex(c).conjugate()
@@ -160,7 +170,7 @@ class HermitianForm:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
         basis, positions = grlex_union(self.basis, other.basis)
-        out = np.zeros((2, len(basis), len(basis)), dtype=complex)
+        out = np.zeros((2, len(basis), len(basis)), dtype=np.result_type(self.mat, other.mat))
         for embedded, h, at in zip(out, (self, other), positions):
             embedded[np.ix_(at, at)] = h.mat
         return basis, out[0], out[1]
@@ -185,6 +195,8 @@ class HermitianForm:
         above TAU_ZERO, so every entry is summed in the order of the pairs
         of entries (a, b) of self, (c, d) of other.  Rows and columns run
         over the same sums of a monomial of each basis (:func:`grlex_sums`).
+        The product's dense matrix is the accumulator of :func:`row_products`,
+        so it is refused with :class:`CapabilityError` above that budget.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
@@ -219,8 +231,7 @@ class HermitianForm:
         nvars = int(data["nvars"])
         entries: dict[tuple[MultiIndex, MultiIndex], complex] = {}
         for item in data.get("entries", []):
-            a = tuple(int(e) for e in item["alpha"])
-            b = tuple(int(e) for e in item["beta"])
+            a, b = tuple(item["alpha"]), tuple(item["beta"])
             c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
             entries[(a, b)] = entries.get((a, b), 0.0) + c
             if a != b:
@@ -269,7 +280,7 @@ def _norm_power_sum(nvars: int, lambdas: Sequence[float], powers: Sequence[int])
         for lam, m in zip(lambdas, powers)
         for alpha in degree_monomials(nvars, m)
     ]
-    return HermitianForm(nvars, basis, np.diag(np.array(diagonal, dtype=complex)))
+    return HermitianForm(nvars, basis, np.diag(diagonal))
 
 
 def gram_form(
@@ -282,11 +293,11 @@ def gram_form(
 
     ``A`` holds one coefficient row per polynomial p_k over the graded-lex
     monomials ``monos`` (see :func:`ballmaps.maps.coefficient_matrix`); the
-    form is the product A^T S conj(A) with the diagonal sign matrix S.
+    form is the product A^T S conj(A) with the diagonal sign matrix S, real
+    when A is (a quarter of the flops of a complex product).
     """
     sgn = np.ones(len(A)) if signs is None else np.asarray(signs, dtype=float)
-    if not A.imag.any():
-        A = A.real  # a real product takes a quarter of the flops of a complex one
+    A = held_array(A)
     gram = A.T @ (sgn[:, None] * A.conj())
     return HermitianForm(nvars, monos, gram).compressed()
 
@@ -334,7 +345,8 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     of degree < D - max(|delta+|, |delta-|).  All classes are held in one
     (x-simplex x classes) array and run one cell degree at a time, with one
     gather per variable; every entry is summed in the same order as a dense
-    recursion over the pairs of monomials would sum it.  Cells and classes
+    recursion over the pairs of monomials would sum it.  The arrays take the
+    dtype of h, so a real form divides in real arithmetic.  Cells and classes
     are keyed by :class:`MonomialKeys` in base D + 1, a class by the pair
     (key(delta+), key(delta-)).  A division whose array would exceed
     MAX_DIVISION_CELLS entries raises :class:`CapabilityError` before it is
@@ -393,7 +405,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
 
     # the recursion, and the remainder h + u - sum_i u[c - e_i] of each cell
     # from the same gathers: class delta has a remainder up to its bound
-    H = np.zeros((len(keys), len(first)), dtype=complex)
+    H = np.zeros((len(keys), len(first)), dtype=h.mat.dtype)
     H[index_of(monomial_keys.keys(cells)), cls] = h.mat[rows, cols]
     U = np.zeros_like(H)
     residual = 0.0
@@ -427,7 +439,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
         position = np.cumsum(kept) - 1
         inside = kept[row] & kept[col]
         i, j = position[row[inside]], position[col[inside]]
-        mat = np.zeros((kept.sum(),) * 2, dtype=complex)
+        mat = np.zeros((kept.sum(),) * 2, dtype=U.dtype)
         mat[i, j] = values[inside]
         return HermitianForm(n, monomial_keys.exponents(monos[kept]).tolist(), mat)
 

@@ -27,6 +27,7 @@ from .polynomials import (
     degree_monomials,
     exponent_array,
     grlex_union,
+    held_array,
     monomial_values,
     multinomial,
     row_products,
@@ -49,8 +50,9 @@ class RationalMap:
         n: source dimension.
         m, l: positive / negative target signature counts (N = m + l).
         monos: the graded-lex sorted monomials with a coefficient.
-        coeffs: read-only complex (N + 1) x len(monos) array, one row per
-            numerator component and the denominator, 1 at the origin, last.
+        coeffs: read-only (N + 1) x len(monos) array, one row per numerator
+            component and the denominator, 1 at the origin, last; float64
+            when its imaginary part is exactly zero, else complex128.
 
     ``numerator`` and ``denominator`` are Polynomial views built on access.
     """
@@ -83,15 +85,17 @@ class RationalMap:
     def _hold(self, n: int, monos: Sequence[MultiIndex], coeffs: np.ndarray, l: int) -> None:
         """Hold the rows pruned (:func:`pruned_rows`) and, unless q(0) = 1,
         multiplied by 1 / q(0), each product rounded by :func:`times`, and
-        pruned again."""
+        pruned again; real when the imaginary part is exactly zero
+        (:func:`ballmaps.polynomials.held_array`)."""
         if not 0 <= l < len(coeffs):
             raise MapConstructionError(f"invalid negative-signature count l={l}")
         monos, coeffs = pruned_rows(monos, coeffs)
-        q0 = complex(coeffs[-1, 0]) if monos and not any(monos[0]) else 0j
+        q0 = coeffs[-1, 0].item() if monos and not any(monos[0]) else 0.0
         if abs(q0) <= TAU_ZERO:
             raise MapConstructionError("denominator vanishes at the origin")
         if abs(q0 - 1.0) > TAU_ZERO:
             monos, coeffs = pruned_rows(monos, times(coeffs, 1.0 / q0))
+        coeffs = held_array(coeffs)
         coeffs.setflags(write=False)
         values = (n, len(coeffs) - 1 - l, l, tuple(monos), coeffs, None)
         for name, value in zip(self.__slots__, values):
@@ -208,8 +212,9 @@ def pruned_rows(
 ) -> tuple[list[MultiIndex], np.ndarray]:
     """:func:`coefficient_matrix` of :func:`polynomials_of_rows`: entries at or
     below TAU_ZERO zeroed, -0.0 parts made +0.0 (the ``0j + c`` of
-    :class:`Polynomial`) and the monomials without an entry dropped."""
-    rows = np.array(rows, dtype=complex)
+    :class:`Polynomial`) and the monomials without an entry dropped.  Real
+    rows stay real."""
+    rows = np.array(rows, dtype=np.result_type(rows, float))
     rows += 0.0
     rows[np.abs(rows) <= TAU_ZERO] = 0.0
     keep = rows.any(axis=0)
@@ -502,7 +507,8 @@ def _juxtapose(maps: Sequence[RationalMap], weights: Sequence[complex]) -> Ratio
     if any(f.n != maps[0].n for f in maps):
         raise MapConstructionError("orthogonal sum requires a common source dimension")
     monos, positions = grlex_union(*(f.monos for f in maps))
-    arrays = [np.zeros((len(f.coeffs), len(monos)), dtype=complex) for f in maps]
+    dtype = np.result_type(*(f.coeffs for f in maps))
+    arrays = [np.zeros((len(f.coeffs), len(monos)), dtype=dtype) for f in maps]
     for f, A, at in zip(maps, arrays, positions):
         A[:, at] = f.coeffs
     den = arrays[0][-1]

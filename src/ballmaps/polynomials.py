@@ -16,7 +16,8 @@ union of exponent-tuple lists with each list's positions in it),
 refusal), :func:`find_sorted` (lookup of keys in a sorted table),
 :func:`monomial_values` (monomials evaluated at points) and
 :func:`row_products` (products of coefficient rows, each complex product
-rounded by :func:`times`).
+rounded by :func:`times`).  :func:`held_array` is the one dtype rule of the
+arrays that forms and maps hold: real unless an imaginary part is nonzero.
 """
 
 from __future__ import annotations
@@ -103,14 +104,34 @@ def monomial_values(monos: Sequence[Sequence[int]], points: np.ndarray) -> np.nd
     return vals.T
 
 
+def held_array(a) -> np.ndarray:
+    """The one dtype rule of held coefficient arrays: ``a`` as contiguous
+    float64 when its imaginary part is exactly zero, else as complex128."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        if a.imag.any():
+            return np.ascontiguousarray(a, dtype=complex)
+        a = a.real
+    return np.ascontiguousarray(a, dtype=float)
+
+
 #: Coefficient products formed at once by :func:`row_products`.
 _PRODUCT_CHUNK = 1 << 20
+
+#: Bytes of the dense product array :func:`row_products` may allocate (the
+#: form product's result is that array, and its constructor symmetrizes it in
+#: two more of the same size); a larger product raises :class:`CapabilityError`.
+MAX_PRODUCT_BYTES = 1 << 28
 
 
 def times(a, b) -> np.ndarray:
     """a * b elementwise, each entry rounded as the Python complex product is
-    (numpy's complex multiply may fuse the multiply and add)."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    (numpy's complex multiply may fuse the multiply and add).  Real operands
+    give the real product, which is that product's real part."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return np.multiply(a, b, dtype=float)
+    a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -163,7 +184,10 @@ def row_products(
     over them.  Each product of two nonzero coefficients is rounded by
     :func:`times` and added in the order (pair, left column, right column),
     as dict arithmetic over the rows' terms in column order adds it; the
-    pairs are taken in chunks of at most ``_PRODUCT_CHUNK`` products.
+    pairs are taken in chunks of at most ``_PRODUCT_CHUNK`` products.  The
+    product rows are real when both operands are, and a product array above
+    ``MAX_PRODUCT_BYTES`` raises :class:`CapabilityError` before it is
+    allocated.
     """
     (left_monos, left), (right_monos, right) = left, right
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -176,7 +200,14 @@ def row_products(
     lstart = np.searchsorted(lrow, np.arange(len(left) + 1))
     rstart = np.searchsorted(rrow, np.arange(len(right) + 1))
     nl, nr = np.diff(lstart), np.diff(rstart)
-    acc = np.zeros((int(targets.max(initial=-1)) + 1, len(exps)), dtype=complex)
+    dtype = np.result_type(left, right, float)
+    shape = (int(targets.max(initial=-1)) + 1, len(exps))
+    if shape[0] * shape[1] * dtype.itemsize > MAX_PRODUCT_BYTES:
+        raise CapabilityError(
+            f"a {shape[0]} x {shape[1]} {dtype} product array exceeds the budget "
+            f"MAX_PRODUCT_BYTES = {MAX_PRODUCT_BYTES}"
+        )
+    acc = np.zeros(shape, dtype=dtype)
     step = max(1, _PRODUCT_CHUNK // max(1, int(nl.max(initial=0) * nr.max(initial=0))))
     for start in range(0, len(pairs), step):
         (i, j), at = pairs[start : start + step].T, targets[start : start + step]
@@ -209,6 +240,30 @@ def grlex_monomials(nvars: int, max_degree: int) -> list[MultiIndex]:
     return [a for t in range(max_degree + 1) for a in degree_monomials(nvars, t)]
 
 
+def checked_exponent(exp: Sequence, nvars: int) -> MultiIndex:
+    """``exp`` as an exponent tuple of ``nvars`` non-negative integers
+    (integral floats are accepted); anything else raises ``ValueError``."""
+    try:
+        key = tuple(map(int, exp))
+    except OverflowError as exc:
+        raise ValueError(f"non-finite exponent in {exp}") from exc
+    if key != tuple(exp):
+        raise ValueError(f"non-integer exponent in {exp}")
+    if len(key) != nvars:
+        raise ValueError(f"exponent {key} has length {len(key)}, expected {nvars}")
+    if any(e < 0 for e in key):
+        raise ValueError(f"negative exponent in {key}")
+    return key
+
+
+def checked_coefficient(coeff, at) -> complex:
+    """``coeff`` as a complex number; a non-finite one raises ``ValueError``."""
+    c = complex(coeff)
+    if not cmath.isfinite(c):
+        raise ValueError(f"coefficient {c} of {at} is not finite")
+    return c
+
+
 class Polynomial:
     """Immutable sparse polynomial with complex coefficients: the input and
     output view of coefficient rows.
@@ -228,19 +283,8 @@ class Polynomial:
             raise ValueError(f"nvars must be non-negative, got {nvars}")
         clean: dict[MultiIndex, complex] = {}
         for exp, coeff in (terms or {}).items():
-            try:
-                key = tuple(map(int, exp))
-            except OverflowError as exc:
-                raise ValueError(f"non-finite exponent in {exp}") from exc
-            if key != tuple(exp):
-                raise ValueError(f"non-integer exponent in {exp}")
-            if len(key) != nvars:
-                raise ValueError(f"exponent {key} has length {len(key)}, expected {nvars}")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            c = complex(coeff)
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient {c} of {key} is not finite")
+            key = checked_exponent(exp, nvars)
+            c = checked_coefficient(coeff, key)
             clean[key] = clean.get(key, 0.0 + 0.0j) + c
         clean = {e: c for e, c in clean.items() if abs(c) > TAU_ZERO}
         object.__setattr__(self, "nvars", nvars)

@@ -117,7 +117,9 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
     labels = _support_blocks(support)
     for label in np.unique(labels[support.any(axis=1)]):
         idx = np.flatnonzero(labels == label)
-        block = h.mat[np.ix_(idx, idx)]
+        # complex on purpose: a real eigh picks other bases inside degenerate
+        # eigenspaces, which gives unitarily equivalent but different components
+        block = h.mat[np.ix_(idx, idx)].astype(complex)
         d = np.sqrt(np.max(np.abs(block), axis=1))
         eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
         keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
@@ -193,8 +195,10 @@ def _padding(
         raise MapConstructionError(f"supplied epsilon {eps} is not finite")
     if epsilon is None and b.size:
         _, (_, at) = grlex_union(target.basis, b.basis)
-        s = 1.0 / np.sqrt(target.mat.real.diagonal()[at])
-        eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
+        s = 1.0 / np.sqrt(target.mat.diagonal()[at])
+        # complex on purpose: a real eigvalsh rounds eps differently, which
+        # moves every padded construction
+        eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat.astype(complex) * s)[-1])
     scaled = b.scale(eps * eps)
     remainder = target - scaled
     floor = -1e-8 * max(1.0, target.max_abs())

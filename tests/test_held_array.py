@@ -191,12 +191,13 @@ def _ref_rows_to_polynomials(nvars, monos, mat):
 
 
 def _ref_factor(h, tol_sig=TAU_SIG):
+    # the scaled block and its eigh are complex, as in the library
     support = np.abs(h.mat) > TAU_ZERO
     pos, neg = [], []
     labels = _support_blocks(support)
     for label in np.unique(labels[support.any(axis=1)]):
         idx = np.flatnonzero(labels == label)
-        block = h.mat[np.ix_(idx, idx)]
+        block = h.mat[np.ix_(idx, idx)].astype(complex)
         d = np.sqrt(np.max(np.abs(block), axis=1))
         eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
         keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
@@ -210,7 +211,8 @@ def _ref_factor(h, tol_sig=TAU_SIG):
 def _ref_padding(p, omit_empty_degrees=False):
     """(epsilon, eps^2 |p|^2, remainder R - eps^2 |p|^2) of the closed-form
     padding: epsilon is half of eps_sup = 1 / sqrt(lambda_max(D^-1/2 B D^-1/2)),
-    D the diagonal of the target R."""
+    D the diagonal of the target R, read off a complex eigvalsh as in the
+    library."""
     nvars = p[0].nvars
     nonzero = [q for q in p if not q.is_zero()]
     powers = list(range(max(q.degree for q in p) + 1))
@@ -223,7 +225,7 @@ def _ref_padding(p, omit_empty_degrees=False):
         target = target + norm_power_form(nvars, m).scale(lam * lam)
     b = _ref_gram(nonzero)
     s = 1.0 / np.sqrt([target.entry(mono, mono).real for mono in b.basis])
-    eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
+    eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat.astype(complex) * s)[-1])
     scaled = b.scale(eps * eps)
     return eps, scaled, target - scaled
 
@@ -358,18 +360,24 @@ def _ref_realize_from_invariants(invariants):
 # ---------------------------------------------------------------------------
 # bit-identical maps, forms and certificates
 # ---------------------------------------------------------------------------
+def _complex_bytes(x):
+    """The bytes of an array as complex128: a real array held for a complex
+    one with a zero imaginary part compares equal exactly when its values do."""
+    return np.asarray(x, dtype=complex).tobytes()
+
+
 def _assert_bit_identical(f, ref):
     monos, A = _ref_coefficient_matrix(ref.numerator + (ref.denominator,))
     assert (f.n, f.m, f.l) == (ref.n, ref.m, ref.l)
     assert list(f.monos) == monos
-    assert f.coeffs.shape == A.shape and f.coeffs.tobytes() == A.tobytes()
+    assert f.coeffs.shape == A.shape and _complex_bytes(f.coeffs) == _complex_bytes(A)
     h, ref_h = form_of(f), _ref_form(ref)
-    assert h.basis == ref_h.basis and h.mat.tobytes() == ref_h.mat.tobytes()
+    assert h.basis == ref_h.basis and _complex_bytes(h.mat) == _complex_bytes(ref_h.mat)
     cert = is_proper(f)
     division = quotient_by_sphere(ref_h)
     quotient, residual = division.quotient, division.residual
     assert cert.quotient.basis == quotient.basis
-    assert cert.quotient.mat.tobytes() == quotient.mat.tobytes()
+    assert _complex_bytes(cert.quotient.mat) == _complex_bytes(quotient.mat)
     assert np.float64(cert.residual).tobytes() == np.float64(residual).tobytes()
 
 
@@ -522,7 +530,7 @@ def test_construction_chains_hold_the_array_of_their_views(seed, steps, draw):
     for step in steps:
         f = _step(f, step, rng)
         monos, A = _ref_coefficient_matrix(f.numerator + (f.denominator,))
-        assert list(f.monos) == monos and f.coeffs.tobytes() == A.tobytes()
+        assert list(f.monos) == monos and _complex_bytes(f.coeffs) == _complex_bytes(A)
         g = RationalMap.from_dict(f.to_dict())
         assert g.monos == f.monos and g.coeffs.tobytes() == f.coeffs.tobytes()
 

@@ -323,6 +323,29 @@ def test_form_json_round_trip():
     assert back.max_entry_diff(h) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"alpha": [1.5], "beta": [1.5], "re": 1.0},
+        {"alpha": [1], "beta": [0.5], "re": 1.0},
+        {"alpha": [float("nan")], "beta": [0], "re": 1.0},
+        {"alpha": [-1], "beta": [0], "re": 1.0},
+        {"alpha": [1, 0], "beta": [1], "re": 1.0},
+        {"alpha": [0], "beta": [0], "re": float("nan")},
+        {"alpha": [1], "beta": [0], "re": 1.0, "im": float("inf")},
+    ],
+)
+def test_form_from_dict_refuses_malformed_entries(entry):
+    # a fractional exponent used to be truncated and a NaN entry dropped
+    data = {"nvars": 1, "entries": [{"alpha": [1], "beta": [1], "re": 1.0}, entry]}
+    with pytest.raises(ValueError):
+        HermitianForm.from_dict(data)
+    at = (tuple(entry["alpha"]), tuple(entry["beta"]))
+    value = complex(entry["re"], entry.get("im", 0.0))
+    with pytest.raises(ValueError):
+        HermitianForm.from_entries(1, {((1,), (1,)): 1.0, at: value})
+
+
 def test_rho_expansion_linear_coefficient_closed_form(rng):
     # B_1 = sum_j c_j prod_{k != j} omega_k, with omega built independently
     # from the automorphism denominators

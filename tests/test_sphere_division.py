@@ -159,11 +159,10 @@ sys.exit(main(["realize", "subgroup", "--group", sys.argv[1], "-o", sys.argv[2]]
 """
 
 
-def test_cli_certifies_c4_within_3gb(tmp_path):
-    # the division of the C_4 = <(1 2 3 0)> map has 9.7 M entries, within the budget
+def _realize_capped(tmp_path, n, generators, timeout):
     pytest.importorskip("resource")
     spec, out = tmp_path / "group.json", tmp_path / "out.json"
-    spec.write_text(json.dumps({"n": 4, "generators": [[1, 2, 3, 0]]}))
+    spec.write_text(json.dumps({"n": n, "generators": generators}))
     src = os.path.dirname(os.path.dirname(ballmaps.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -172,8 +171,23 @@ def test_cli_certifies_c4_within_3gb(tmp_path):
         env=env,
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
+    return done, out
+
+
+def test_cli_certifies_c4_within_3gb(tmp_path):
+    # the division of the C_4 = <(1 2 3 0)> map has 9.7 M entries, within the budget
+    done, out = _realize_capped(tmp_path, 4, [[1, 2, 3, 0]], timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(out.read_text())["verification"]
     assert summary["proper"] is True and summary["matches_requested_group"] is True
+
+
+def test_cli_refuses_c5_within_3gb(tmp_path):
+    # the product of the C_5 = <(1 2 3 4 0)> remainder with |z|^22 needs a
+    # dense 14,015 x 14,015 array (1.46 GiB real), which used to end in MemoryError
+    done, out = _realize_capped(tmp_path, 5, [[1, 2, 3, 4, 0]], timeout=120)
+    assert done.returncode == 4, done.stderr
+    assert "MAX_PRODUCT_BYTES" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
