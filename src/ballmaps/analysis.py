@@ -111,7 +111,7 @@ def sphere_sample_check(
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class AnalysisBundle:
-    map_data: dict
+    map: RationalMap
     proper: ProperResult
     signature: Signature
     hermitian_rank: int
@@ -122,6 +122,11 @@ class AnalysisBundle:
     consistent: bool
     tolerances: dict
     notes: tuple[str, ...]
+
+    @property
+    def map_data(self) -> dict:
+        """The analyzed map as JSON data, written on each read."""
+        return self.map.to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +177,7 @@ def analyze_map(
     if f.is_polynomial(tol_eq):
         chain = sorted(power_chain_check(f, tol_eq))
     return AnalysisBundle(
-        f.to_dict(),
+        f,
         proper,
         sig,
         h_rank,

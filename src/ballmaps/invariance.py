@@ -135,14 +135,18 @@ class _PermutationSearch:
     sigma sends z^alpha to the monomial carrying alpha_i at position
     sigma(i), and keeps support entry (r, c) when |A[r, c] - A[sigma r,
     sigma c]| <= ``cut`` (one bound, or one per row), where a permuted
-    monomial outside the basis reads 0.
+    monomial outside the basis reads 0.  A form's matrix is exactly
+    Hermitian, so the test at (c, r) is the conjugate of the test at (r, c)
+    and only the support entries with r <= c are tested.
 
     Each monomial is keyed by :class:`MonomialKeys` (its exponent vector read
     in base D + 1, D the largest exponent), so a permuted monomial is found by
-    binary search.  The depth of a monomial or entry is 1 + the largest
-    variable index it uses: once the images of variables 0..k-1 are fixed, so
-    are exactly the monomials and entries of depth <= k.  Both are stored
-    sorted by depth, so each level of the search reads one slice.
+    binary search.  A is read through a zero-padded flat copy with one extra
+    row and column, where a permuted monomial outside the basis lands, so a
+    target is one gather.  The depth of a monomial or entry is 1 + the
+    largest variable index it uses: once the images of variables 0..k-1 are
+    fixed, so are exactly the monomials and entries of depth <= k.  Both are
+    stored sorted by depth, so each level of the search reads one slice.
     """
 
     def __init__(
@@ -153,17 +157,23 @@ class _PermutationSearch:
         cut: float | np.ndarray,
         permute_rows: bool,
     ):
-        rows, cols = np.nonzero(np.abs(array) > TAU_ZERO)
+        support = np.abs(array) > TAU_ZERO
+        rows, cols = np.nonzero(np.triu(support) if permute_rows else support)
         values, cut = array[rows, cols], np.broadcast_to(cut, len(array))[rows]
         exps = exponent_array(basis, n)
         monomial_keys = MonomialKeys(n, exps.max(initial=0))
         self.n = n
-        self.array = array
         self.permute_rows = permute_rows
         self.weights = monomial_keys.weights
         keys = monomial_keys.keys(exps)
         self.key_order = np.argsort(keys)
         self.sorted_keys = keys[self.key_order]
+        # the padding column (and row) sits at index len(basis)
+        self.pad = len(basis)
+        self.width = self.pad + 1
+        padded = np.zeros((len(array) + 1, self.width), dtype=array.dtype)
+        padded[:-1, :-1] = array
+        self.flat = padded.ravel()
 
         levels = np.arange(n + 1)
         mono_depth = np.where(exps > 0, levels[1:], 0).max(axis=1, initial=0)
@@ -178,6 +188,8 @@ class _PermutationSearch:
         if permute_rows:
             depth = np.maximum(depth, mono_depth[rows])
             rows = position[rows]
+        else:
+            rows = rows * self.width  # fixed rows, as offsets into the flat copy
         entry_order = np.argsort(depth, kind="stable")
         # entries of depth k are entry_bounds[k - 1]:entry_bounds[k]; depth 0 always passes
         self.entry_bounds = np.searchsorted(depth[entry_order], levels, side="right")
@@ -200,14 +212,9 @@ class _PermutationSearch:
         for start in range(0, len(perms), step):
             keys = self.weights[perms[start : start + step]] @ exps
             pos, found = find_sorted(self.sorted_keys, keys)
-            image = self.key_order[pos]
-            ci, present = image[:, cols], found[:, cols]
-            ri = rows
-            if self.permute_rows:
-                ri = image[:, rows]
-                present &= found[:, rows]
-            target = np.where(present, self.array[ri, ci], 0.0)
-            ok[start : start + step] = (np.abs(values - target) <= cut).all(axis=1)
+            image = np.where(found, self.key_order[pos], self.pad)
+            at = image[:, cols] + ((image * self.width)[:, rows] if self.permute_rows else rows)
+            ok[start : start + step] = (np.abs(values - self.flat[at]) <= cut).all(axis=1)
         return ok
 
     def search(self) -> np.ndarray:
@@ -215,15 +222,22 @@ class _PermutationSearch:
 
         Prefixes are extended one variable at a time, all together and in
         increasing image order, and pruned as soon as an entry they fix fails.
+        The last image is forced, so the last two variables are placed
+        together: the two free images in increasing, then decreasing order.
         """
         n = self.n
         perms = np.zeros((1, 0), dtype=np.int64)
-        for k in range(1, n + 1):
+        k = 0
+        while k < n:
             free = np.ones((len(perms), n), dtype=bool)
             free[np.arange(len(perms))[:, None], perms] = False
-            images = np.nonzero(free)[1]
-            perms = np.column_stack([np.repeat(perms, n - k + 1, axis=0), images])
-            perms = perms[self._passes(perms, self.entry_bounds[k - 1], self.entry_bounds[k])]
+            images = np.nonzero(free)[1].reshape(-1, 1)
+            if n - k == 2:
+                pairs = images.reshape(-1, 2)
+                images = np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
+            perms = np.column_stack([np.repeat(perms, n - k, axis=0), images])
+            lo, k = k, perms.shape[1]
+            perms = perms[self._passes(perms, self.entry_bounds[lo], self.entry_bounds[k])]
         return perms
 
     def keeps(self, perms: np.ndarray) -> np.ndarray:
@@ -351,10 +365,13 @@ def diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
     h = form_of(f)
     exps = exponent_array(h.basis, f.n)
     rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
-    # asking for the indices keeps np.unique on its sort path, which does not
-    # import numpy.ma
-    diffs, _ = np.unique(exps[rows] - exps[cols], axis=0, return_index=True)
-    return TorusSubgroup.from_rows(diffs.tolist(), f.n)
+    # the distinct differences from one lexicographic sort of the rows: keys in
+    # base 2D + 1 would overflow int64 on maps that analyze, as identity_map(40)
+    diffs = exps[rows] - exps[cols]
+    diffs = diffs[np.lexsort(diffs.T[::-1])]
+    distinct = np.ones(len(diffs), dtype=bool)
+    distinct[1:] = (diffs[1:] != diffs[:-1]).any(axis=1)
+    return TorusSubgroup.from_rows(diffs[distinct].tolist(), f.n)
 
 
 def permutation_stabilizer(f: RationalMap, tol: float = TAU_EQ) -> list[tuple[int, ...]]:

@@ -2,11 +2,15 @@
 
 The reference functions below are the per-permutation, per-entry loops the
 library used before its level search; both stabilizers must return exactly
-their lists (same elements, same order).
+their lists (same elements, same order).  The search tests only the upper
+half of a form, so the forms every construction holds are checked to be
+exactly Hermitian; the diagonal stabilizer is checked against the rows
+``np.unique(axis=0)`` finds.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from ballmaps import (
     catalog,
     close_permutation_group,
     compose_source,
+    diagonal_stabilizer,
     form_of,
+    gram_form,
     identity_map,
     juxtapose_theta,
     permutation_automorphism,
@@ -33,8 +39,8 @@ from ballmaps import (
     unitary_automorphism,
     whitney_map,
 )
-from ballmaps.invariance import _form_search, strict_permutation_stabilizer
-from ballmaps.maps import CATALOG_NAMES
+from ballmaps.invariance import TorusSubgroup, _form_search, strict_permutation_stabilizer
+from ballmaps.maps import CATALOG_NAMES, stacked_coefficients
 from ballmaps.polynomials import TAU_EQ, TAU_ZERO
 
 from conftest import Poly, poly_parts, polys_close, random_center, random_unitary
@@ -257,3 +263,109 @@ def test_exponents_overflowing_the_monomial_keys_are_refused():
         permutation_stabilizer(f)
     with pytest.raises(CapabilityError):
         strict_permutation_stabilizer(f)
+
+
+def test_search_memory_stays_within_the_gather_budget():
+    # all 8! permutations survive; gathered at once they would need hundreds of MiB
+    f = symmetric_group_map(8)
+    form_of(f)
+    tracemalloc.start()
+    try:
+        perms = permutation_stabilizer(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(perms) == math.factorial(8)
+    assert peak < 32 << 20
+
+
+# ---------------------------------------------------------------------------
+# exactly Hermitian forms: the search reads only entries with row <= col
+# ---------------------------------------------------------------------------
+def _assert_exactly_hermitian(h):
+    assert np.array_equal(h.mat, h.mat.conj().T)
+
+
+def _forms_of_every_construction(f, rng):
+    """Forms from the constructor, gram_form, a product, a slice, a sum, a
+    difference and a real multiple, built from the map f."""
+    h = form_of(f)
+    n = f.n
+    monos, A = stacked_coefficients(f)
+    signs = [1.0] * f.m + [-1.0] * (f.l + 1)
+    size = min(h.size, 6)
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    built = HermitianForm(n, h.basis[:size], raw)
+    degree_one = [(0,) * n] + [tuple(row) for row in np.eye(n, dtype=int).tolist()]
+    linear = HermitianForm(n, degree_one, rng.standard_normal((n + 1, n + 1)))
+    rotated = form_of(compose_source(identity_map(n), unitary_automorphism(random_unitary(rng, n))))
+    # the rows of rotated's basis outside h's cancel to zero, and are sliced away
+    cancelled = (h + rotated) - rotated
+    outside = (h.max_degree() + 1,) + (0,) * (n - 1)
+    padded = np.zeros((size + 1, size + 1), dtype=complex)
+    padded[:size, :size] = raw
+    sliced = HermitianForm(n, [*h.basis[:size], outside], padded).compressed()
+    assert sliced.size == size
+    return [h, gram_form(n, monos, A, signs), built, linear * built, cancelled, sliced,
+            h + built, h - built, h.scale(-0.37)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains(), st.integers(0, 2**32 - 1))
+def test_every_construction_holds_an_exactly_hermitian_matrix(f, seed):
+    for h in _forms_of_every_construction(f, np.random.default_rng(seed)):
+        _assert_exactly_hermitian(h)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_forms_are_exactly_hermitian(name):
+    for h in _forms_of_every_construction(catalog(name), np.random.default_rng(7)):
+        _assert_exactly_hermitian(h)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains(), st.integers(0, 2**32 - 1))
+def test_search_on_a_form_rotated_by_a_haar_unitary(f, seed):
+    U = random_unitary(np.random.default_rng(seed), f.n)
+    h = form_of(compose_source(f, unitary_automorphism(U)))
+    assert np.iscomplexobj(h.mat)
+    assert search_form_stabilizer(h) == reference_form_stabilizer(h)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains(), st.integers(0, 10**6))
+def test_search_on_a_form_whose_only_imaginary_part_is_subnormal(f, pick):
+    h = HermitianForm(f.n, form_of(f).basis, form_of(f).mat.real)
+    mat = h.mat.astype(complex)
+    i, j = divmod(pick % (h.size * h.size), h.size)
+    if i == j:
+        i, j = 0, h.size - 1
+    mat[i, j] += 5e-324j
+    mat[j, i] -= 5e-324j
+    g = HermitianForm(h.nvars, h.basis, mat)
+    assert np.iscomplexobj(g.mat) and np.count_nonzero(g.mat.imag) == 2
+    _assert_exactly_hermitian(g)
+    assert search_form_stabilizer(g) == reference_form_stabilizer(g) == search_form_stabilizer(h)
+
+
+# ---------------------------------------------------------------------------
+# diagonal stabilizer: the rows np.unique(axis=0) took
+# ---------------------------------------------------------------------------
+def _reference_lattice_rows(f):
+    h = form_of(f)
+    exps = np.array(h.basis, dtype=np.int64).reshape(h.size, f.n)
+    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    diffs = np.unique(exps[rows] - exps[cols], axis=0)
+    return TorusSubgroup.from_rows(diffs.tolist(), f.n).rows
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(construction_chains())
+def test_diagonal_stabilizer_rows_equal_the_axis_unique_rows(f):
+    assert diagonal_stabilizer(f).rows == _reference_lattice_rows(f)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_diagonal_stabilizer_rows_equal_the_axis_unique_rows(name):
+    f = catalog(name)
+    assert diagonal_stabilizer(f).rows == _reference_lattice_rows(f)
