@@ -159,6 +159,11 @@ def analyze_map(
     notes: list[str] = []
     proper = is_proper(f, tol_div)
     sig = signature(form_of(f), tol_sig)
+    if sig.margin < 10 * tol_sig or sig.dropped > tol_sig / 10:
+        notes.append(
+            f"signature decided within 10x of tol_sig = {tol_sig:g}: smallest kept "
+            f"eigenvalue {sig.margin:.3g}, largest dropped {sig.dropped:.3g} (relative)"
+        )
     h_rank = sig.rank
     i_rank: int | None = None
     consistent = True

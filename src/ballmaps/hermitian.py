@@ -42,7 +42,7 @@ from .polynomials import (
 #: Relative tolerance for the sphere-division remainder.
 TAU_DIV = 1e-9
 
-#: Relative eigenvalue threshold for signature counting.
+#: Eigenvalue threshold relative to the Jacobi-scaled spectrum (:func:`_kept`).
 TAU_SIG = 1e-8
 
 #: Division by the sphere is refused above this many (x-simplex cell, torus
@@ -361,13 +361,20 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     exps = exponent_array(h.basis, n)
     cells = np.minimum(exps[rows], exps[cols])
     plus, minus = exps[rows] - cells, exps[cols] - cells
-    # classes, by the pair (key(delta+), key(delta-)), largest degree bound
-    # first: at each cell degree the classes still in the recursion are a prefix
-    _, plus_id = np.unique(monomial_keys.keys(plus), return_inverse=True)
-    _, minus_id = np.unique(monomial_keys.keys(minus), return_inverse=True)
-    _, first, cls = np.unique(
-        plus_id * (minus_id.max() + 1) + minus_id, return_index=True, return_inverse=True
-    )
+    # classes, by the pair (key(delta+), key(delta-)) in one lexicographic
+    # sort (the two keys in one int64 could overflow), stable so ``first`` is
+    # each class's first entry; np.lexsort spelled as its two stable passes,
+    # which numpy runs faster; then largest degree bound first: at each cell
+    # degree the classes still in the recursion are a prefix
+    plus_key, minus_key = monomial_keys.keys(plus), monomial_keys.keys(minus)
+    by_minus = np.argsort(minus_key, kind="stable")
+    by_pair = by_minus[np.argsort(plus_key[by_minus], kind="stable")]
+    plus_key, minus_key = plus_key[by_pair], minus_key[by_pair]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (plus_key[1:] != plus_key[:-1]) | (minus_key[1:] != minus_key[:-1])
+    first = by_pair[starts]
+    cls = np.empty_like(by_pair)
+    cls[by_pair] = np.cumsum(starts) - 1
     bound = D - np.maximum(plus[first].sum(axis=1), minus[first].sum(axis=1))
     entries = math.comb(int(bound.max()) + n, n) * len(first)
     if entries > MAX_DIVISION_CELLS:
@@ -492,12 +499,31 @@ def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
 # ---------------------------------------------------------------------------
 # signature and ranks
 # ---------------------------------------------------------------------------
+def _jacobi_scale(mat: np.ndarray) -> np.ndarray:
+    """d_a = sqrt(max_b |h_ab|), 1 on an empty row: h_ab / (d_a d_b) keeps the
+    inertia and resolves rows of any magnitude to the same relative accuracy
+    (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992)."""
+    d = np.sqrt(np.max(np.abs(mat), axis=1, initial=0.0))
+    d[d == 0.0] = 1.0
+    return d
+
+
+def _kept(eigvals: np.ndarray, scale: float, tol_sig: float) -> np.ndarray:
+    """The eigenvalues of a Jacobi-scaled form that count: |lambda| above
+    tol_sig times ``scale``, the largest |lambda| of the whole scaled matrix."""
+    return np.abs(eigvals) > tol_sig * scale
+
+
 @dataclass(frozen=True)
 class Signature:
+    """Inertia of a form; ``margin`` and ``dropped`` are the smallest kept and
+    the largest dropped |eigenvalue| over the scale (inf and 0.0 if none)."""
+
     positive: int
     negative: int
     zero: int
     margin: float
+    dropped: float
 
     @property
     def rank(self) -> int:
@@ -509,29 +535,23 @@ class Signature:
             "negative": self.negative,
             "zero": self.zero,
             "margin": self.margin,
+            "dropped": self.dropped,
         }
 
 
 def signature(h: HermitianForm, tol_sig: float = TAU_SIG) -> Signature:
-    """Eigenvalue signature with a relative zero threshold.
-
-    ``margin`` is the smallest |eigenvalue| / spectral norm among eigenvalues
-    classified nonzero (infinity when all are zero); callers can compare it
-    with ``tol_sig`` to detect borderline classifications.
-    """
-    if not h.size:
-        return Signature(0, 0, 0, math.inf)
-    eigs = np.linalg.eigvalsh(h.mat)
-    scale = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    if scale == 0.0:
-        return Signature(0, 0, len(eigs), math.inf)
-    cut = tol_sig * scale
-    pos = int(np.sum(eigs > cut))
-    neg = int(np.sum(eigs < -cut))
-    zero = len(eigs) - pos - neg
-    nonzero = np.abs(eigs)[np.abs(eigs) > cut]
-    margin = float(np.min(nonzero) / scale) if len(nonzero) else math.inf
-    return Signature(pos, neg, zero, margin)
+    """Inertia of the Jacobi-scaled form (:func:`_jacobi_scale`, :func:`_kept`),
+    the decision :func:`ballmaps.realize.factor_form` makes.  The scaled
+    matrix keeps the form's dtype: eigenvalues do not depend on LAPACK's
+    choice of basis."""
+    d = _jacobi_scale(h.mat)
+    eigs = np.linalg.eigvalsh(h.mat / np.outer(d, d))
+    scale = float(np.max(np.abs(eigs), initial=0.0))
+    keep = _kept(eigs, scale, tol_sig)
+    pos, neg = int(np.count_nonzero(eigs[keep] > 0)), int(np.count_nonzero(eigs[keep] < 0))
+    mags = np.abs(eigs) / (scale or 1.0)
+    margin = float(np.min(mags[keep], initial=math.inf))
+    return Signature(pos, neg, h.size - pos - neg, margin, float(np.max(mags[~keep], initial=0.0)))
 
 
 def hermitian_rank(f: RationalMap, tol_sig: float = TAU_SIG) -> int:

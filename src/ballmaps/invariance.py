@@ -39,7 +39,6 @@ from .polynomials import (
     exponent_array,
     find_sorted,
     grlex_union,
-    monomial_values,
     multinomial,
 )
 
@@ -896,10 +895,13 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
     """Max residual of the main equations at a concrete matrix.
 
     The system is scale-covariant, so any nonzero multiple of a projective
-    automorphism matrix can be substituted directly.  Every term is a
-    monomial in (u, conj u) with one factor per listed index, evaluated by
-    :func:`monomial_values`, and summed into its equation in order.  Raises
-    ValueError for a document of any other schema than SYSTEM_SCHEMA.
+    automorphism matrix can be substituted directly.  Every equation term
+    lists d factors in ``u`` and d in ``ubar``: their indices into the flat
+    entries of U and conj(U) form one (terms, 2d) array, each term is its
+    coefficient times the product along its row, taken one factor position
+    at a time, and the terms are summed into their equations in order.
+    Raises ValueError for a document of any other schema than SYSTEM_SCHEMA
+    and for index lists outside the matrix or of unequal lengths.
     """
     if system.get("schema") != SYSTEM_SCHEMA:
         raise ValueError(f"expected schema {SYSTEM_SCHEMA}, got {system.get('schema')!r}")
@@ -909,17 +911,21 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
         raise ValueError("matrix shape does not match the system unknowns")
     equations = system["equations"]
     terms = [term for eq in equations for term in eq["terms"]]
-    # row t holds term t's exponents: of u_k in column k, of conj(u_k) in size + k
-    exps = np.zeros((len(terms), 2 * size), dtype=np.int64)
+    # each term's factors as one row of indices into (u, conj u)
+    factors = []
     for key, shift in (("u", 0), ("ubar", size)):
         lists = [term[key] for term in terms]
         index = np.fromiter(itertools.chain.from_iterable(lists), np.int64)
         if index.size and not 0 <= index.min() <= index.max() < size:
             raise ValueError(f"a {key} index is outside 0..{size - 1}")
-        rows = np.repeat(np.arange(len(terms)), np.fromiter(map(len, lists), np.int64))
-        np.add.at(exps, (rows, index + shift), 1)
-    coeffs = np.array([t["re"] for t in terms]) + 1j * np.array([t["im"] for t in terms])
-    values = coeffs * monomial_values(exps, [np.concatenate([u, u.conj()])])[0]
+        lengths = set(map(len, lists))
+        if len(lengths) > 1:
+            raise ValueError(f"the terms' {key} lists have unequal lengths {sorted(lengths)}")
+        factors.append(shift + index.reshape(len(lists), lengths.pop() if lengths else 0))
+    values = np.array([t["re"] for t in terms]) + 1j * np.array([t["im"] for t in terms])
+    entries = np.concatenate([u, u.conj()])
+    for position in np.hstack(factors).T:
+        values *= entries[position]
     eq = np.repeat(np.arange(len(equations)), [len(e["terms"]) for e in equations])
     totals = np.bincount(eq, values.real, len(equations)) + 1j * np.bincount(
         eq, values.imag, len(equations)

@@ -32,6 +32,8 @@ import numpy as np
 from .hermitian import (
     HermitianForm,
     TAU_SIG,
+    _jacobi_scale,
+    _kept,
     _norm_power_sum,
     _support_blocks,
     form_of,
@@ -103,31 +105,44 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
     returned as coefficient rows over the basis of h.
 
     The support graph (|h_ab| > TAU_ZERO) splits the matrix into connected
-    blocks, which are factored separately.  Each block is scaled by
-    d_a = sqrt(max_b |h_ab|) on both sides, a congruence that keeps its
-    inertia and brings every entry to at most 1, so rows of very different
-    magnitude are resolved to the same relative accuracy.  An eigenpair
-    (lambda, v) of the scaled block gives the component d o v sqrt|lambda|,
-    split by the sign of lambda; eigenvalues within the relative threshold
-    of the block's largest are dropped.  The components of a block are
-    linearly independent because its eigenvectors are.
+    blocks, factored separately with the Jacobi scaling and the cut of
+    :func:`ballmaps.hermitian.signature` (no row has a larger entry outside
+    its block, and the cut is against the largest |lambda| of all blocks),
+    so the component counts are the signature's.  An eigenpair (lambda, v)
+    of a scaled block gives the component d o v sqrt|lambda|, split by the
+    sign of lambda; a block's components are independent as its eigenvectors are.
     """
     support = np.abs(h.mat) > TAU_ZERO
+    labels, d = _support_blocks(support), _jacobi_scale(h.mat)
+    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels[support.any(axis=1)])]
+    # complex on purpose: a real eigh picks other bases inside degenerate
+    # eigenspaces, which gives unitarily equivalent but different components
+    spectra = [
+        np.linalg.eigh(h.mat[np.ix_(i, i)].astype(complex) / np.outer(d[i], d[i])) for i in blocks
+    ]
+    scale = max((np.max(np.abs(eigvals)) for eigvals, _ in spectra), default=0.0)
     pos, neg = [np.zeros((0, h.size), dtype=complex)], [np.zeros((0, h.size), dtype=complex)]
-    labels = _support_blocks(support)
-    for label in np.unique(labels[support.any(axis=1)]):
-        idx = np.flatnonzero(labels == label)
-        # complex on purpose: a real eigh picks other bases inside degenerate
-        # eigenspaces, which gives unitarily equivalent but different components
-        block = h.mat[np.ix_(idx, idx)].astype(complex)
-        d = np.sqrt(np.max(np.abs(block), axis=1))
-        eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
-        keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
+    for idx, (eigvals, eigvecs) in zip(blocks, spectra):
+        keep = _kept(eigvals, scale, tol_sig)
         comps = np.zeros((np.count_nonzero(keep), h.size), dtype=complex)
-        comps[:, idx] = (d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))).T
+        comps[:, idx] = (d[idx, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))).T
         pos.append(comps[eigvals[keep] > 0])
         neg.append(comps[eigvals[keep] < 0])
     return FactorizationResult(h.basis, np.vstack(pos), np.vstack(neg))
+
+
+def _positive_factors(
+    h: HermitianForm, refusal: Exception | None = None
+) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """Read-only rows, over the monomials they use, of components q with
+    sum |q|^2 = h; refused with ``refusal`` (else :class:`RealizationError`)
+    exactly when the factorization of h has a negative part."""
+    factored = factor_form(h)
+    if len(factored.negatives):
+        raise refusal or RealizationError("the form of the construction has a negative part")
+    monos, rows = pruned_rows(factored.monos, factored.positives)
+    rows.setflags(write=False)
+    return tuple(monos), rows
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +215,7 @@ def _padding(
         # moves every padded construction
         eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat.astype(complex) * s)[-1])
     scaled = b.scale(eps * eps)
-    remainder = target - scaled
-    floor = -1e-8 * max(1.0, target.max_abs())
-    if epsilon is not None and np.linalg.eigvalsh(remainder.mat).min(initial=0.0) < floor:
-        raise MapConstructionError(f"supplied epsilon {eps} is too large: remainder is not PSD")
-    return eps, weights, powers, scaled, remainder
-
-
-def _components(remainder: HermitianForm) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
-    """The padding components q with |q|^2 the remainder, as read-only rows."""
-    factored = factor_form(remainder, tol_sig=1e-12)
-    if np.abs(factored.negatives).max(initial=0.0) > 1e-6:
-        raise MapConstructionError(
-            "padding remainder has a significantly negative part; epsilon too large"
-        )
-    monos, rows = pruned_rows(factored.monos, factored.positives)
-    rows.setflags(write=False)
-    return tuple(monos), rows
+    return eps, weights, powers, scaled, target - scaled
 
 
 def pad_to_proper(
@@ -228,8 +227,8 @@ def pad_to_proper(
 
     The target R has equal weights on the powers 0..deg(p), or with
     ``omit_empty_degrees`` on the degrees of p's monomials only; epsilon is
-    that of :func:`_padding` unless supplied, and a supplied one must be
-    finite and leave R - epsilon^2 |p|^2 positive semidefinite.
+    that of :func:`_padding` unless supplied; a supplied one must be finite,
+    and is refused when R - epsilon^2 |p|^2 factors with a negative part.
     """
     p = list(p)
     if not p:
@@ -239,7 +238,8 @@ def pad_to_proper(
         raise MapConstructionError("padding requires a common variable count")
     monos, rows = coefficient_matrix(p)
     eps, weights, powers, _, remainder = _padding(nvars, monos, rows, epsilon, omit_empty_degrees)
-    return PadResult(eps, *_components(remainder), weights, powers)
+    too_large = MapConstructionError(f"epsilon {eps} is too large: the remainder is not PSD")
+    return PadResult(eps, *_positive_factors(remainder, too_large), weights, powers)
 
 
 def padded_map(p: Sequence[Polynomial], pad: PadResult) -> RationalMap:
@@ -308,7 +308,7 @@ def symmetric_group_map(n: int) -> RationalMap:
     eps, _, _, _, remainder = _padding(n, affine, np.ones((1, n + 1)))
     h = oplus(
         polynomial_map_of_rows(n, affine, np.full((1, n + 1), eps)),
-        tensor(polynomial_map_of_rows(n, *_components(remainder)), z_map),
+        tensor(polynomial_map_of_rows(n, *_positive_factors(remainder)), z_map),
     )
     return juxtapose_theta(g, h, math.pi / 4.0)
 
@@ -325,15 +325,7 @@ def symmetric_group_map_v2(n: int) -> RationalMap:
     prod = grlex_union([tuple((k >> j) & 1 for j in range(n)) for k in range(2**n)])[0]
     _, _, _, scaled, remainder = _padding(n, prod, np.ones((1, len(prod))))
     positive = scaled * norm_power_form(n, 1) + remainder * norm_power_form(n, n + 2)
-    return _map_of_positive_form(positive)
-
-
-def _map_of_positive_form(h: HermitianForm) -> RationalMap:
-    """The polynomial map whose components factor a positive semidefinite form."""
-    factored = factor_form(h)
-    if len(factored.negatives):
-        raise RealizationError("the positive form of the construction has a negative part")
-    return polynomial_map_of_rows(h.nvars, factored.monos, factored.positives)
+    return polynomial_map_of_rows(n, *_positive_factors(positive))
 
 
 def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap:
@@ -364,7 +356,7 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     k4 = f_sym.degree + 1
     padded = scaled + remainder * norm_power_form(n, k3)
     positive = gram_form(n, *numerator_rows(f_sym)) + padded * norm_power_form(n, k4)
-    result = _map_of_positive_form(positive.scale(0.5))
+    result = polynomial_map_of_rows(n, *_positive_factors(positive.scale(0.5)))
     keep = _form_search(form_of(result), TAU_EQ).keeps(np.array(group))
     if not keep.all():
         lost = group[np.flatnonzero(~keep)[0]]
@@ -418,7 +410,7 @@ def realize_from_invariants(
     monos, summands = numerator_rows(reduce(oplus, blocks))
     _, _, _, scaled, remainder = _padding(n, monos, summands, omit_empty_degrees=True)
     positive = scaled + remainder * norm_power_form(n, sum(monos[-1]) + 1)
-    result = _map_of_positive_form(positive)
+    result = polynomial_map_of_rows(n, *_positive_factors(positive))
     for gmat in group:
         res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))
         if not res.member:

@@ -276,19 +276,29 @@ def test_factor_form_on_graded_forms(case):
     h, inertia = case
     res = factor_form(h)
     assert (len(res.positives), len(res.negatives)) == inertia
-    # the unscaled signature decides inertia only when no eigenvalue lies
-    # within a factor 10 of its threshold, on either side
-    eigs = np.abs(np.linalg.eigvalsh(h.mat))
-    ratio = eigs / (TAU_SIG * eigs.max())
-    if not np.any((ratio > 0.1) & (ratio < 10.0)):
-        sig = signature(h)
-        assert (sig.positive, sig.negative) == inertia
+    sig = signature(h)
+    assert (sig.positive, sig.negative) == inertia
     rec = res.reconstruct(h.nvars)
     index = {b: i for i, b in enumerate(rec.basis)}
     idx = np.array([index[b] for b in h.basis])
     err = np.abs(rec.mat[np.ix_(idx, idx)] - h.mat)
     r = np.max(np.abs(h.mat), axis=1)
     assert np.all(err <= 1e-12 * np.sqrt(np.outer(r, r)))
+
+
+def test_factor_form_cuts_against_the_whole_spectrum():
+    # blocks {z1, z2} with scaled eigenvalues 2 / (1 + t^2), 2 t^2 / (1 + t^2)
+    # and {z3, ..., z3^50}, all ones, with eigenvalue 50: the cut 50 * TAU_SIG
+    # drops 2 t^2 = 2e-7, which the z1, z2 block's own cut 2 * TAU_SIG keeps
+    t2, k = 1e-7, 50
+    basis = [(1, 0, 0), (0, 1, 0)] + [(0, 0, j) for j in range(1, k + 1)]
+    mat = np.zeros((k + 2, k + 2))
+    mat[:2, :2] = [[1 + t2, 1 - t2], [1 - t2, 1 + t2]]
+    mat[2:, 2:] = 1.0
+    h = HermitianForm(3, basis, mat)
+    res, sig = factor_form(h), signature(h)
+    assert (len(res.positives), len(res.negatives)) == (sig.positive, sig.negative) == (2, 0)
+    assert sig.dropped == pytest.approx(2 * t2 / k, rel=1e-6)
 
 
 def _same_partition(a, b):

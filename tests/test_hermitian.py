@@ -8,6 +8,7 @@ from ballmaps import (
     HermitianForm,
     Polynomial,
     RationalMap,
+    analyze_map,
     automorphism_tensor_form,
     automorphism_tensor_rho_expansion,
     catalog,
@@ -202,6 +203,34 @@ def test_signature_of_cancelling_generalized_map():
     f = polynomial_map([z, z], l=1)
     sig = signature(form_of(f))
     assert sig.rank == 1 and sig.negative == 1
+
+
+@pytest.mark.parametrize(
+    "relative,kept,flagged", [(5e-9, False, True), (5e-8, True, True), (1e-3, True, False)]
+)
+def test_signature_reports_an_eigenvalue_near_the_cut(relative, kept, flagged):
+    # |z1 + z2|^2 + t^2 |z1 - z2|^2 has the Gram block [[1 + t^2, 1 - t^2], ...]
+    # with eigenvalues 2 and 2 t^2; both rows scale by 1 + t^2, so next to the
+    # denominator's -1 the scaled spectrum is -1, 2 / (1 + t^2), 2 t^2 / (1 + t^2)
+    # and the small eigenvalue is t^2 relative to the largest
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    t = np.sqrt(relative)
+    f = polynomial_map([z1 + z2, (z1 - z2).scale(t)])
+    sig = signature(form_of(f))
+    assert (sig.positive, sig.negative) == (1 + kept, 1)
+    if kept:
+        assert sig.margin == pytest.approx(relative, rel=1e-5) and sig.dropped < 1e-15
+    else:
+        assert sig.dropped == pytest.approx(relative, rel=1e-5) and sig.margin == pytest.approx(0.5)
+    assert sig.to_dict()["dropped"] == sig.dropped
+    notes = analyze_map(f).notes
+    assert any(note.startswith("signature decided within 10x") for note in notes) == flagged
+
+
+def test_signature_of_the_zero_form():
+    sig = signature(HermitianForm(1, [(0,), (1,)], np.zeros((2, 2))))
+    assert (sig.positive, sig.negative, sig.zero) == (0, 0, 2)
+    assert sig.margin == np.inf and sig.dropped == 0.0
 
 
 def test_hermitian_rank_of_planar_whitney():

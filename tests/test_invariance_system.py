@@ -42,7 +42,7 @@ from ballmaps import (
 from ballmaps import invariance
 from ballmaps.invariance import _expansions
 from ballmaps.maps import CATALOG_NAMES, MapConstructionError
-from ballmaps.polynomials import TAU_ZERO, grlex_key
+from ballmaps.polynomials import TAU_ZERO, grlex_key, monomial_values
 
 from conftest import Poly, random_center, random_unitary
 
@@ -278,6 +278,56 @@ def test_evaluator_refuses_indices_outside_the_matrix():
     doc["equations"][0]["terms"][0] = dict(doc["equations"][0]["terms"][0], u=[0, 0, 9])
     with pytest.raises(ValueError, match="outside"):
         evaluate_invariance_system(doc, np.eye(3))
+
+
+def test_evaluator_refuses_ragged_index_lists():
+    doc = emit_invariance_system(catalog("faran-2"))
+    doc["equations"][0]["terms"][0] = dict(doc["equations"][0]["terms"][0], ubar=[0])
+    with pytest.raises(ValueError, match="unequal lengths"):
+        evaluate_invariance_system(doc, np.eye(3))
+
+
+def _reference_evaluate(system, matrix):
+    """The evaluator on dense exponents: one (terms x 2 size) exponent row per
+    term, of u_k in column k and of conj(u_k) in size + k, evaluated by
+    monomial_values."""
+    size = system["unknowns"]["shape"][0] ** 2
+    u = np.asarray(matrix, dtype=complex).reshape(-1)
+    equations = system["equations"]
+    terms = [term for eq in equations for term in eq["terms"]]
+    exps = np.zeros((len(terms), 2 * size), dtype=np.int64)
+    for t, term in enumerate(terms):
+        np.add.at(exps[t], term["u"], 1)
+        np.add.at(exps[t], [size + k for k in term["ubar"]], 1)
+    coeffs = np.array([complex(t["re"], t["im"]) for t in terms])
+    values = coeffs * monomial_values(exps, [np.concatenate([u, u.conj()])])[0]
+    magnitudes = np.abs(values)
+    eq = np.repeat(np.arange(len(equations)), [len(e["terms"]) for e in equations])
+    totals = np.zeros(len(equations), dtype=complex)
+    np.add.at(totals, eq, values)
+    return float(np.max(np.abs(totals), initial=0.0)), float(
+        np.max(np.bincount(eq, magnitudes, len(equations)), initial=0.0)
+    )
+
+
+EVALUATOR_CASES = {
+    **{name: functools.partial(catalog, name) for name in CATALOG_NAMES},
+    "symmetric-2": functools.partial(symmetric_group_map, 2),
+    "symmetric-3": functools.partial(symmetric_group_map, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_CASES))
+def test_evaluator_matches_the_dense_exponent_reference(name, rng):
+    f = EVALUATOR_CASES[name]()
+    doc = emit_invariance_system(f)
+    n1 = f.n + 1
+    perm = np.eye(n1, dtype=complex)
+    perm[: f.n, : f.n] = np.eye(f.n)[rng.permutation(f.n)]
+    random = rng.standard_normal((n1, n1)) + 1j * rng.standard_normal((n1, n1))
+    for matrix in (np.eye(n1), perm, random):
+        want, scale = _reference_evaluate(doc, matrix)
+        assert abs(evaluate_invariance_system(doc, matrix) - want) <= 1e-12 * scale
 
 
 def test_whitney_composite_has_complex_coefficients():

@@ -1,6 +1,7 @@
 """Realization constructions: factorization, padding, prescribed groups."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ def test_pad_epsilon_sup_lies_in_the_bisection_bracket(kind, n):
     assert lo <= 2.0 * pad.epsilon <= hi
 
 
+@pytest.mark.parametrize("kind,n", PAD_INPUTS)
+def test_pad_refuses_an_epsilon_just_past_the_supremum(kind, n):
+    p, omit = _pad_input(kind, n)
+    eps_sup = 2.0 * pad_to_proper(p, omit_empty_degrees=omit).epsilon
+    with pytest.raises(MapConstructionError, match="too large"):
+        pad_to_proper(p, epsilon=eps_sup * (1 + 1e-6), omit_empty_degrees=omit)
+
+
+@pytest.mark.parametrize("kind,n", PAD_INPUTS)
+def test_pad_accepts_an_epsilon_just_below_the_supremum(kind, n):
+    p, omit = _pad_input(kind, n)
+    eps_sup = 2.0 * pad_to_proper(p, omit_empty_degrees=omit).epsilon
+    pad = pad_to_proper(p, epsilon=eps_sup * (1 - 1e-6), omit_empty_degrees=omit)
+    assert is_proper(padded_map(p, pad)).proper
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pad_affine_epsilon_is_exact(n):
     # B is all ones over (1, z_1, ..., z_n) and D = I / 2, so eps_sup^2 = 1 / (2 (n + 1))
@@ -366,6 +383,18 @@ def test_realize_subgroup_of_s4(name):
     assert sorted(permutation_stabilizer(f)) == close_permutation_group(generators, 4)
     assert diagonal_stabilizer(f).is_trivial
     assert sphere_sample_check(f, 1000, 1e-9, seed=4).passed
+
+
+@pytest.mark.parametrize("name", ["cyclic-4", "klein-4"])
+def test_s4_subgroup_ranks_agree_without_warning(name):
+    f = realize_subgroup(S4_SUBGROUPS[name], 4)
+    sig = signature(form_of(f))
+    assert (sig.positive, sig.negative) == (1569, 1)
+    assert sig.margin >= 10 * TAU_SIG and sig.dropped <= TAU_SIG / 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # image_rank compares itself with hermitian_rank and warns on a mismatch
+        assert image_rank(f) + 1 == sig.rank
 
 
 # ---------------------------------------------------------------------------
