@@ -254,9 +254,8 @@ def _cmd_realize(args) -> int:
         ).is_trivial
     payload["verification"] = summary
     _write_json(payload, args.output)
-    if not cert.proper or summary.get("matches_requested_group") is False:
-        return EXIT_VERIFY
-    return EXIT_OK
+    checks = ("proper", "matches_requested_group", "diagonal_stabilizer_trivial")
+    return EXIT_OK if all(summary.get(check, True) for check in checks) else EXIT_VERIFY
 
 
 def _cmd_pad(args) -> int:

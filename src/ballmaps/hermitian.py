@@ -20,10 +20,10 @@ import numpy as np
 
 from .maps import RationalMap
 from .polynomials import (
-    CapabilityError,
     MonomialKeys,
     MultiIndex,
     TAU_ZERO,
+    check_array_budget,
     checked_coefficient,
     checked_exponent,
     degree_monomials,
@@ -45,11 +45,6 @@ TAU_DIV = 1e-9
 #: Eigenvalue threshold relative to the Jacobi-scaled spectrum (:func:`_kept`).
 TAU_SIG = 1e-8
 
-#: Division by the sphere is refused above this many (x-simplex cell, torus
-#: class) entries: its two arrays take 16 bytes an entry each when complex, so
-#: at 2^25 entries they hold 1 GiB together (half that when real).
-MAX_DIVISION_CELLS = 2**25
-
 
 class HermitianForm:
     """Hermitian matrix over a graded-lex monomial basis.
@@ -58,7 +53,9 @@ class HermitianForm:
     the coefficient of z^basis[i] * conj(z^basis[j]).  The constructor sorts and
     symmetrizes; a slice, real multiple, sum or difference is held as formed.
     A matrix whose imaginary part is exactly zero is held as float64, any
-    other as complex128 (:func:`ballmaps.polynomials.held_array`).
+    other as complex128 (:func:`ballmaps.polynomials.held_array`).  Every
+    dense matrix a constructor allocates is first counted against
+    :func:`ballmaps.polynomials.check_array_budget`.
     """
 
     __slots__ = ("nvars", "basis", "mat")
@@ -70,6 +67,7 @@ class HermitianForm:
         mat = np.asarray(mat)
         if mat.shape != (len(basis), len(basis)):
             raise ValueError("matrix shape does not match basis size")
+        check_array_budget(mat.shape, np.result_type(mat, float))
         if (order != np.arange(len(order))).any():
             mat = mat[np.ix_(order, order)]
         self._hold(nvars, basis, 0.5 * (mat + mat.conj().T))
@@ -105,6 +103,7 @@ class HermitianForm:
         pairs = [(checked_exponent(a, nvars), checked_exponent(b, nvars)) for a, b in entries]
         values = [checked_coefficient(c, at) for at, c in zip(pairs, entries.values())]
         basis, (rows, cols) = grlex_union([a for a, _ in pairs], [b for _, b in pairs])
+        check_array_budget((len(basis),) * 2, complex)
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
         for i, j, c in zip(rows.tolist(), cols.tolist(), values):
             if abs(c) > TAU_ZERO:
@@ -170,7 +169,9 @@ class HermitianForm:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
         basis, positions = grlex_union(self.basis, other.basis)
-        out = np.zeros((2, len(basis), len(basis)), dtype=np.result_type(self.mat, other.mat))
+        dtype = np.result_type(self.mat, other.mat)
+        check_array_budget((2, len(basis), len(basis)), dtype)
+        out = np.zeros((2, len(basis), len(basis)), dtype=dtype)
         for embedded, h, at in zip(out, (self, other), positions):
             embedded[np.ix_(at, at)] = h.mat
         return basis, out[0], out[1]
@@ -195,8 +196,7 @@ class HermitianForm:
         above TAU_ZERO, so every entry is summed in the order of the pairs
         of entries (a, b) of self, (c, d) of other.  Rows and columns run
         over the same sums of a monomial of each basis (:func:`grlex_sums`).
-        The product's dense matrix is the accumulator of :func:`row_products`,
-        so it is refused with :class:`CapabilityError` above that budget.
+        The product's dense matrix is the accumulator of :func:`row_products`.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
@@ -273,14 +273,14 @@ def norm_power_form(nvars: int, power: int) -> HermitianForm:
 
 
 def _norm_power_sum(nvars: int, lambdas: Sequence[float], powers: Sequence[int]) -> HermitianForm:
-    """sum_j lambda_j^2 |z|^(2 m_j), the diagonal form of the weighted multinomials."""
-    basis = [alpha for m in powers for alpha in degree_monomials(nvars, m)]
-    diagonal = [
-        float(multinomial(alpha)) * (lam * lam)
-        for lam, m in zip(lambdas, powers)
-        for alpha in degree_monomials(nvars, m)
-    ]
-    return HermitianForm(nvars, basis, np.diag(diagonal))
+    """sum_j lambda_j^2 |z|^(2 m_j), the diagonal form of the weighted
+    multinomials; the powers ascend, so the basis is graded-lex sorted."""
+    assert all(a < b for a, b in zip(powers, powers[1:])), f"powers {powers} do not ascend"
+    blocks = [(lam * lam, degree_monomials(nvars, m)) for lam, m in zip(lambdas, powers)]
+    basis = [alpha for _, monos in blocks for alpha in monos]
+    check_array_budget((len(basis),) * 2, float)
+    diagonal = [float(multinomial(alpha)) * weight for weight, monos in blocks for alpha in monos]
+    return HermitianForm._held(nvars, basis, np.diag(diagonal))
 
 
 def gram_form(
@@ -298,6 +298,7 @@ def gram_form(
     """
     sgn = np.ones(len(A)) if signs is None else np.asarray(signs, dtype=float)
     A = held_array(A)
+    check_array_budget((A.shape[1],) * 2, A.dtype)
     gram = A.T @ (sgn[:, None] * A.conj())
     return HermitianForm(nvars, monos, gram).compressed()
 
@@ -348,9 +349,8 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     recursion over the pairs of monomials would sum it.  The arrays take the
     dtype of h, so a real form divides in real arithmetic.  Cells and classes
     are keyed by :class:`MonomialKeys` in base D + 1, a class by the pair
-    (key(delta+), key(delta-)).  A division whose array would exceed
-    MAX_DIVISION_CELLS entries raises :class:`CapabilityError` before it is
-    allocated.
+    (key(delta+), key(delta-)).  The array is counted against
+    :func:`ballmaps.polynomials.check_array_budget` before it is allocated.
     """
     n = h.nvars
     rows, cols = np.nonzero(h.mat)
@@ -359,8 +359,10 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     D = h.max_degree()
     monomial_keys = MonomialKeys(n, D)
     exps = exponent_array(h.basis, n)
-    cells = np.minimum(exps[rows], exps[cols])
-    plus, minus = exps[rows] - cells, exps[cols] - cells
+    plus, minus = exps[rows], exps[cols]
+    cells = np.minimum(plus, minus)
+    plus -= cells
+    minus -= cells
     # classes, by the pair (key(delta+), key(delta-)) in one lexicographic
     # sort (the two keys in one int64 could overflow), stable so ``first`` is
     # each class's first entry; np.lexsort spelled as its two stable passes,
@@ -376,12 +378,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     cls = np.empty_like(by_pair)
     cls[by_pair] = np.cumsum(starts) - 1
     bound = D - np.maximum(plus[first].sum(axis=1), minus[first].sum(axis=1))
-    entries = math.comb(int(bound.max()) + n, n) * len(first)
-    if entries > MAX_DIVISION_CELLS:
-        raise CapabilityError(
-            f"sphere division needs {entries} (cell, class) entries, above the "
-            f"budget MAX_DIVISION_CELLS = {MAX_DIVISION_CELLS}"
-        )
+    check_array_budget((math.comb(int(bound.max()) + n, n), len(first)), h.mat.dtype)
     order = np.argsort(-bound, kind="stable")
     bound, first = bound[order], first[order]
     cls = np.argsort(order)[cls]
@@ -446,6 +443,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
         position = np.cumsum(kept) - 1
         inside = kept[row] & kept[col]
         i, j = position[row[inside]], position[col[inside]]
+        check_array_budget((kept.sum(),) * 2, U.dtype)
         mat = np.zeros((kept.sum(),) * 2, dtype=U.dtype)
         mat[i, j] = values[inside]
         return HermitianForm(n, monomial_keys.exponents(monos[kept]).tolist(), mat)

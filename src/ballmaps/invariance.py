@@ -896,10 +896,10 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
 
     The system is scale-covariant, so any nonzero multiple of a projective
     automorphism matrix can be substituted directly.  Every equation term
-    lists d factors in ``u`` and d in ``ubar``: their indices into the flat
-    entries of U and conj(U) form one (terms, 2d) array, each term is its
-    coefficient times the product along its row, taken one factor position
-    at a time, and the terms are summed into their equations in order.
+    lists d factors in ``u``, indices into the flat entries of U, and d in
+    ``ubar``, indices into those of conj(U): each term is its coefficient
+    times its ``u`` factors and then its ``ubar`` factors, taken one factor
+    position at a time, and the terms are summed into their equations in order.
     Raises ValueError for a document of any other schema than SYSTEM_SCHEMA
     and for index lists outside the matrix or of unequal lengths.
     """
@@ -911,9 +911,9 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
         raise ValueError("matrix shape does not match the system unknowns")
     equations = system["equations"]
     terms = [term for eq in equations for term in eq["terms"]]
-    # each term's factors as one row of indices into (u, conj u)
+    # each term's factors as one row of indices per key
     factors = []
-    for key, shift in (("u", 0), ("ubar", size)):
+    for key in ("u", "ubar"):
         lists = [term[key] for term in terms]
         index = np.fromiter(itertools.chain.from_iterable(lists), np.int64)
         if index.size and not 0 <= index.min() <= index.max() < size:
@@ -921,11 +921,11 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
         lengths = set(map(len, lists))
         if len(lengths) > 1:
             raise ValueError(f"the terms' {key} lists have unequal lengths {sorted(lengths)}")
-        factors.append(shift + index.reshape(len(lists), lengths.pop() if lengths else 0))
+        factors.append(index.reshape(len(lists), lengths.pop() if lengths else 0))
     values = np.array([t["re"] for t in terms]) + 1j * np.array([t["im"] for t in terms])
-    entries = np.concatenate([u, u.conj()])
-    for position in np.hstack(factors).T:
-        values *= entries[position]
+    for entries, index in zip((u, u.conj()), factors):
+        for position in index.T:
+            values *= entries[position]
     eq = np.repeat(np.arange(len(equations)), [len(e["terms"]) for e in equations])
     totals = np.bincount(eq, values.real, len(equations)) + 1j * np.bincount(
         eq, values.imag, len(equations)

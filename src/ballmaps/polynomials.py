@@ -17,7 +17,8 @@ refusal), :func:`find_sorted` (lookup of keys in a sorted table),
 :func:`monomial_values` (monomials evaluated at points) and
 :func:`row_products` (products of coefficient rows, each complex product
 rounded by :func:`times`).  :func:`held_array` is the one dtype rule of the
-arrays that forms and maps hold: real unless an imaginary part is nonzero.
+arrays that forms and maps hold: real unless an imaginary part is nonzero;
+:func:`check_array_budget` is the one memory refusal of those arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +41,23 @@ TAU_EQ = 1e-9
 
 class CapabilityError(ValueError):
     """Raised when a request exceeds a documented capability cap."""
+
+
+#: Bytes that any one dense array sized from the input may take, counted in
+#: the dtype it is allocated in (:func:`check_array_budget`).
+MAX_ARRAY_BYTES = 2**28
+
+
+def check_array_budget(shape: Sequence[int], dtype) -> None:
+    """Raise :class:`CapabilityError` for a dense array of ``shape`` and
+    ``dtype`` above ``MAX_ARRAY_BYTES``, before it is allocated."""
+    dtype = np.dtype(dtype)
+    size = math.prod(map(int, shape)) * dtype.itemsize
+    if size > MAX_ARRAY_BYTES:
+        raise CapabilityError(
+            f"a {' x '.join(map(str, shape))} {dtype} array needs {size} bytes, "
+            f"above the budget MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +136,6 @@ def held_array(a) -> np.ndarray:
 #: Coefficient products formed at once by :func:`row_products`.
 _PRODUCT_CHUNK = 1 << 20
 
-#: Bytes of the dense product array :func:`row_products` may allocate (the
-#: form product's result is that array, and its constructor symmetrizes it in
-#: two more of the same size); a larger product raises :class:`CapabilityError`.
-MAX_PRODUCT_BYTES = 1 << 28
-
 
 def times(a, b) -> np.ndarray:
     """a * b elementwise, each entry rounded as the Python complex product is
@@ -185,9 +198,8 @@ def row_products(
     :func:`times` and added in the order (pair, left column, right column),
     as dict arithmetic over the rows' terms in column order adds it; the
     pairs are taken in chunks of at most ``_PRODUCT_CHUNK`` products.  The
-    product rows are real when both operands are, and a product array above
-    ``MAX_PRODUCT_BYTES`` raises :class:`CapabilityError` before it is
-    allocated.
+    product rows are real when both operands are, and their array is counted
+    against :func:`check_array_budget` before it is allocated.
     """
     (left_monos, left), (right_monos, right) = left, right
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -202,11 +214,7 @@ def row_products(
     nl, nr = np.diff(lstart), np.diff(rstart)
     dtype = np.result_type(left, right, float)
     shape = (int(targets.max(initial=-1)) + 1, len(exps))
-    if shape[0] * shape[1] * dtype.itemsize > MAX_PRODUCT_BYTES:
-        raise CapabilityError(
-            f"a {shape[0]} x {shape[1]} {dtype} product array exceeds the budget "
-            f"MAX_PRODUCT_BYTES = {MAX_PRODUCT_BYTES}"
-        )
+    check_array_budget(shape, dtype)
     acc = np.zeros(shape, dtype=dtype)
     step = max(1, _PRODUCT_CHUNK // max(1, int(nl.max(initial=0) * nr.max(initial=0))))
     for start in range(0, len(pairs), step):

@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+import ballmaps
 from ballmaps import gram_form
 from ballmaps.maps import coefficient_matrix
 from ballmaps.polynomials import TAU_EQ, MultiIndex, Polynomial, degree_monomials
@@ -135,6 +140,35 @@ S3_GENERATORS = {
     "alternating": [(1, 2, 0)],
     "full": [(1, 2, 0), (1, 0, 2)],
 }
+
+
+_CAPPED_REALIZE = """
+import resource, sys
+cap = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from ballmaps.cli import main
+sys.exit(main(["realize", "subgroup", "--group", sys.argv[1], "-o", sys.argv[2]]))
+"""
+
+
+def realize_capped(tmp_path, n, generators, timeout):
+    """Run ``ballmaps realize subgroup`` on the permutation group of the
+    generators in a fresh process whose address space is capped at 3 GiB;
+    returns the finished process and the path of its output file."""
+    pytest.importorskip("resource")
+    spec, out = tmp_path / "group.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"n": n, "generators": generators}))
+    src = os.path.dirname(os.path.dirname(ballmaps.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_REALIZE, str(spec), str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    return done, out
 
 
 def support_of_summand(h, m):

@@ -306,6 +306,18 @@ def test_cli_realize_subgroup(tmp_path):
     ]
 
 
+def test_cli_realize_fails_on_a_nontrivial_diagonal_stabilizer(tmp_path, monkeypatch):
+    # every diagonal unitary kept: a full torus, which a realization must not have
+    monkeypatch.setattr(
+        invariance, "diagonal_stabilizer", lambda f: invariance.TorusSubgroup.from_rows([], f.n)
+    )
+    out = tmp_path / "map.json"
+    assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 3
+    v = json.loads(out.read_text())["verification"]
+    assert v["proper"] is True and v["matches_requested_group"] is True
+    assert v["diagonal_stabilizer_trivial"] is False
+
+
 def test_cli_emit_system_schema(tmp_path):
     mp = tmp_path / "map.json"
     main(["construct", "catalog", "--name", "faran-2", "-o", str(mp)])

@@ -162,10 +162,10 @@ def test_the_product_budget_counts_the_held_dtype(monkeypatch):
     a, b = form_of(catalog("faran-2")), norm_power_form(2, 3)
     size = (a * b).size
     # room for the real product, not for the same product held as complex
-    monkeypatch.setattr(polynomials, "MAX_PRODUCT_BYTES", size * size * 8)
+    monkeypatch.setattr(polynomials, "MAX_ARRAY_BYTES", size * size * 8)
     assert (a * b).mat.dtype == np.float64
-    with pytest.raises(CapabilityError, match="MAX_PRODUCT_BYTES"):
+    with pytest.raises(CapabilityError, match="MAX_ARRAY_BYTES"):
         _as_complex(a) * b
-    monkeypatch.setattr(polynomials, "MAX_PRODUCT_BYTES", size * size * 8 - 1)
-    with pytest.raises(CapabilityError, match="MAX_PRODUCT_BYTES"):
+    monkeypatch.setattr(polynomials, "MAX_ARRAY_BYTES", size * size * 8 - 1)
+    with pytest.raises(CapabilityError, match="MAX_ARRAY_BYTES"):
         a * b

@@ -6,15 +6,12 @@ recursion's per-class array; the quotient form is assembled from it on first
 read and kept.  ``is_proper`` divides once, through the module's own
 ``quotient_by_sphere`` binding (the one the benchmark tracer wraps), and
 builds no form of its own.  A division whose per-class array would exceed
-``MAX_DIVISION_CELLS`` entries is refused with ``CapabilityError`` before the
-array is allocated.
+``MAX_ARRAY_BYTES`` is refused with ``CapabilityError`` before the array is
+allocated.
 """
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -32,11 +29,11 @@ from ballmaps import (
     realize_subgroup,
     symmetric_group_map,
 )
-from ballmaps import hermitian
+from ballmaps import hermitian, polynomials
 from ballmaps.maps import CATALOG_NAMES
 from ballmaps.polynomials import degree_monomials
 
-from conftest import S3_GENERATORS
+from conftest import S3_GENERATORS, realize_capped
 
 CASES = [*CATALOG_NAMES, "S2", "S3", "S4", "S5", "S6", *(f"s3-{g}" for g in S3_GENERATORS)]
 
@@ -127,19 +124,19 @@ def _division_entries(h):
 def test_division_budget_admits_exactly_up_to_its_entries(case, monkeypatch):
     h = form_of(_map(case))
     entries = _division_entries(h)
-    monkeypatch.setattr(hermitian, "MAX_DIVISION_CELLS", entries)
+    monkeypatch.setattr(polynomials, "MAX_ARRAY_BYTES", entries * h.mat.itemsize)
     quotient_by_sphere(h)
-    monkeypatch.setattr(hermitian, "MAX_DIVISION_CELLS", entries - 1)
-    with pytest.raises(CapabilityError, match="MAX_DIVISION_CELLS"):
+    monkeypatch.setattr(polynomials, "MAX_ARRAY_BYTES", entries * h.mat.itemsize - 1)
+    with pytest.raises(CapabilityError, match="MAX_ARRAY_BYTES"):
         quotient_by_sphere(h)
 
 
 def test_division_over_budget_is_refused_before_allocating():
     # 42 monomials of degree 40 in 4 variables: 135,751 cells x 1,685 classes,
-    # two complex arrays of 3.4 GiB each
+    # two real arrays of 1.7 GiB each
     basis = degree_monomials(4, 40)[::300]
     h = HermitianForm(4, basis, np.ones((len(basis), len(basis))))
-    assert _division_entries(h) > 4 * hermitian.MAX_DIVISION_CELLS
+    assert _division_entries(h) * h.mat.itemsize > 4 * polynomials.MAX_ARRAY_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(CapabilityError):
@@ -150,35 +147,9 @@ def test_division_over_budget_is_refused_before_allocating():
     assert peak < 16 << 20
 
 
-_CAPPED_REALIZE = """
-import resource, sys
-cap = 3 << 30
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-from ballmaps.cli import main
-sys.exit(main(["realize", "subgroup", "--group", sys.argv[1], "-o", sys.argv[2]]))
-"""
-
-
-def _realize_capped(tmp_path, n, generators, timeout):
-    pytest.importorskip("resource")
-    spec, out = tmp_path / "group.json", tmp_path / "out.json"
-    spec.write_text(json.dumps({"n": n, "generators": generators}))
-    src = os.path.dirname(os.path.dirname(ballmaps.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", _CAPPED_REALIZE, str(spec), str(out)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    return done, out
-
-
 def test_cli_certifies_c4_within_3gb(tmp_path):
     # the division of the C_4 = <(1 2 3 0)> map has 9.7 M entries, within the budget
-    done, out = _realize_capped(tmp_path, 4, [[1, 2, 3, 0]], timeout=300)
+    done, out = realize_capped(tmp_path, 4, [[1, 2, 3, 0]], timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(out.read_text())["verification"]
     assert summary["proper"] is True and summary["matches_requested_group"] is True
@@ -187,7 +158,7 @@ def test_cli_certifies_c4_within_3gb(tmp_path):
 def test_cli_refuses_c5_within_3gb(tmp_path):
     # the product of the C_5 = <(1 2 3 4 0)> remainder with |z|^22 needs a
     # dense 14,015 x 14,015 array (1.46 GiB real), which used to end in MemoryError
-    done, out = _realize_capped(tmp_path, 5, [[1, 2, 3, 4, 0]], timeout=120)
+    done, out = realize_capped(tmp_path, 5, [[1, 2, 3, 4, 0]], timeout=120)
     assert done.returncode == 4, done.stderr
-    assert "MAX_PRODUCT_BYTES" in done.stderr and "Traceback" not in done.stderr
+    assert "MAX_ARRAY_BYTES" in done.stderr and "Traceback" not in done.stderr
     assert not out.exists()
