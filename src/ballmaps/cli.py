@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -47,12 +48,13 @@ def _read_json(path: str) -> dict:
 
 
 def _write_json(data: dict, path: str | None, indent: int | None = 2) -> None:
-    text = json.dumps(data, indent=indent, sort_keys=False)
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    # streamed: joined into one string, a realized map's indented chunks can take gigabytes
+    encoder = json.JSONEncoder(indent=indent)
+    chunks = [encoder.encode(data)] if indent is None else encoder.iterencode(data)
+    out = nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
+    with out as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
 def _load_map(path: str) -> RationalMap:
@@ -239,12 +241,8 @@ def _cmd_realize(args) -> int:
             return EXIT_VERIFY
         group = None
 
-    payload = result.to_dict()
     cert = is_proper(result, args.tol_div)
-    summary = {
-        "proper": cert.proper,
-        "residual": cert.residual,
-    }
+    summary = {"proper": cert.proper, "residual": cert.residual}
     if group is not None and result.n <= invariance.MAX_PERMUTATION_DIM:
         stabilizer = invariance.permutation_stabilizer(result)
         summary["permutation_stabilizer"] = [list(p) for p in stabilizer]
@@ -252,8 +250,7 @@ def _cmd_realize(args) -> int:
         summary["diagonal_stabilizer_trivial"] = invariance.diagonal_stabilizer(
             result
         ).is_trivial
-    payload["verification"] = summary
-    _write_json(payload, args.output)
+    _write_json({**result.to_dict(), "verification": summary}, args.output)
     checks = ("proper", "matches_requested_group", "diagonal_stabilizer_trivial")
     return EXIT_OK if all(summary.get(check, True) for check in checks) else EXIT_VERIFY
 

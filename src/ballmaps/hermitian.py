@@ -52,7 +52,8 @@ class HermitianForm:
     ``basis[i]`` is the multi-index of the i-th monomial and ``mat[i, j]`` is
     the coefficient of z^basis[i] * conj(z^basis[j]).  The constructor sorts and
     symmetrizes; a slice, real multiple, sum or difference is held as formed.
-    A matrix whose imaginary part is exactly zero is held as float64, any
+    Every form is held with its support decided (:meth:`_hold`); then a
+    matrix whose imaginary part is exactly zero is held as float64, any
     other as complex128 (:func:`ballmaps.polynomials.held_array`).  Every
     dense matrix a constructor allocates is first counted against
     :func:`ballmaps.polynomials.check_array_budget`.
@@ -73,6 +74,20 @@ class HermitianForm:
         self._hold(nvars, basis, 0.5 * (mat + mat.conj().T))
 
     def _hold(self, nvars: int, basis: tuple[MultiIndex, ...], mat: np.ndarray) -> None:
+        """Hold ``mat``, a fresh array, with each entry 0 < |h_ab| <= TAU_ZERO
+        max(1, d_a d_b) zeroed in place, d the Jacobi scale of :func:`signature`.
+        Such an entry is at most TAU_ZERO in the scaled matrix, whose largest
+        |lambda| is at least 1, so it moves no spectral decision."""
+        support = mat != 0
+        mags = np.abs(mat[support])
+        # every cut is TAU_ZERO max(1, max|h|) at most (2x covers its rounding)
+        if mags.size and mags.min() <= 2 * TAU_ZERO * max(1.0, mags.max()):
+            rows, cols = np.divmod(np.flatnonzero(support), len(mat))
+            d = np.zeros(len(mat))
+            np.maximum.at(d, rows, mags)
+            d = np.sqrt(d)
+            drop = mags <= TAU_ZERO * np.maximum(d[rows] * d[cols], 1.0)
+            mat[rows[drop], cols[drop]] = 0.0
         mat = held_array(mat)
         mat.setflags(write=False)
         for name, value in zip(self.__slots__, (nvars, basis, mat)):
@@ -152,10 +167,8 @@ class HermitianForm:
         return float((vals @ self.mat @ vals.conj()).real)
 
     def compressed(self) -> "HermitianForm":
-        """Drop basis monomials whose row and column are at most TAU_ZERO."""
-        if not self.size:
-            return self
-        keep = np.where(np.max(np.abs(self.mat), axis=0) > TAU_ZERO)[0]
+        """Drop basis monomials whose row and column hold no entry."""
+        keep = np.flatnonzero(self.mat.any(axis=0))
         if len(keep) == self.size:
             return self
         basis = [self.basis[i] for i in keep.tolist()]
@@ -192,21 +205,19 @@ class HermitianForm:
 
         A form is the sum over a of z^a times its row a, a polynomial in
         conj z.  Row a + c of the product sums the products of row a of self
-        and row c of other, formed by :func:`row_products` over the entries
-        above TAU_ZERO, so every entry is summed in the order of the pairs
-        of entries (a, b) of self, (c, d) of other.  Rows and columns run
+        and row c of other, formed by :func:`row_products` over the held
+        entries, so every entry is summed in the order of the pairs of
+        entries (a, b) of self, (c, d) of other.  Rows and columns run
         over the same sums of a monomial of each basis (:func:`grlex_sums`).
         The product's dense matrix is the accumulator of :func:`row_products`.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
         n = self.nvars
-        left = (self.basis, np.where(np.abs(self.mat) > TAU_ZERO, self.mat, 0.0))
-        right = (other.basis, np.where(np.abs(other.mat) > TAU_ZERO, other.mat, 0.0))
         _, target = grlex_sums(n, exponent_array(self.basis, n), exponent_array(other.basis, n))
         pairs = np.indices(target.shape).reshape(2, -1).T
+        left, right = (self.basis, self.mat), (other.basis, other.mat)
         exps, rows = row_products(n, left, right, pairs, target.ravel())
-        rows[np.abs(rows) <= TAU_ZERO] = 0.0
         return HermitianForm(n, exps.tolist(), rows).compressed()
 
     def max_entry_diff(self, other: "HermitianForm") -> float:
@@ -432,21 +443,13 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     deltas = monomial_keys.keys(np.stack([plus[first], minus[first]]))
 
     def quotient() -> HermitianForm:
-        # scatter u back onto (delta+ + c, delta- + c); the quotient's basis is
-        # the monomials with an entry above TAU_ZERO in their column
+        # scatter u back onto (delta+ + c, delta- + c)
         cell, of = np.nonzero(U)
-        values = U[cell, of]
         monos, index = np.unique(keys[cell] + deltas[:, of], return_inverse=True)
-        row, col = index.reshape(2, -1)
-        kept = np.zeros(len(monos), dtype=bool)
-        kept[col[np.abs(values) > TAU_ZERO]] = True
-        position = np.cumsum(kept) - 1
-        inside = kept[row] & kept[col]
-        i, j = position[row[inside]], position[col[inside]]
-        check_array_budget((kept.sum(),) * 2, U.dtype)
-        mat = np.zeros((kept.sum(),) * 2, dtype=U.dtype)
-        mat[i, j] = values[inside]
-        return HermitianForm(n, monomial_keys.exponents(monos[kept]).tolist(), mat)
+        check_array_budget((len(monos),) * 2, U.dtype)
+        mat = np.zeros((len(monos),) * 2, dtype=U.dtype)
+        mat[tuple(index.reshape(2, -1))] = U[cell, of]
+        return HermitianForm(n, monomial_keys.exponents(monos).tolist(), mat).compressed()
 
     return SphereDivision(residual, quotient)
 
@@ -475,7 +478,7 @@ def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
         # the denominator-degree bound holds for maps fixing the origin; a
         # violation there (or a vanishing form) flags a representation that
         # cannot be in lowest terms
-        if h.max_abs() <= TAU_ZERO:
+        if not h.mat.any():
             warnings.warn(
                 "form is identically zero; numerator and denominator share "
                 "a unimodular factor and cannot be in lowest terms",

@@ -128,7 +128,7 @@ _GATHER_BUDGET = 1 << 14
 class _PermutationSearch:
     """Index tables testing coordinate permutations on one coefficient array.
 
-    The entries of the array A above TAU_ZERO are its support.  Columns are
+    The nonzero entries of the held array A are its support.  Columns are
     indices into ``basis``; with ``permute_rows`` the rows are too (a
     Hermitian form), otherwise they stay fixed (the components of a map).
     sigma sends z^alpha to the monomial carrying alpha_i at position
@@ -156,7 +156,7 @@ class _PermutationSearch:
         cut: float | np.ndarray,
         permute_rows: bool,
     ):
-        support = np.abs(array) > TAU_ZERO
+        support = array != 0
         rows, cols = np.nonzero(np.triu(support) if permute_rows else support)
         values, cut = array[rows, cols], np.broadcast_to(cut, len(array))[rows]
         exps = exponent_array(basis, n)
@@ -363,7 +363,7 @@ def diagonal_stabilizer(f: RationalMap) -> TorusSubgroup:
     """Diagonal unitaries preserving the form: lattice of exponent differences."""
     h = form_of(f)
     exps = exponent_array(h.basis, f.n)
-    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    rows, cols = np.nonzero(h.mat != 0)
     # the distinct differences from one lexicographic sort of the rows: keys in
     # base 2D + 1 would overflow int64 on maps that analyze, as identity_map(40)
     diffs = exps[rows] - exps[cols]
@@ -539,7 +539,7 @@ def block_partition(f: RationalMap, tol: float = TAU_EQ) -> BlockPartition:
     """
     h = form_of(f)
     cut = tol * max(1.0, h.max_abs())
-    rows, cols = np.nonzero(np.abs(h.mat) > TAU_ZERO)
+    rows, cols = np.nonzero(h.mat != 0)
     exps = exponent_array(h.basis, f.n)
     a, b, c = exps[rows], exps[cols], h.mat[rows, cols]
     phase = ~((a != b) & (np.abs(c) > cut)[:, None]).any(axis=0)
@@ -777,9 +777,9 @@ def emit_invariance_system(f: RationalMap) -> dict:
 
     Raises, before building any term: CapabilityError for n >
     MAX_PERMUTATION_DIM (the determinant constraint has (n + 1)! terms);
-    MapConstructionError when |h00| <= TAU_ZERO, where the origin row cannot
-    fix the constant; and CapabilityError when the ordered pairs (E1, E2) on
-    the support of h, sum over |h[a, b]| > TAU_ZERO of
+    MapConstructionError when h00 = 0, where the origin row cannot fix the
+    constant; and CapabilityError when the ordered pairs (E1, E2) on the
+    support of h, sum over h[a, b] != 0 of
     prod_j C(a_j + n, n) C(b_j + n, n), exceed MAX_SYSTEM_PAIRS.
     """
     if f.n > MAX_PERMUTATION_DIM:
@@ -790,13 +790,13 @@ def emit_invariance_system(f: RationalMap) -> dict:
     h = form_of(f)
     n, d, n1 = f.n, f.degree, f.n + 1
     h00 = h.entry((0,) * n, (0,) * n).real
-    if abs(h00) <= TAU_ZERO:
+    if not h00:
         raise MapConstructionError(
             "the form vanishes at the origin row; the invariance system is undefined"
         )
     homogeneous = [alpha + (d - sum(alpha),) for alpha in h.basis]
     counts = np.array([math.prod(math.comb(aj + n, n) for aj in a) for a in homogeneous], float)
-    pairs = counts @ (np.abs(h.mat) > TAU_ZERO) @ counts
+    pairs = counts @ (h.mat != 0) @ counts
     if pairs > MAX_SYSTEM_PAIRS:
         raise CapabilityError(
             f"the invariance system has {pairs:.3g} term pairs; emission is capped at "
@@ -831,7 +831,7 @@ def emit_invariance_system(f: RationalMap) -> dict:
             keys = np.add.outer(g1 * K, g2).ravel()
             values = (np.outer(w[g1], w[g2]) * h.mat[np.ix_(col[g1], col[g2])]).ravel()
             h_value = h.mat[row_of[i1], row_of[i2]] if in_basis[i1] and in_basis[i2] else 0.0
-            if abs(h_value) > TAU_ZERO:
+            if h_value:
                 keys, at = np.unique(np.concatenate([keys, lam_keys]), return_inverse=True)
                 total = np.zeros(len(keys), dtype=complex)
                 np.add.at(total, at, np.concatenate([values, h_value * (-1.0 / h00) * lam]))

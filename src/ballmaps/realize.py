@@ -104,7 +104,7 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
     """Eigendecompose the coefficient matrix into sparse holomorphic components,
     returned as coefficient rows over the basis of h.
 
-    The support graph (|h_ab| > TAU_ZERO) splits the matrix into connected
+    The support graph (h_ab != 0) splits the matrix into connected
     blocks, factored separately with the Jacobi scaling and the cut of
     :func:`ballmaps.hermitian.signature` (no row has a larger entry outside
     its block, and the cut is against the largest |lambda| of all blocks),
@@ -112,7 +112,7 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
     of a scaled block gives the component d o v sqrt|lambda|, split by the
     sign of lambda; a block's components are independent as its eigenvectors are.
     """
-    support = np.abs(h.mat) > TAU_ZERO
+    support = h.mat != 0
     labels, d = _support_blocks(support), _jacobi_scale(h.mat)
     blocks = [np.flatnonzero(labels == label) for label in np.unique(labels[support.any(axis=1)])]
     # complex on purpose: a real eigh picks other bases inside degenerate

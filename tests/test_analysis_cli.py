@@ -318,6 +318,20 @@ def test_cli_realize_fails_on_a_nontrivial_diagonal_stabilizer(tmp_path, monkeyp
     assert v["diagonal_stabilizer_trivial"] is False
 
 
+def test_cli_realize_builds_no_payload_for_a_refused_certificate(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise invariance.CapabilityError("refused")
+
+    def unexpected(self):
+        raise AssertionError("the map's JSON was built before its certificate")
+
+    monkeypatch.setattr(cli, "is_proper", refuse)
+    monkeypatch.setattr(ballmaps.RationalMap, "to_dict", unexpected)
+    out = tmp_path / "map.json"
+    assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 4
+    assert not out.exists()
+
+
 def test_cli_emit_system_schema(tmp_path):
     mp = tmp_path / "map.json"
     main(["construct", "catalog", "--name", "faran-2", "-o", str(mp)])

@@ -148,7 +148,7 @@ def test_division_over_budget_is_refused_before_allocating():
 
 
 def test_cli_certifies_c4_within_3gb(tmp_path):
-    # the division of the C_4 = <(1 2 3 0)> map has 9.7 M entries, within the budget
+    # the division of the C_4 = <(1 2 3 0)> map has 245,385 entries, within the budget
     done, out = realize_capped(tmp_path, 4, [[1, 2, 3, 0]], timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(out.read_text())["verification"]
