@@ -11,8 +11,8 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
-from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +51,18 @@ def _write_json(data: dict, path: str | None, indent: int | None = 2) -> None:
     # streamed: joined into one string, a realized map's indented chunks can take gigabytes
     encoder = json.JSONEncoder(indent=indent)
     chunks = [encoder.encode(data)] if indent is None else encoder.iterencode(data)
-    out = nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
-    with out as fh:
-        fh.writelines(chunks)
-        fh.write("\n")
+    chunks = itertools.chain(chunks, ["\n"])
+    if path in (None, "-"):
+        return sys.stdout.writelines(chunks)
+    # written whole beside path, then moved onto it: a failed encoding leaves no truncated file
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def _load_map(path: str) -> RationalMap:
@@ -114,10 +122,7 @@ def _parse_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
     perm = [int(x) for x in perm]
     if len(perm) != n:
         raise CliInputError(f"permutation length {len(perm)} differs from n={n}")
-    if 0 in perm:
-        candidate = perm
-    else:
-        candidate = [x - 1 for x in perm]
+    candidate = perm if 0 in perm else [x - 1 for x in perm]
     if sorted(candidate) != list(range(n)):
         raise CliInputError(f"{perm} is not a permutation of 1..{n} (or 0..{n - 1})")
     return tuple(candidate)
@@ -148,9 +153,7 @@ def _cmd_construct(args) -> int:
     if kind == "tensor":
         result = maps.tensor(_load_map(args.f), _load_map(args.g))
     elif kind == "oplus":
-        weights = None
-        if args.weights:
-            weights = (args.weights[0], args.weights[1])
+        weights = (args.weights[0], args.weights[1]) if args.weights else None
         result = maps.oplus(_load_map(args.f), _load_map(args.g), weights)
     elif kind == "juxtapose":
         if args.lambdas:
@@ -247,9 +250,7 @@ def _cmd_realize(args) -> int:
         stabilizer = invariance.permutation_stabilizer(result)
         summary["permutation_stabilizer"] = [list(p) for p in stabilizer]
         summary["matches_requested_group"] = sorted(stabilizer) == sorted(group)
-        summary["diagonal_stabilizer_trivial"] = invariance.diagonal_stabilizer(
-            result
-        ).is_trivial
+        summary["diagonal_stabilizer_trivial"] = invariance.diagonal_stabilizer(result).is_trivial
     _write_json({**result.to_dict(), "verification": summary}, args.output)
     checks = ("proper", "matches_requested_group", "diagonal_stabilizer_trivial")
     return EXIT_OK if all(summary.get(check, True) for check in checks) else EXIT_VERIFY

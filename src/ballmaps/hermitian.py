@@ -75,7 +75,7 @@ class HermitianForm:
 
     def _hold(self, nvars: int, basis: tuple[MultiIndex, ...], mat: np.ndarray) -> None:
         """Hold ``mat``, a fresh array, with each entry 0 < |h_ab| <= TAU_ZERO
-        max(1, d_a d_b) zeroed in place, d the Jacobi scale of :func:`signature`.
+        max(1, d_a d_b) zeroed in place, d = :func:`_jacobi_scale` as in :func:`signature`.
         Such an entry is at most TAU_ZERO in the scaled matrix, whose largest
         |lambda| is at least 1, so it moves no spectral decision."""
         support = mat != 0
@@ -83,9 +83,7 @@ class HermitianForm:
         # every cut is TAU_ZERO max(1, max|h|) at most (2x covers its rounding)
         if mags.size and mags.min() <= 2 * TAU_ZERO * max(1.0, mags.max()):
             rows, cols = np.divmod(np.flatnonzero(support), len(mat))
-            d = np.zeros(len(mat))
-            np.maximum.at(d, rows, mags)
-            d = np.sqrt(d)
+            d = _jacobi_scale(mat)
             drop = mags <= TAU_ZERO * np.maximum(d[rows] * d[cols], 1.0)
             mat[rows[drop], cols[drop]] = 0.0
         mat = held_array(mat)

@@ -332,6 +332,21 @@ def test_cli_realize_builds_no_payload_for_a_refused_certificate(tmp_path, monke
     assert not out.exists()
 
 
+def test_cli_json_output_is_not_truncated_by_a_failed_encoding(tmp_path):
+    out = tmp_path / "map.json"
+    # the value that cannot be encoded comes after chunks that were already streamed
+    unencodable = {"components": list(range(1000)), "verification": object()}
+    with pytest.raises(TypeError):
+        cli._write_json(unencodable, str(out))
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("{}\n")
+    with pytest.raises(TypeError):
+        cli._write_json(unencodable, str(out))
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "{}\n"
+    cli._write_json({"components": [1, 2]}, str(out))
+    assert list(tmp_path.iterdir()) == [out] and json.loads(out.read_text()) == {"components": [1, 2]}
+
+
 def test_cli_emit_system_schema(tmp_path):
     mp = tmp_path / "map.json"
     main(["construct", "catalog", "--name", "faran-2", "-o", str(mp)])
