@@ -3,7 +3,8 @@
 The sampler is the independent check against the algebraic properness
 certificate: it draws seeded uniform points on the unit sphere and measures
 how far |f(z)|^2_l strays from 1.  The analysis bundle aggregates every
-structural detector over one map into a single JSON-friendly report.
+structural detector over one map into a single JSON-friendly report, and the
+realization certificate decides whether a realized map is what was asked for.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .hermitian import (
     TAU_DIV,
     TAU_SIG,
     form_of,
-    hermitian_rank,
     image_rank,
     is_proper,
     signature,
@@ -27,7 +27,9 @@ from .hermitian import (
 from .invariance import (
     GroupReport,
     StrictStabilizer,
+    diagonal_stabilizer,
     group_report,
+    permutation_stabilizer,
     power_chain_check,
     strict_stabilizer,
 )
@@ -58,28 +60,20 @@ class SphereSampleResult:
         }
 
 
-#: Component rows the sampler evaluates at once in each block of points, so
-#: no array grows with both the components and the points.
-_ROW_BLOCK = 2048
-
-#: (monomial, point) values the sampler evaluates at once: the points go in
-#: blocks of _POINT_BLOCK // monomials, a 256 KiB complex array that stays in
-#: cache on a large map, while a catalog fixture (at most 8 monomials) takes
-#: its 1000 points in one block.
+#: (monomial, point) values the sampler evaluates at once, a 256 KiB complex
+#: array, unless that is fewer than 64 points: a catalog fixture (at most 8
+#: monomials) takes its 1000 points in one block.
 _POINT_BLOCK = 1 << 14
 
 
 def sphere_sample_check(
-    f: RationalMap,
-    count: int = 1000,
-    tol: float = 1e-9,
-    seed: int = 0,
+    f: RationalMap, count: int = 1000, tol: float = 1e-9, seed: int = 0
 ) -> SphereSampleResult:
     """Sample |f|^2_l - 1 on the unit sphere (normalized complex Gaussians).
 
-    The points are evaluated in blocks of ``_POINT_BLOCK // monomials``, and
-    each block's |f|^2_l is summed over ``_ROW_BLOCK`` component rows at a
-    time; every point's value is the same however the points are blocked.
+    The points go in blocks of ``max(64, _POINT_BLOCK // monomials)``, each
+    one (N + 1) x points product; every point's value is the same however the
+    points are blocked.
     """
     if count < 1:
         raise ValueError("at least one sample is required")
@@ -90,20 +84,61 @@ def sphere_sample_check(
     exps = exponent_array(monos, f.n)
     A = A.astype(complex)  # the product with the complex values, cast once
     signs = np.array([1.0] * f.m + [-1.0] * f.l)
-    num_norm, qabs = np.zeros(count), np.empty(count)
-    step = max(1, _POINT_BLOCK // len(monos))
+    num_norm, qabs = np.empty(count), np.empty(count)
+    step = max(64, _POINT_BLOCK // len(monos))
     for lo in range(0, count, step):
         block = slice(lo, lo + step)
-        vals = monomial_values(exps, z[block]).T  # the monomials x points array the kernel built
-        for start in range(0, f.target_dim, _ROW_BLOCK):
-            rows = slice(start, min(start + _ROW_BLOCK, f.target_dim))
-            num_norm[block] += (signs[rows, None] * (np.abs(A[rows] @ vals) ** 2)).sum(axis=0)
-        qabs[block] = np.abs(A[-1] @ vals)
+        values = A @ monomial_values(exps, z[block]).T  # (N + 1) x points
+        num_norm[block] = (signs[:, None] * np.abs(values[:-1]) ** 2).sum(axis=0)
+        qabs[block] = np.abs(values[-1])
     min_q = float(np.min(qabs))
-    if min_q <= 1e-12:
-        return SphereSampleResult(math.inf, False, count, tol, seed, min_q)
-    residual = float(np.max(np.abs(num_norm / (qabs**2) - 1.0)))
+    residual = math.inf if min_q <= 1e-12 else float(np.max(np.abs(num_norm / qabs**2 - 1.0)))
     return SphereSampleResult(residual, residual <= tol, count, tol, seed, min_q)
+
+
+# ---------------------------------------------------------------------------
+# realization certificate
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class RealizationCertificate:
+    """The checks of one realized map; the group fields are None without a group."""
+
+    proper: ProperResult
+    sample: SphereSampleResult
+    permutation_stabilizer: list[tuple[int, ...]] | None = None
+    matches_requested_group: bool | None = None
+    diagonal_stabilizer_trivial: bool | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Every check that ran passed."""
+        group_checks = (self.matches_requested_group, self.diagonal_stabilizer_trivial)
+        return self.proper.proper and self.sample.passed and False not in group_checks
+
+    def to_dict(self) -> dict:
+        p = self.proper
+        out = {"proper": p.proper, "residual": p.residual, "tolerance": p.tolerance}
+        if self.permutation_stabilizer is not None:
+            out["permutation_stabilizer"] = [list(sigma) for sigma in self.permutation_stabilizer]
+            out["matches_requested_group"] = self.matches_requested_group
+            out["diagonal_stabilizer_trivial"] = self.diagonal_stabilizer_trivial
+        return {**out, "sample": self.sample.to_dict()}
+
+
+def certify_realization(
+    f: RationalMap, group=None, tol_div: float = TAU_DIV, seed: int = 0
+) -> RealizationCertificate:
+    """Certify a realized map: :func:`is_proper` at ``tol_div`` (first, so a refused
+    division raises before any other check) and :func:`sphere_sample_check` at
+    ``seed``; given a permutation group G, also Γ_f ∩ S_n = G and a trivial
+    diagonal stabilizer."""
+    proper, sample = is_proper(f, tol_div), sphere_sample_check(f, seed=seed)
+    if group is None:
+        return RealizationCertificate(proper, sample)
+    stabilizer = permutation_stabilizer(f)
+    matches = sorted(stabilizer) == sorted(map(tuple, group))
+    diagonal_trivial = diagonal_stabilizer(f).is_trivial
+    return RealizationCertificate(proper, sample, stabilizer, matches, diagonal_trivial)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import invariance, maps, realize
-from .analysis import analyze_map, sphere_sample_check
+from .analysis import analyze_map, certify_realization, sphere_sample_check
 from .hermitian import TAU_DIV, TAU_SIG, is_proper
 from .invariance import CapabilityError, emit_invariance_system, membership
 from .maps import BallAutomorphism, MapConstructionError, RationalMap
@@ -210,16 +210,10 @@ def _finish_map(result: RationalMap, args) -> int:
 
 def _cmd_realize(args) -> int:
     if args.kind == "symmetric":
-        result = (
-            realize.symmetric_group_map_v2(args.n)
-            if args.variant == 2
-            else realize.symmetric_group_map(args.n)
-        )
-        group = (
-            sorted(itertools.permutations(range(args.n)))
-            if args.n <= invariance.MAX_PERMUTATION_DIM
-            else None
-        )
+        make = realize.symmetric_group_map_v2 if args.variant == 2 else realize.symmetric_group_map
+        result = make(args.n)
+        capped = args.n > invariance.MAX_PERMUTATION_DIM
+        group = None if capped else sorted(itertools.permutations(range(args.n)))
     elif args.kind == "subgroup":
         spec = _read_json(args.group)
         n = _field(spec, "n", args.group, int)
@@ -244,16 +238,9 @@ def _cmd_realize(args) -> int:
             return EXIT_VERIFY
         group = None
 
-    cert = is_proper(result, args.tol_div)
-    summary = {"proper": cert.proper, "residual": cert.residual}
-    if group is not None and result.n <= invariance.MAX_PERMUTATION_DIM:
-        stabilizer = invariance.permutation_stabilizer(result)
-        summary["permutation_stabilizer"] = [list(p) for p in stabilizer]
-        summary["matches_requested_group"] = sorted(stabilizer) == sorted(group)
-        summary["diagonal_stabilizer_trivial"] = invariance.diagonal_stabilizer(result).is_trivial
-    _write_json({**result.to_dict(), "verification": summary}, args.output)
-    checks = ("proper", "matches_requested_group", "diagonal_stabilizer_trivial")
-    return EXIT_OK if all(summary.get(check, True) for check in checks) else EXIT_VERIFY
+    cert = certify_realization(result, group, args.tol_div)
+    _write_json({**result.to_dict(), "verification": cert.to_dict()}, args.output)
+    return EXIT_OK if cert.certified else EXIT_VERIFY
 
 
 def _cmd_pad(args) -> int:

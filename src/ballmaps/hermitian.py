@@ -362,7 +362,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
     :func:`ballmaps.polynomials.check_array_budget` before it is allocated.
     """
     n = h.nvars
-    rows, cols = np.nonzero(h.mat)
+    rows, cols = np.nonzero(h.mat != 0)
     if not len(rows):
         return SphereDivision(0.0, lambda: HermitianForm.zero(n))
     D = h.max_degree()
@@ -442,7 +442,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
 
     def quotient() -> HermitianForm:
         # scatter u back onto (delta+ + c, delta- + c)
-        cell, of = np.nonzero(U)
+        cell, of = np.nonzero(U != 0)
         monos, index = np.unique(keys[cell] + deltas[:, of], return_inverse=True)
         check_array_budget((len(monos),) * 2, U.dtype)
         mat = np.zeros((len(monos),) * 2, dtype=U.dtype)

@@ -207,7 +207,7 @@ def row_products(
     exps, position = grlex_sums(
         nvars, exponent_array(left_monos, nvars), exponent_array(right_monos, nvars)
     )
-    (lrow, lcol), (rrow, rcol) = np.nonzero(left), np.nonzero(right)
+    (lrow, lcol), (rrow, rcol) = np.nonzero(left != 0), np.nonzero(right != 0)
     lvals, rvals = left[lrow, lcol], right[rrow, rcol]
     lstart = np.searchsorted(lrow, np.arange(len(left) + 1))
     rstart = np.searchsorted(rrow, np.arange(len(right) + 1))

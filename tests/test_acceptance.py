@@ -17,6 +17,7 @@ from ballmaps import (
     automorphism_tensor_form,
     automorphism_tensor_rho_expansion,
     catalog,
+    certify_realization,
     close_permutation_group,
     compose_target,
     diagonal_stabilizer,
@@ -25,14 +26,12 @@ from ballmaps import (
     form_of,
     full_unitary_test,
     identity_map,
-    is_proper,
     juxtapose_theta,
     membership,
     pad_with_zeros,
     permutation_stabilizer,
     realize_subgroup,
     sphere_form,
-    sphere_sample_check,
     tensor,
     tensor_power,
     torus_test,
@@ -203,14 +202,10 @@ def test_criterion_06_s3_realization_suite():
     }
     t0 = time.monotonic()
     for name, gens in subgroups.items():
-        group = close_permutation_group(gens, 3)
         f = realize_subgroup(gens, 3)
-        cert = is_proper(f)
-        assert cert.proper and cert.residual <= 1e-8, name
-        sample = sphere_sample_check(f, 1000, 1e-9, seed=606)
-        assert sample.passed, (name, sample.max_residual)
-        assert sorted(permutation_stabilizer(f)) == group, name
-        assert diagonal_stabilizer(f).is_trivial, name
+        cert = certify_realization(f, close_permutation_group(gens, 3), seed=606)
+        assert cert.certified, (name, cert.to_dict())
+        assert cert.proper.residual <= 1e-8, name
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report(6, f"all six subgroups of S_3 realized and verified in {elapsed:.1f} s")

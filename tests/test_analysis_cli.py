@@ -22,7 +22,7 @@ from ballmaps import (
     tensor_power,
     whitney_map,
 )
-from ballmaps import cli, invariance
+from ballmaps import analysis, cli, invariance
 from ballmaps.cli import main
 from ballmaps.maps import CATALOG_NAMES
 
@@ -309,7 +309,7 @@ def test_cli_realize_subgroup(tmp_path):
 def test_cli_realize_fails_on_a_nontrivial_diagonal_stabilizer(tmp_path, monkeypatch):
     # every diagonal unitary kept: a full torus, which a realization must not have
     monkeypatch.setattr(
-        invariance, "diagonal_stabilizer", lambda f: invariance.TorusSubgroup.from_rows([], f.n)
+        analysis, "diagonal_stabilizer", lambda f: invariance.TorusSubgroup.from_rows([], f.n)
     )
     out = tmp_path / "map.json"
     assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 3
@@ -325,7 +325,7 @@ def test_cli_realize_builds_no_payload_for_a_refused_certificate(tmp_path, monke
     def unexpected(self):
         raise AssertionError("the map's JSON was built before its certificate")
 
-    monkeypatch.setattr(cli, "is_proper", refuse)
+    monkeypatch.setattr(analysis, "is_proper", refuse)
     monkeypatch.setattr(ballmaps.RationalMap, "to_dict", unexpected)
     out = tmp_path / "map.json"
     assert main(["realize", "symmetric", "--n", "2", "-o", str(out)]) == 4

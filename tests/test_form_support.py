@@ -19,15 +19,13 @@ from hypothesis import strategies as st
 
 from ballmaps import (
     HermitianForm,
+    certify_realization,
     close_permutation_group,
     diagonal_stabilizer,
     factor_form,
     gram_form,
-    is_proper,
-    permutation_stabilizer,
     realize_subgroup,
     signature,
-    sphere_sample_check,
     symmetric_group_map_v2,
 )
 from ballmaps.hermitian import TAU_SIG, _jacobi_scale
@@ -109,9 +107,7 @@ def test_a4_in_s4_is_certified():
     # its form has 1.95 M stored Gram products, 52,442 of them above their cut
     generators = [(1, 2, 0, 3), (1, 0, 3, 2)]
     f = realize_subgroup(generators, 4)
-    cert = is_proper(f)
-    assert cert.proper and cert.residual <= 1e-4 * cert.tolerance
     group = close_permutation_group(generators, 4)
-    assert len(group) == 12 and sorted(permutation_stabilizer(f)) == group
-    assert diagonal_stabilizer(f).is_trivial
-    assert sphere_sample_check(f, 1000, 1e-9, seed=4).passed
+    cert = certify_realization(f, group, seed=4)
+    assert len(group) == 12 and cert.certified
+    assert cert.proper.residual <= 1e-4 * cert.proper.tolerance

@@ -10,6 +10,7 @@ from ballmaps import (
     TAU_SIG,
     MapConstructionError,
     catalog,
+    certify_realization,
     close_permutation_group,
     diagonal_stabilizer,
     factor_form,
@@ -278,12 +279,9 @@ def test_close_permutation_group_rejects_non_permutation():
 def test_symmetric_group_map(n):
     f = symmetric_group_map(n)
     assert f.degree == 3
-    cert = is_proper(f)
-    assert cert.proper and cert.residual <= 1e-8
-    assert sphere_sample_check(f, 1000, 1e-9, seed=5).passed
     expected = close_permutation_group([tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))], n)
-    assert sorted(permutation_stabilizer(f)) == expected
-    assert diagonal_stabilizer(f).is_trivial
+    cert = certify_realization(f, expected, seed=5)
+    assert cert.certified and cert.proper.residual <= 1e-8
     assert power_chain_check(f) == set()
 
 
@@ -379,10 +377,7 @@ S4_SUBGROUPS = {
 def test_realize_subgroup_of_s4(name):
     generators = S4_SUBGROUPS[name]
     f = realize_subgroup(generators, 4)
-    assert is_proper(f).proper
-    assert sorted(permutation_stabilizer(f)) == close_permutation_group(generators, 4)
-    assert diagonal_stabilizer(f).is_trivial
-    assert sphere_sample_check(f, 1000, 1e-9, seed=4).passed
+    assert certify_realization(f, close_permutation_group(generators, 4), seed=4).certified
 
 
 @pytest.mark.parametrize("name", ["cyclic-4", "klein-4"])

@@ -153,6 +153,7 @@ def test_cli_certifies_c4_within_3gb(tmp_path):
     assert done.returncode == 0, done.stderr
     summary = json.loads(out.read_text())["verification"]
     assert summary["proper"] is True and summary["matches_requested_group"] is True
+    assert summary["sample"]["pass"] is True
 
 
 def test_cli_refuses_c5_within_3gb(tmp_path):
