@@ -116,8 +116,7 @@ class RealizationCertificate:
         return self.proper.proper and self.sample.passed and False not in group_checks
 
     def to_dict(self) -> dict:
-        p = self.proper
-        out = {"proper": p.proper, "residual": p.residual, "tolerance": p.tolerance}
+        out = self.proper.to_dict()
         if self.permutation_stabilizer is not None:
             out["permutation_stabilizer"] = [list(sigma) for sigma in self.permutation_stabilizer]
             out["matches_requested_group"] = self.matches_requested_group
@@ -158,20 +157,10 @@ class AnalysisBundle:
     tolerances: dict
     notes: tuple[str, ...]
 
-    @property
-    def map_data(self) -> dict:
-        """The analyzed map as JSON data, written on each read."""
-        return self.map.to_dict()
-
     def to_dict(self) -> dict:
         return {
-            "map": self.map_data,
-            "proper": {
-                "proper": self.proper.proper,
-                "residual": self.proper.residual,
-                "tolerance": self.proper.tolerance,
-                "quotient": self.proper.quotient.to_dict(),
-            },
+            "map": self.map.to_dict(),
+            "proper": {**self.proper.to_dict(), "quotient": self.proper.quotient.to_dict()},
             "signature": self.signature.to_dict(),
             "hermitian_rank": self.hermitian_rank,
             "image_rank": self.image_rank,

@@ -198,12 +198,7 @@ def _cmd_compose(args) -> int:
 def _finish_map(result: RationalMap, args) -> int:
     payload = result.to_dict()
     if not args.skip_proper_check:
-        cert = is_proper(result, args.tol_div)
-        payload["properness"] = {
-            "proper": cert.proper,
-            "residual": cert.residual,
-            "tolerance": cert.tolerance,
-        }
+        payload["properness"] = is_proper(result, args.tol_div).to_dict()
     _write_json(payload, args.output)
     return EXIT_OK
 

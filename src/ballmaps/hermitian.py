@@ -465,6 +465,9 @@ class ProperResult:
     def quotient(self) -> HermitianForm:
         return self.division.quotient
 
+    def to_dict(self) -> dict:
+        return {"proper": self.proper, "residual": self.residual, "tolerance": self.tolerance}
+
 
 def is_proper(f: RationalMap, tol_div: float = TAU_DIV) -> ProperResult:
     """Certify properness by exact division of the form by |z|^2 - 1."""

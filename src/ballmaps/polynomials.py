@@ -302,10 +302,6 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def constant(cls, nvars: int, value: complex) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------

@@ -17,7 +17,8 @@ a weighted sum, a padding enters as its remainder form, and a tensor product
 with z^(x)k is a product with |z|^(2k).  :func:`factor_form` then splits that
 form once into rank-many sparse components.  Only :func:`pad_to_proper` and
 :func:`symmetric_group_map` factor a padding: the latter keeps its
-components, and with them its strict stabilizer, as they are built.
+components as they are built, and their strict stabilizer is the identity
+alone for n = 2..6.
 """
 
 from __future__ import annotations
@@ -111,20 +112,19 @@ def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResu
     so the component counts are the signature's.  An eigenpair (lambda, v)
     of a scaled block gives the component d o v sqrt|lambda|, split by the
     sign of lambda; a block's components are independent as its eigenvectors are.
+    Each block is decomposed in the form's own dtype, so a real form gives
+    real components.
     """
     support = h.mat != 0
     labels, d = _support_blocks(support), _jacobi_scale(h.mat)
     blocks = [np.flatnonzero(labels == label) for label in np.unique(labels[support.any(axis=1)])]
-    # complex on purpose: a real eigh picks other bases inside degenerate
-    # eigenspaces, which gives unitarily equivalent but different components
-    spectra = [
-        np.linalg.eigh(h.mat[np.ix_(i, i)].astype(complex) / np.outer(d[i], d[i])) for i in blocks
-    ]
+    spectra = [np.linalg.eigh(h.mat[np.ix_(i, i)] / np.outer(d[i], d[i])) for i in blocks]
     scale = max((np.max(np.abs(eigvals)) for eigvals, _ in spectra), default=0.0)
-    pos, neg = [np.zeros((0, h.size), dtype=complex)], [np.zeros((0, h.size), dtype=complex)]
+    empty = np.zeros((0, h.size), dtype=h.mat.dtype)
+    pos, neg = [empty], [empty]
     for idx, (eigvals, eigvecs) in zip(blocks, spectra):
         keep = _kept(eigvals, scale, tol_sig)
-        comps = np.zeros((np.count_nonzero(keep), h.size), dtype=complex)
+        comps = np.zeros((np.count_nonzero(keep), h.size), dtype=h.mat.dtype)
         comps[:, idx] = (d[idx, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))).T
         pos.append(comps[eigvals[keep] > 0])
         neg.append(comps[eigvals[keep] < 0])
@@ -193,8 +193,9 @@ def _padding(
     feasible values, which has a closed form: R is diagonal and positive on
     the support of b = |p|^2, so with D the diagonal of R there and B the
     matrix of b, R - e^2 b is positive semidefinite exactly when
-    e^2 <= 1 / lambda_max(D^(-1/2) B D^(-1/2)).  At eps_sup / 2 the scaled
-    remainder D^(-1/2) (R - eps^2 b) D^(-1/2) has eigenvalues in [3/4, 1].
+    e^2 <= 1 / lambda_max(D^(-1/2) B D^(-1/2)), read in the dtype of B.  At
+    eps_sup / 2 the scaled remainder D^(-1/2) (R - eps^2 b) D^(-1/2) has
+    eigenvalues in [3/4, 1].
     """
     degrees = {sum(alpha) for alpha in monos}
     powers = tuple(range(max(degrees, default=0) + 1))
@@ -211,9 +212,7 @@ def _padding(
     if epsilon is None and b.size:
         _, (_, at) = grlex_union(target.basis, b.basis)
         s = 1.0 / np.sqrt(target.mat.diagonal()[at])
-        # complex on purpose: a real eigvalsh rounds eps differently, which
-        # moves every padded construction
-        eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat.astype(complex) * s)[-1])
+        eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
     scaled = b.scale(eps * eps)
     return eps, weights, powers, scaled, target - scaled
 
@@ -412,7 +411,7 @@ def realize_from_invariants(
     positive = scaled + remainder * norm_power_form(n, sum(monos[-1]) + 1)
     result = polynomial_map_of_rows(n, *_positive_factors(positive))
     for gmat in group:
-        res = membership(result, unitary_automorphism(np.asarray(gmat, dtype=complex)))
+        res = membership(result, unitary_automorphism(gmat))
         if not res.member:
             raise RealizationError(
                 "constructed map is not invariant under a supplied group element"

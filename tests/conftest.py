@@ -34,6 +34,10 @@ class Poly(Polynomial):
         return cls(nvars, {})
 
     @classmethod
+    def constant(cls, nvars: int, value: complex) -> "Poly":
+        return cls(nvars, {(0,) * nvars: value})
+
+    @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} vars")

@@ -191,13 +191,13 @@ def _ref_rows_to_polynomials(nvars, monos, mat):
 
 
 def _ref_factor(h, tol_sig=TAU_SIG):
-    # the scaled block and its eigh are complex, as in the library
+    # the scaled block and its eigh keep the form's dtype, as in the library
     support = np.abs(h.mat) > TAU_ZERO
     pos, neg = [], []
     labels = _support_blocks(support)
     for label in np.unique(labels[support.any(axis=1)]):
         idx = np.flatnonzero(labels == label)
-        block = h.mat[np.ix_(idx, idx)].astype(complex)
+        block = h.mat[np.ix_(idx, idx)]
         d = np.sqrt(np.max(np.abs(block), axis=1))
         eigvals, eigvecs = np.linalg.eigh(block / np.outer(d, d))
         keep = np.abs(eigvals) > tol_sig * np.max(np.abs(eigvals))
@@ -211,8 +211,8 @@ def _ref_factor(h, tol_sig=TAU_SIG):
 def _ref_padding(p, omit_empty_degrees=False):
     """(epsilon, eps^2 |p|^2, remainder R - eps^2 |p|^2) of the closed-form
     padding: epsilon is half of eps_sup = 1 / sqrt(lambda_max(D^-1/2 B D^-1/2)),
-    D the diagonal of the target R, read off a complex eigvalsh as in the
-    library."""
+    D the diagonal of the target R, read off an eigvalsh in the dtype of
+    |p|^2 as in the library."""
     nvars = p[0].nvars
     nonzero = [q for q in p if not q.is_zero()]
     powers = list(range(max(q.degree for q in p) + 1))
@@ -225,7 +225,7 @@ def _ref_padding(p, omit_empty_degrees=False):
         target = target + norm_power_form(nvars, m).scale(lam * lam)
     b = _ref_gram(nonzero)
     s = 1.0 / np.sqrt([target.entry(mono, mono).real for mono in b.basis])
-    eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat.astype(complex) * s)[-1])
+    eps = 0.5 / math.sqrt(np.linalg.eigvalsh(s[:, None] * b.mat * s)[-1])
     scaled = b.scale(eps * eps)
     return eps, scaled, target - scaled
 
