@@ -142,8 +142,9 @@ class HermitianForm:
             return 0.0 + 0.0j
         return complex(self.mat[i, j])
 
-    def entries(self, tol: float = TAU_ZERO) -> Iterator[tuple[MultiIndex, MultiIndex, complex]]:
-        rows, cols = np.nonzero(np.abs(self.mat) > tol)
+    def entries(self) -> Iterator[tuple[MultiIndex, MultiIndex, complex]]:
+        """The held entries: every one is above TAU_ZERO (:meth:`_hold`)."""
+        rows, cols = np.nonzero(self.mat != 0)
         for i, j in zip(rows.tolist(), cols.tolist()):
             yield self.basis[i], self.basis[j], complex(self.mat[i, j])
 
@@ -176,24 +177,25 @@ class HermitianForm:
         return f"HermitianForm(nvars={self.nvars}, basis_size={self.size})"
 
     # -- arithmetic ----------------------------------------------------------
-    def _aligned(self, other: "HermitianForm") -> tuple[list[MultiIndex], np.ndarray, np.ndarray]:
+    def _combined(self, other: "HermitianForm", op: np.ufunc) -> tuple[list, np.ndarray]:
+        """The union basis and one array over it: self placed, then other put in
+        by ``op`` (np.add or np.subtract), op(a, b) with zeros outside a basis."""
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch between forms")
-        basis, positions = grlex_union(self.basis, other.basis)
+        basis, (pa, pb) = grlex_union(self.basis, other.basis)
         dtype = np.result_type(self.mat, other.mat)
-        check_array_budget((2, len(basis), len(basis)), dtype)
-        out = np.zeros((2, len(basis), len(basis)), dtype=dtype)
-        for embedded, h, at in zip(out, (self, other), positions):
-            embedded[np.ix_(at, at)] = h.mat
-        return basis, out[0], out[1]
+        check_array_budget((len(basis),) * 2, dtype)
+        out = np.zeros((len(basis),) * 2, dtype=dtype)
+        out[np.ix_(pa, pa)] = self.mat
+        at = np.ix_(pb, pb)
+        out[at] = op(out[at], other.mat)
+        return basis, out
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        basis, a, b = self._aligned(other)
-        return HermitianForm._held(self.nvars, basis, a + b).compressed()
+        return HermitianForm._held(self.nvars, *self._combined(other, np.add)).compressed()
 
     def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        basis, a, b = self._aligned(other)
-        return HermitianForm._held(self.nvars, basis, a - b).compressed()
+        return HermitianForm._held(self.nvars, *self._combined(other, np.subtract)).compressed()
 
     def scale(self, factor: float) -> "HermitianForm":
         return HermitianForm._held(self.nvars, self.basis, self.mat * float(factor))
@@ -219,16 +221,14 @@ class HermitianForm:
         return HermitianForm(n, exps.tolist(), rows).compressed()
 
     def max_entry_diff(self, other: "HermitianForm") -> float:
-        _, a, b = self._aligned(other)
-        if a.size == 0:
-            return 0.0
-        return float(np.max(np.abs(a - b)))
+        _, diff = self._combined(other, np.subtract)
+        return float(np.max(np.abs(diff), initial=0.0))
 
     # -- serialization --------------------------------------------------------
-    def to_dict(self, tol: float = TAU_ZERO) -> dict:
-        """The upper-triangle entries above ``tol``, in (alpha, beta) graded-lex
+    def to_dict(self) -> dict:
+        """The upper-triangle held entries, in (alpha, beta) graded-lex
         order: the basis is sorted, so that is the row-major order."""
-        rows, cols = np.nonzero(np.triu(np.abs(self.mat) > tol))
+        rows, cols = np.nonzero(np.triu(self.mat != 0))
         items = [
             {"alpha": list(self.basis[i]), "beta": list(self.basis[j]), "re": c.real, "im": c.imag}
             for i, j, c in zip(rows.tolist(), cols.tolist(), self.mat[rows, cols].tolist())

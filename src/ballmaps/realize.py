@@ -340,6 +340,17 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     in G; the smallest such mu keeps the degree low.  The positive form
     1/2 |f_sym|^2 + 1/2 (eps^2 |tau|^2 + (R - eps^2 |tau|^2) |z|^(2 k3))
     |z|^(2 k4), R the padding target of tau, is factored into the map.
+
+    The shifts are k3 = 1 and k4 = deg f_sym + 1.  A unitary keeps each
+    bidegree-(a, b) piece of the form.  With d the degree of tau and tau_d
+    its degree-d part, the piece that pins G, eps^2 tau_d |z|^(2 k4), sits
+    at (d + k4, k4); the remainder's pieces sit at (k3 + k4 + a, k3 + k4 + b)
+    with a, b in {0, d}, so any k3 >= 1 keeps the two apart, and k4 keeps
+    both above f_sym's pieces, of bidegree at most (deg f_sym, deg f_sym).
+    The built-in check confirms that G is kept.  A map "certified" by
+    :func:`ballmaps.analysis.certify_realization` has Γ_f ∩ S_n = G and a
+    trivial diagonal stabilizer: that covers the monomial part of Γ_f only,
+    not a unitary symmetry outside it.
     """
     if n > MAX_PERMUTATION_DIM:
         raise CapabilityError(f"subgroup realization is capped at n <= {MAX_PERMUTATION_DIM}")
@@ -350,7 +361,7 @@ def realize_subgroup(generators: Iterable[Sequence[int]], n: int) -> RationalMap
     # z^(g mu) has the exponent g^-1, as mu_j = j, and G holds the inverses
     tau = grlex_union([(0,) * n] + group)[0]
     _, _, _, scaled, remainder = _padding(n, tau, np.ones((1, len(tau))), omit_empty_degrees=True)
-    k3 = n * (n - 1) // 2 + 1
+    k3 = 1
     f_sym = symmetric_group_map(n)
     k4 = f_sym.degree + 1
     padded = scaled + remainder * norm_power_form(n, k3)

@@ -146,33 +146,42 @@ S3_GENERATORS = {
 }
 
 
-_CAPPED_REALIZE = """
+_CAP_3GB = """
 import resource, sys
 cap = 3 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+"""
+
+_REALIZE = """
 from ballmaps.cli import main
 sys.exit(main(["realize", "subgroup", "--group", sys.argv[1], "-o", sys.argv[2]]))
 """
 
 
-def realize_capped(tmp_path, n, generators, timeout):
-    """Run ``ballmaps realize subgroup`` on the permutation group of the
-    generators in a fresh process whose address space is capped at 3 GiB;
-    returns the finished process and the path of its output file."""
+def run_capped(code, *args, timeout):
+    """Run the Python ``code`` with the command-line ``args`` in a fresh
+    process whose address space is capped at 3 GiB, with one BLAS thread;
+    returns the finished process."""
     pytest.importorskip("resource")
-    spec, out = tmp_path / "group.json", tmp_path / "out.json"
-    spec.write_text(json.dumps({"n": n, "generators": generators}))
     src = os.path.dirname(os.path.dirname(ballmaps.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", _CAPPED_REALIZE, str(spec), str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", _CAP_3GB + code, *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
         timeout=timeout,
     )
-    return done, out
+
+
+def realize_capped(tmp_path, n, generators, timeout):
+    """Run ``ballmaps realize subgroup`` on the permutation group of the
+    generators under :func:`run_capped`; returns the finished process and
+    the path of its output file."""
+    spec, out = tmp_path / "group.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"n": n, "generators": generators}))
+    return run_capped(_REALIZE, spec, out, timeout=timeout), out
 
 
 def support_of_summand(h, m):

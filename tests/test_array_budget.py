@@ -2,9 +2,10 @@
 
 ``polynomials.check_array_budget`` counts a shape in the dtype it will be
 allocated in against ``MAX_ARRAY_BYTES`` and raises ``CapabilityError``
-before anything is allocated.  Form construction, alignment, Gram forms,
-norm-power targets, products and sphere division all count there, so a
-request too large for memory is refused, never killed.  The product and
+before anything is allocated.  Form construction, form sums and
+comparisons, Gram forms, norm-power targets, products and sphere division
+all count there, so a request too large for memory is refused, never
+killed.  The product and
 division boundaries are checked in ``test_real_arrays.py`` and
 ``test_sphere_division.py``.
 """
@@ -41,7 +42,11 @@ def _complex_form():
 CONSTRUCTIONS = {
     "from_entries": (_complex_form, 3 * 3 * 16),
     "constructor": (lambda: HermitianForm(2, [(0, 1), (1, 0)], np.eye(2) * 1j), 2 * 2 * 16),
-    "aligned sum": (lambda: norm_power_form(2, 1) + norm_power_form(2, 2), 2 * 5 * 5 * 8),
+    "form sum": (lambda: norm_power_form(2, 1) + norm_power_form(2, 2), 5 * 5 * 8),
+    "form comparison": (
+        lambda: norm_power_form(2, 1).max_entry_diff(norm_power_form(2, 2)),
+        5 * 5 * 8,
+    ),
     "gram_form": (lambda: gram_form(2, [(0, 0), (0, 1), (1, 0)], np.ones((2, 3))), 3 * 3 * 8),
     "norm power": (lambda: norm_power_form(2, 3), 4 * 4 * 8),
 }

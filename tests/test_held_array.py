@@ -332,7 +332,7 @@ def _ref_realize_subgroup(generators, n):
         tau = tau + Poly.monomial(exp, 1.0)
     _, scaled, remainder = _ref_padding([tau], omit_empty_degrees=True)
     f_sym = _ref_symmetric_group_map(n)
-    padded = scaled + remainder * norm_power_form(n, sum(mu) + 1)
+    padded = scaled + remainder * norm_power_form(n, 1)
     positive = _ref_gram(f_sym.numerator) + padded * norm_power_form(n, f_sym.degree + 1)
     return _ref_map_of_positive_form(positive.scale(0.5))
 

@@ -1,5 +1,6 @@
 """Realization constructions: factorization, padding, prescribed groups."""
 
+import json
 import math
 import warnings
 
@@ -37,7 +38,7 @@ from ballmaps import (
     unitary_automorphism,
 )
 
-from conftest import Poly, S3_GENERATORS, gram_of
+from conftest import Poly, S3_GENERATORS, gram_of, run_capped
 
 ETA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS_DIAG = np.diag([ETA, ETA**2])
@@ -384,12 +385,51 @@ def test_realize_subgroup_of_s4(name):
 def test_s4_subgroup_ranks_agree_without_warning(name):
     f = realize_subgroup(S4_SUBGROUPS[name], 4)
     sig = signature(form_of(f))
-    assert (sig.positive, sig.negative) == (1569, 1)
+    assert (sig.positive, sig.negative) == (485, 1)
     assert sig.margin >= 10 * TAU_SIG and sig.dropped <= TAU_SIG / 10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # image_rank compares itself with hermitian_rank and warns on a mismatch
         assert image_rank(f) + 1 == sig.rank
+
+
+#: Generators of one subgroup of each proper conjugacy class of S_4.
+S4_PROPER_CLASSES = {
+    **S4_SUBGROUPS,
+    "transposition": [(1, 0, 2, 3)],
+    "double-transposition": [(1, 0, 3, 2)],
+    "cyclic-3": [(1, 2, 0, 3)],
+    "klein-4-non-normal": [(1, 0, 2, 3), (0, 1, 3, 2)],
+    "symmetric-3": [(1, 2, 0, 3), (1, 0, 2, 3)],
+    "dihedral-4": [(1, 2, 3, 0), (2, 1, 0, 3)],
+    "alternating-4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+}
+
+_CERTIFY_S4_CLASSES = """
+import json, resource, sys, time
+from ballmaps import certify_realization, close_permutation_group, realize_subgroup
+out = {}
+for name, generators in json.loads(sys.argv[1]).items():
+    start = time.perf_counter()
+    f = realize_subgroup(generators, 4)
+    cert = certify_realization(f, close_permutation_group(generators, 4))
+    out[name] = (cert.certified, time.perf_counter() - start)
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"classes": out, "peak_mb": peak_mb}))
+"""
+
+
+def test_every_proper_s4_class_is_certified_within_a_second_and_512_mb():
+    orders = [len(close_permutation_group(g, 4)) for g in S4_PROPER_CLASSES.values()]
+    assert sorted(orders) == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12]
+    done = run_capped(_CERTIFY_S4_CLASSES, json.dumps(S4_PROPER_CLASSES), timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert sorted(report["classes"]) == sorted(S4_PROPER_CLASSES)
+    for name, (certified, seconds) in report["classes"].items():
+        assert certified, name
+        assert seconds < 1.0, (name, seconds)
+    assert report["peak_mb"] < 512
 
 
 # ---------------------------------------------------------------------------
