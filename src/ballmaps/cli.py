@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import invariance, maps, realize
 from .analysis import analyze_map, certify_realization, sphere_sample_check
 from .hermitian import TAU_DIV, TAU_SIG, is_proper
-from .invariance import CapabilityError, emit_invariance_system, membership
+from .invariance import CapabilityError, membership
 from .maps import BallAutomorphism, MapConstructionError, RationalMap
 from .polynomials import Polynomial, TAU_EQ
 
@@ -47,10 +48,43 @@ def _read_json(path: str) -> dict:
         raise CliInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _holds_iterator(value) -> bool:
+    """Is ``value`` an iterator, or a dict with one at any depth of dicts?"""
+    if isinstance(value, dict):
+        return any(map(_holds_iterator, value.values()))
+    return isinstance(value, Iterator)
+
+
+def _compact_pieces(value, encode) -> Iterator[str]:
+    """The compact JSON of ``value`` in pieces whose concatenation is
+    ``json.JSONEncoder().encode(value)``, with an iterator written as the list
+    it yields.  Iterators, and the dicts that hold one, are opened here one
+    item at a time, so an iterator is never held whole; every other value,
+    lists included, is one ``encode`` call, so an iterator may sit only in
+    dicts with string keys and in iterators."""
+    if isinstance(value, Iterator):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _compact_pieces(item, encode)
+        yield "]"
+    elif _holds_iterator(value):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys of a dict holding an iterator must be str, not {key!r}")
+            yield f"{', ' if i else ''}{encode(key)}: "
+            yield from _compact_pieces(item, encode)
+        yield "}"
+    else:
+        yield encode(value)
+
+
 def _write_json(data: dict, path: str | None, indent: int | None = 2) -> None:
-    # streamed: joined into one string, a realized map's indented chunks can take gigabytes
+    # streamed: one string of a whole document, or of its indented chunks, can take gigabytes
     encoder = json.JSONEncoder(indent=indent)
-    chunks = [encoder.encode(data)] if indent is None else encoder.iterencode(data)
+    chunks = _compact_pieces(data, encoder.encode) if indent is None else encoder.iterencode(data)
     chunks = itertools.chain(chunks, ["\n"])
     if path in (None, "-"):
         return sys.stdout.writelines(chunks)
@@ -280,7 +314,8 @@ def _cmd_member(args) -> int:
 
 def _cmd_emit_system(args) -> int:
     f = _load_map(args.map)
-    _write_json(emit_invariance_system(f), args.output, indent=None)  # solver input: one line
+    # solver input: one line, written one equation at a time
+    _write_json(invariance._system_document(f), args.output, indent=None)
     return EXIT_OK
 
 

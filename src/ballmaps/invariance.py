@@ -50,8 +50,12 @@ TAU_GROUP = 1e-7
 MAX_PERMUTATION_DIM = 8
 
 #: Emission of the invariance system is refused above this many ordered
-#: term pairs (E1, E2) on the support of the form.
-MAX_SYSTEM_PAIRS = 400_000
+#: term pairs (E1, E2) on the support of the form.  The listed document of
+#: emit_invariance_system peaks at about 35 MB + 138 B per pair (a least-squares
+#: fit to S_2..S_5, each within 2.2 MB; ru_maxrss, numpy 2.4, x86-64), so this
+#: bound keeps it near 1.35 GB: S_4 (1.23 M pairs) and S_5 (6.94 M) are emitted,
+#: S_6 (29.7 M, about 4 GB) is refused.
+MAX_SYSTEM_PAIRS = 10_000_000
 
 #: The schema of the document :func:`emit_invariance_system` returns.
 SYSTEM_SCHEMA = "invariance-system/2"
@@ -782,6 +786,14 @@ def emit_invariance_system(f: RationalMap) -> dict:
     support of h, sum over h[a, b] != 0 of
     prod_j C(a_j + n, n) C(b_j + n, n), exceed MAX_SYSTEM_PAIRS.
     """
+    system = _system_document(f)
+    return {**system, "equations": list(system["equations"])}
+
+
+def _system_document(f: RationalMap) -> dict:
+    """The document of :func:`emit_invariance_system` with a generator for
+    its ``equations``, which builds one equation at a time in the same
+    order.  Every refusal is raised here, before any equation is built."""
     if f.n > MAX_PERMUTATION_DIM:
         raise CapabilityError(
             f"the determinant constraint has (n + 1)! terms; emission is capped at "
@@ -824,25 +836,24 @@ def emit_invariance_system(f: RationalMap) -> dict:
     # each expansion as its d flat unknown indices, ascending, one per factor
     u_of = np.repeat(np.tile(np.arange(n1 * n1), K), E.ravel()).reshape(K, d).tolist()
 
-    equations = []
-    for i1, (v1, g1) in enumerate(zip(vs, groups)):
-        for i2 in range(i1, len(vs)):
-            v2, g2 = vs[i2], groups[i2]
-            keys = np.add.outer(g1 * K, g2).ravel()
-            values = (np.outer(w[g1], w[g2]) * h.mat[np.ix_(col[g1], col[g2])]).ravel()
-            h_value = h.mat[row_of[i1], row_of[i2]] if in_basis[i1] and in_basis[i2] else 0.0
-            if h_value:
-                keys, at = np.unique(np.concatenate([keys, lam_keys]), return_inverse=True)
-                total = np.zeros(len(keys), dtype=complex)
-                np.add.at(total, at, np.concatenate([values, h_value * (-1.0 / h00) * lam]))
-                values = total
-            keep = np.abs(values) > TAU_ZERO
-            if not keep.any():
-                continue
-            keys, values = keys[keep], values[keep]
-            columns = (keys // K, keys % K, values.real, values.imag)
-            equations.append(
-                {
+    def equations():
+        for i1, (v1, g1) in enumerate(zip(vs, groups)):
+            for i2 in range(i1, len(vs)):
+                v2, g2 = vs[i2], groups[i2]
+                keys = np.add.outer(g1 * K, g2).ravel()
+                values = (np.outer(w[g1], w[g2]) * h.mat[np.ix_(col[g1], col[g2])]).ravel()
+                h_value = h.mat[row_of[i1], row_of[i2]] if in_basis[i1] and in_basis[i2] else 0.0
+                if h_value:
+                    keys, at = np.unique(np.concatenate([keys, lam_keys]), return_inverse=True)
+                    total = np.zeros(len(keys), dtype=complex)
+                    np.add.at(total, at, np.concatenate([values, h_value * (-1.0 / h00) * lam]))
+                    values = total
+                keep = np.abs(values) > TAU_ZERO
+                if not keep.any():
+                    continue
+                keys, values = keys[keep], values[keep]
+                columns = (keys // K, keys % K, values.real, values.imag)
+                yield {
                     "alpha": list(v1[:n]),
                     "mu": v1[n],
                     "beta": list(v2[:n]),
@@ -852,7 +863,6 @@ def emit_invariance_system(f: RationalMap) -> dict:
                         for k1, k2, re, im in zip(*(c.tolist() for c in columns))
                     ],
                 }
-            )
 
     # metric constraints: U J U^dagger = J with J = diag(1..1, -1)
     metric = [
@@ -885,14 +895,15 @@ def emit_invariance_system(f: RationalMap) -> dict:
         "degree": d,
         "target_signature": [f.m, f.l],
         "unknowns": {"shape": [n1, n1], "order": "row-major"},
-        "equations": equations,
+        "equations": equations(),
         "metric_constraints": metric,
         "determinant_constraint": {"constant": -1.0, "terms": det_terms},
     }
 
 
-def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
-    """Max residual of the main equations at a concrete matrix.
+def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float | np.ndarray:
+    """Max residual of the main equations at a concrete matrix, or at each of
+    a stack of k matrices (k, n + 1, n + 1), one residual per matrix.
 
     The system is scale-covariant, so any nonzero multiple of a projective
     automorphism matrix can be substituted directly.  Every equation term
@@ -900,14 +911,17 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
     ``ubar``, indices into those of conj(U): each term is its coefficient
     times its ``u`` factors and then its ``ubar`` factors, taken one factor
     position at a time, and the terms are summed into their equations in order.
+    The index arrays are read off the document once for the whole stack.
     Raises ValueError for a document of any other schema than SYSTEM_SCHEMA
     and for index lists outside the matrix or of unequal lengths.
     """
     if system.get("schema") != SYSTEM_SCHEMA:
         raise ValueError(f"expected schema {SYSTEM_SCHEMA}, got {system.get('schema')!r}")
-    size = system["unknowns"]["shape"][0] ** 2
-    u = np.asarray(matrix, dtype=complex).reshape(-1)
-    if u.shape[0] != size:
+    n1 = system["unknowns"]["shape"][0]
+    size = n1 * n1
+    matrix = np.asarray(matrix, dtype=complex)
+    stack = matrix.ndim == 3
+    if (matrix.shape[1:] != (n1, n1)) if stack else (matrix.size != size):
         raise ValueError("matrix shape does not match the system unknowns")
     equations = system["equations"]
     terms = [term for eq in equations for term in eq["terms"]]
@@ -922,12 +936,16 @@ def evaluate_invariance_system(system: Mapping, matrix: np.ndarray) -> float:
         if len(lengths) > 1:
             raise ValueError(f"the terms' {key} lists have unequal lengths {sorted(lengths)}")
         factors.append(index.reshape(len(lists), lengths.pop() if lengths else 0))
-    values = np.array([t["re"] for t in terms]) + 1j * np.array([t["im"] for t in terms])
-    for entries, index in zip((u, u.conj()), factors):
-        for position in index.T:
-            values *= entries[position]
+    coefficients = np.array([t["re"] for t in terms]) + 1j * np.array([t["im"] for t in terms])
     eq = np.repeat(np.arange(len(equations)), [len(e["terms"]) for e in equations])
-    totals = np.bincount(eq, values.real, len(equations)) + 1j * np.bincount(
-        eq, values.imag, len(equations)
-    )
-    return float(np.max(np.abs(totals), initial=0.0))
+    residuals = []
+    for u in matrix.reshape(-1, size):
+        values = coefficients.copy()
+        for entries, index in zip((u, u.conj()), factors):
+            for position in index.T:
+                values *= entries[position]
+        totals = np.bincount(eq, values.real, len(equations)) + 1j * np.bincount(
+            eq, values.imag, len(equations)
+        )
+        residuals.append(float(np.max(np.abs(totals), initial=0.0)))
+    return np.array(residuals) if stack else residuals[0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballmaps import (
     BallAutomorphism,
@@ -27,7 +29,8 @@ from ballmaps import (
     tensor_power,
     whitney_map,
 )
-from ballmaps.maps import CATALOG_NAMES
+from ballmaps.hermitian import TAU_SIG
+from ballmaps.maps import CATALOG_NAMES, polynomial_map_of_rows
 from ballmaps.polynomials import grlex_monomials
 
 from conftest import Poly, gram_of, random_center, random_unitary
@@ -245,6 +248,41 @@ def test_image_rank_examples():
     assert image_rank(catalog("faran-3")) == 3
     for k in (1, 2, 3):
         assert image_rank(catalog(f"whitney-seq-{k}")) == k + 2
+
+
+def _orthonormal_columns(rng, rows, cols):
+    q, _ = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 14),
+    st.floats(-2.0, 4.0),
+    st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=13, max_size=13),
+    st.integers(0, 2**32 - 1),
+)
+def test_image_rank_counts_singular_values_above_the_cut(rows, cols, top, draws, seed):
+    """A = U diag(sigma) V^H as the numerator of a polynomial map over 14
+    nonconstant monomials: its coefficient array [[0, A], [1, 0]] has the
+    singular values sigma and the denominator's 1, each kept 10x or more
+    away from the cut tol * max(1, sigma_1)."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    largest = 10.0**top
+    cut = TAU_SIG * max(1.0, largest)
+    # kept values in [10 cut, largest], dropped ones in [0, cut / 10]
+    span = np.log10(largest / (10 * cut))
+    sigma = [largest] + [
+        largest * 10.0 ** (-span * t) if kept else cut / 10 * t for kept, t in draws[: k - 1]
+    ]
+    A = _orthonormal_columns(rng, rows, k) * sigma @ _orthonormal_columns(rng, cols, k).conj().T
+    f = polynomial_map_of_rows(2, grlex_monomials(2, 4)[1 : cols + 1], A)
+    assert f.coeffs.shape == (rows + 1, cols + 1)
+    singular = np.array(sigma + [1.0])
+    expected = int(np.sum(singular > TAU_SIG * max(1.0, singular.max()))) - 1
+    assert image_rank(f, check=False) == expected
 
 
 def test_image_rank_rejects_generalized_targets():
