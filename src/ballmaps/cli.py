@@ -289,8 +289,7 @@ def _cmd_pad(args) -> int:
             "powers": list(pad.powers),
             "padding": [q.to_dict() for q in pad.components],
             "padded_map": padded.to_dict(),
-            "proper": cert.proper,
-            "residual": cert.residual,
+            **cert.to_dict(),
         },
         args.output,
     )

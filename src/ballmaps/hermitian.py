@@ -42,7 +42,7 @@ from .polynomials import (
 #: Relative tolerance for the sphere-division remainder.
 TAU_DIV = 1e-9
 
-#: Eigenvalue threshold relative to the Jacobi-scaled spectrum (:func:`_kept`).
+#: Eigenvalue threshold relative to the Jacobi-scaled spectrum (:func:`_block_spectra`).
 TAU_SIG = 1e-8
 
 
@@ -75,7 +75,7 @@ class HermitianForm:
 
     def _hold(self, nvars: int, basis: tuple[MultiIndex, ...], mat: np.ndarray) -> None:
         """Hold ``mat``, a fresh array, with each entry 0 < |h_ab| <= TAU_ZERO
-        max(1, d_a d_b) zeroed in place, d = :func:`_jacobi_scale` as in :func:`signature`.
+        max(1, d_a d_b) zeroed in place, d = :func:`_jacobi_scale` as in :func:`_block_spectra`.
         Such an entry is at most TAU_ZERO in the scaled matrix, whose largest
         |lambda| is at least 1, so it moves no spectral decision."""
         support = mat != 0
@@ -510,10 +510,26 @@ def _jacobi_scale(mat: np.ndarray) -> np.ndarray:
     return d
 
 
-def _kept(eigvals: np.ndarray, scale: float, tol_sig: float) -> np.ndarray:
-    """The eigenvalues of a Jacobi-scaled form that count: |lambda| above
-    tol_sig times ``scale``, the largest |lambda| of the whole scaled matrix."""
-    return np.abs(eigvals) > tol_sig * scale
+def _block_spectra(h: HermitianForm, tol_sig: float) -> tuple[float, list[tuple]]:
+    """The largest |lambda| over the Jacobi-scaled support blocks of h and, per
+    block size, its blocks stacked by smallest row: rows (k, size), scales d
+    (:func:`_jacobi_scale`), the scaled blocks' ascending eigenvalues lambda and
+    eigenvectors V (a block is diag(d) V diag(lambda) V^H diag(d)), and the lambda
+    that count, |lambda| above tol_sig times that largest.  An empty row is a block
+    of its own, with lambda 0; no row has an entry outside its block, so these are
+    the whole scaled matrix's lambda.  One eigh per size solves each block alone."""
+    labels, d = _support_blocks(h.mat != 0), _jacobi_scale(h.mat)
+    sizes = np.bincount(labels)[labels]
+    spectra = []
+    for size in np.unique(sizes):
+        at = np.flatnonzero(sizes == size)
+        idx = at[np.argsort(labels[at], kind="stable")].reshape(-1, size)
+        di = d[idx]
+        scaled = h.mat[idx[:, :, None], idx[:, None, :]]
+        scaled /= di[:, :, None] * di[:, None, :]
+        spectra.append((idx, di, *np.linalg.eigh(scaled)))
+    scale = max((float(np.max(np.abs(e))) for _, _, e, _ in spectra), default=0.0)
+    return scale, [(*block, np.abs(block[2]) > tol_sig * scale) for block in spectra]
 
 
 @dataclass(frozen=True)
@@ -542,14 +558,11 @@ class Signature:
 
 
 def signature(h: HermitianForm, tol_sig: float = TAU_SIG) -> Signature:
-    """Inertia of the Jacobi-scaled form (:func:`_jacobi_scale`, :func:`_kept`),
-    the decision :func:`ballmaps.realize.factor_form` makes.  The scaled
-    matrix keeps the form's dtype: eigenvalues do not depend on LAPACK's
-    choice of basis."""
-    d = _jacobi_scale(h.mat)
-    eigs = np.linalg.eigvalsh(h.mat / np.outer(d, d))
-    scale = float(np.max(np.abs(eigs), initial=0.0))
-    keep = _kept(eigs, scale, tol_sig)
+    """Inertia of h: the signs of the eigenvalues that count in its block spectra
+    (:func:`_block_spectra`), which :func:`ballmaps.realize.factor_form` factors."""
+    scale, blocks = _block_spectra(h, tol_sig)
+    eigs = np.concatenate([np.zeros(0), *(e.ravel() for _, _, e, _, _ in blocks)])
+    keep = np.concatenate([np.zeros(0, dtype=bool), *(k.ravel() for *_, k in blocks)])
     pos, neg = int(np.count_nonzero(eigs[keep] > 0)), int(np.count_nonzero(eigs[keep] < 0))
     mags = np.abs(eigs) / (scale or 1.0)
     margin = float(np.min(mags[keep], initial=math.inf))

@@ -33,10 +33,8 @@ import numpy as np
 from .hermitian import (
     HermitianForm,
     TAU_SIG,
-    _jacobi_scale,
-    _kept,
+    _block_spectra,
     _norm_power_sum,
-    _support_blocks,
     form_of,
     gram_form,
     norm_power_form,
@@ -102,30 +100,20 @@ class FactorizationResult:
 
 
 def factor_form(h: HermitianForm, tol_sig: float = TAU_SIG) -> FactorizationResult:
-    """Eigendecompose the coefficient matrix into sparse holomorphic components,
-    returned as coefficient rows over the basis of h.
-
-    The support graph (h_ab != 0) splits the matrix into connected
-    blocks, factored separately with the Jacobi scaling and the cut of
-    :func:`ballmaps.hermitian.signature` (no row has a larger entry outside
-    its block, and the cut is against the largest |lambda| of all blocks),
-    so the component counts are the signature's.  An eigenpair (lambda, v)
-    of a scaled block gives the component d o v sqrt|lambda|, split by the
-    sign of lambda; a block's components are independent as its eigenvectors are.
-    Each block is decomposed in the form's own dtype, so a real form gives
-    real components.
+    """Split h into sparse holomorphic components: coefficient rows over its
+    basis, block by block, read off the block spectra that
+    :func:`ballmaps.hermitian.signature` counts (``hermitian._block_spectra``).
+    A lambda that counts, with its eigenvector v and the block's scales d, gives
+    the component d o v sqrt|lambda|, split by sign; rows are real when h is.
     """
-    support = h.mat != 0
-    labels, d = _support_blocks(support), _jacobi_scale(h.mat)
-    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels[support.any(axis=1)])]
-    spectra = [np.linalg.eigh(h.mat[np.ix_(i, i)] / np.outer(d[i], d[i])) for i in blocks]
-    scale = max((np.max(np.abs(eigvals)) for eigvals, _ in spectra), default=0.0)
     empty = np.zeros((0, h.size), dtype=h.mat.dtype)
     pos, neg = [empty], [empty]
-    for idx, (eigvals, eigvecs) in zip(blocks, spectra):
-        keep = _kept(eigvals, scale, tol_sig)
+    blocks = (block for group in _block_spectra(h, tol_sig)[1] for block in zip(*group))
+    for idx, d, eigvals, eigvecs, keep in sorted(blocks, key=lambda block: block[0][0]):
+        if not keep.any():
+            continue
         comps = np.zeros((np.count_nonzero(keep), h.size), dtype=h.mat.dtype)
-        comps[:, idx] = (d[idx, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))).T
+        comps[:, idx] = (d[:, None] * eigvecs[:, keep] * np.sqrt(np.abs(eigvals[keep]))).T
         pos.append(comps[eigvals[keep] > 0])
         neg.append(comps[eigvals[keep] < 0])
     return FactorizationResult(h.basis, np.vstack(pos), np.vstack(neg))

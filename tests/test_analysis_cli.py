@@ -11,14 +11,24 @@ import pytest
 
 import ballmaps
 from ballmaps import (
+    BallAutomorphism,
+    RationalMap,
     analyze_map,
     catalog,
+    compose_target,
     emit_invariance_system,
     evaluate_invariance_system,
+    first_descendant,
+    group_closure,
     identity_map,
     is_proper,
+    oplus,
+    pad_to_proper,
+    padded_map,
     polynomial_map,
+    realize_from_invariants,
     sphere_sample_check,
+    tensor,
     tensor_power,
     whitney_map,
 )
@@ -444,6 +454,67 @@ def test_cli_pad_command(tmp_path):
     data = json.loads(out.read_text())
     assert data["proper"] is True
     assert data["powers"] == [0, 1, 2]
+
+
+def test_cli_pad_reports_the_properness_block_of_the_padded_map(tmp_path):
+    polys = [Poly.monomial((1, 1)), Poly.monomial((2, 0))]
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({"components": [p.to_dict() for p in polys]}))
+    out = tmp_path / "pad.json"
+    for argv, tol_div in ([], 1e-9), (["--tol-div", "1e-6"], 1e-6):
+        assert main(["pad", str(pf), *argv, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        cert = is_proper(padded_map(polys, pad_to_proper(polys)), tol_div)
+        assert {k: data[k] for k in ("proper", "residual", "tolerance")} == cert.to_dict()
+
+
+_U3 = [[0, 1j, 0], [1, 0, 0], [0, 0, -1]]
+_SIGN_FLIP = {"invariants": [Poly.monomial((2,)).to_dict()], "generators": [[[[-1.0, 0.0]]]]}
+
+#: Each command, run where f.json holds faran-2, g.json whitney-seq-1, u.json
+#: the unitary _U3 and group.json z^2 under z -> -z, with the library call
+#: whose map it must write.
+_CLI_BUILDS = {
+    "construct-tensor": (["construct", "tensor", "-f", "f.json", "-g", "g.json"], tensor),
+    "construct-oplus": (
+        ["construct", "oplus", "-f", "f.json", "-g", "g.json", "--weights", "0.6", "0.8"],
+        lambda f, g: oplus(f, g, (0.6, 0.8)),
+    ),
+    "construct-whitney": (["construct", "whitney", "--n", "3"], lambda f, g: whitney_map(3)),
+    "construct-descend": (
+        ["construct", "descend", "-f", "g.json"],
+        lambda f, g: first_descendant(g),
+    ),
+    "compose-target": (
+        ["compose", "target", "f.json", "--unitary", "u.json"],
+        lambda f, g: compose_target(f, BallAutomorphism(np.array(_U3))),
+    ),
+    "realize-from-invariants": (
+        ["realize", "from-invariants", "--group", "group.json"],
+        lambda f, g: realize_from_invariants(
+            [Poly.monomial((2,))], group_closure([np.array([[-1.0 + 0j]])])
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _CLI_BUILDS)
+def test_cli_writes_the_map_of_the_library_call(tmp_path, monkeypatch, name):
+    argv, build = _CLI_BUILDS[name]
+    f, g = catalog("faran-2"), catalog("whitney-seq-1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps(f.to_dict()))
+    (tmp_path / "g.json").write_text(json.dumps(g.to_dict()))
+    u = [[[z.real, z.imag] for z in map(complex, row)] for row in _U3]
+    (tmp_path / "u.json").write_text(json.dumps({"matrix": u}))
+    (tmp_path / "group.json").write_text(json.dumps(_SIGN_FLIP))
+    assert main([*argv, "-o", "out.json"]) == 0
+    data = json.loads((tmp_path / "out.json").read_text())
+    written, want = RationalMap.from_dict(data), build(f, g)
+    assert written.monos == want.monos
+    assert written.coeffs.dtype == want.coeffs.dtype
+    assert written.coeffs.tobytes() == want.coeffs.tobytes()
+    assert (data.get("properness") or data["verification"])["proper"] is True
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

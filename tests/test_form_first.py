@@ -42,10 +42,10 @@ from ballmaps import (
     tensor_power,
 )
 from ballmaps import realize
+from ballmaps.hermitian import _support_blocks
 from ballmaps.lattice import invariant_factors
 from ballmaps.maps import polynomial_map_of_rows
 from ballmaps.polynomials import TAU_ZERO, grlex_monomials
-from ballmaps.realize import _support_blocks
 
 from conftest import Poly, gram_of, poly_parts, random_center, support_of_summand
 

@@ -54,9 +54,8 @@ from ballmaps import (
     whitney_map,
 )
 from ballmaps.maps import CATALOG_NAMES, Subspace, _tensor_pair_order, stacked_coefficients
-from ballmaps.hermitian import TAU_SIG
+from ballmaps.hermitian import TAU_SIG, _support_blocks
 from ballmaps.polynomials import TAU_ZERO, degree_monomials, grlex_key, multinomial
-from ballmaps.realize import _support_blocks
 
 from conftest import (
     Poly,

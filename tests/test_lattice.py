@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from ballmaps.lattice import (
     annihilates,
@@ -48,6 +49,20 @@ def test_snf_transform_identity_on_random_matrices(rng):
         n = int(rng.integers(1, 5))
         mat = rng.integers(-6, 7, size=(k, n)).tolist()
         check_snf(mat)
+
+
+@pytest.mark.parametrize(
+    "diagonal, factors",
+    [([2, 3], [1, 6]), ([4, 6, 10], [2, 2, 60])],
+)
+def test_snf_restores_the_divisibility_chain_of_a_diagonal(diagonal, factors):
+    # each pivot leaves a trailing entry it does not divide, which is added
+    # into the pivot row before the pivot is reduced again
+    matrix = np.diag(diagonal).tolist()
+    assert check_snf(matrix) == factors
+    dim, orders, gens, _ = torus_annihilator(matrix, len(diagonal))
+    assert dim == 0 and orders == [d for d in factors if d > 1]
+    assert all(annihilates(matrix, theta) for theta in gens)
 
 
 def test_annihilator_full_torus():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -406,7 +407,7 @@ S4_PROPER_CLASSES = {
 }
 
 _CERTIFY_S4_CLASSES = """
-import json, resource, sys, time
+import json, sys, time
 from ballmaps import certify_realization, close_permutation_group, realize_subgroup
 out = {}
 for name, generators in json.loads(sys.argv[1]).items():
@@ -414,7 +415,12 @@ for name, generators in json.loads(sys.argv[1]).items():
     f = realize_subgroup(generators, 4)
     cert = certify_realization(f, close_permutation_group(generators, 4))
     out[name] = (cert.certified, time.perf_counter() - start)
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# the peak RSS of this process image; ru_maxrss would also count pytest's,
+# which Linux carries over the fork and exec
+peak_mb = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        peak_mb = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:"))) / 1024
 print(json.dumps({"classes": out, "peak_mb": peak_mb}))
 """
 
@@ -429,7 +435,8 @@ def test_every_proper_s4_class_is_certified_within_a_second_and_512_mb():
     for name, (certified, seconds) in report["classes"].items():
         assert certified, name
         assert seconds < 1.0, (name, seconds)
-    assert report["peak_mb"] < 512
+    if sys.platform.startswith("linux"):
+        assert report["peak_mb"] < 512
 
 
 # ---------------------------------------------------------------------------
