@@ -20,6 +20,7 @@ import numpy as np
 
 from .maps import RationalMap
 from .polynomials import (
+    KeyIndex,
     MonomialKeys,
     MultiIndex,
     TAU_ZERO,
@@ -28,7 +29,6 @@ from .polynomials import (
     checked_exponent,
     degree_monomials,
     exponent_array,
-    find_sorted,
     grlex_monomials,
     grlex_order,
     grlex_sums,
@@ -401,11 +401,7 @@ def quotient_by_sphere(h: HermitianForm) -> SphereDivision:
         levels.append(levels[-1][cell] + monomial_keys.weights[last])
     keys = np.concatenate(levels)
     bounds = np.cumsum([0] + [len(level) for level in levels])
-    key_order = np.argsort(keys)
-    sorted_keys = keys[key_order]
-
-    def index_of(k: np.ndarray) -> np.ndarray:
-        return key_order[find_sorted(sorted_keys, k)[0]]
+    index_of = KeyIndex(keys).lookup
 
     # per variable: the cells containing x_i (dst), those cells divided by x_i
     # (src), and where each degree starts in dst

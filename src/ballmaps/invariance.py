@@ -31,13 +31,14 @@ from .maps import (
 )
 from .polynomials import (
     CapabilityError,
+    KeyIndex,
     MonomialKeys,
     MultiIndex,
     TAU_EQ,
     TAU_ZERO,
+    check_array_budget,
     degree_monomials,
     exponent_array,
-    find_sorted,
     grlex_union,
     multinomial,
 )
@@ -143,13 +144,17 @@ class _PermutationSearch:
     and only the support entries with r <= c are tested.
 
     Each monomial is keyed by :class:`MonomialKeys` (its exponent vector read
-    in base D + 1, D the largest exponent), so a permuted monomial is found by
-    binary search.  A is read through a zero-padded flat copy with one extra
-    row and column, where a permuted monomial outside the basis lands, so a
-    target is one gather.  The depth of a monomial or entry is 1 + the
-    largest variable index it uses: once the images of variables 0..k-1 are
-    fixed, so are exactly the monomials and entries of depth <= k.  Both are
-    stored sorted by depth, so each level of the search reads one slice.
+    in base D + 1, D the largest exponent), and a permuted monomial is found
+    by a :class:`KeyIndex` of the basis keys: one gather in a dense table
+    while the keys stay below ``MAX_DENSE_KEYS``, else a binary search.  A
+    is read through a zero-padded flat copy with one extra row and column,
+    where a permuted monomial outside the basis lands (the index's
+    ``absent``), so a target is one more gather; the copy and the dense
+    table are counted against :func:`check_array_budget`.  The depth of a
+    monomial or entry is 1 + the largest variable index it uses: once the
+    images of variables 0..k-1 are fixed, so are exactly the monomials and
+    entries of depth <= k.  Both are stored sorted by depth, so each level
+    of the search reads one slice.
     """
 
     def __init__(
@@ -169,11 +174,11 @@ class _PermutationSearch:
         self.permute_rows = permute_rows
         self.weights = monomial_keys.weights
         keys = monomial_keys.keys(exps)
-        self.key_order = np.argsort(keys)
-        self.sorted_keys = keys[self.key_order]
-        # the padding column (and row) sits at index len(basis)
-        self.pad = len(basis)
-        self.width = self.pad + 1
+        check_array_budget((KeyIndex.dense_entries(keys),), np.intp)
+        self.index = KeyIndex(keys)
+        # the padding column (and row) sits at index len(basis), the absent position
+        self.width = len(basis) + 1
+        check_array_budget((len(array) + 1, self.width), array.dtype)
         padded = np.zeros((len(array) + 1, self.width), dtype=array.dtype)
         padded[:-1, :-1] = array
         self.flat = padded.ravel()
@@ -213,9 +218,7 @@ class _PermutationSearch:
         values, cut = self.values[lo:hi], self.cut[lo:hi]
         step = max(1, _GATHER_BUDGET // (hi - lo + exps.shape[1]))
         for start in range(0, len(perms), step):
-            keys = self.weights[perms[start : start + step]] @ exps
-            pos, found = find_sorted(self.sorted_keys, keys)
-            image = np.where(found, self.key_order[pos], self.pad)
+            image = self.index.lookup(self.weights[perms[start : start + step]] @ exps)
             at = image[:, cols] + ((image * self.width)[:, rows] if self.permute_rows else rows)
             ok[start : start + step] = (np.abs(values - self.flat[at]) <= cut).all(axis=1)
         return ok
@@ -832,7 +835,8 @@ def _system_document(f: RationalMap) -> dict:
     lam = h.mat[np.ix_(col[origin], col[origin])].ravel()
     # the basis row of the alpha part of each v, where it is in the basis
     _, (of_basis, of_v) = grlex_union(h.basis, [v[:n] for v in vs])
-    row_of, in_basis = find_sorted(of_basis, of_v)
+    row_of = KeyIndex(of_basis).lookup(of_v)
+    in_basis = row_of < h.size
     # each expansion as its d flat unknown indices, ascending, one per factor
     u_of = np.repeat(np.tile(np.arange(n1 * n1), K), E.ravel()).reshape(K, d).tolist()
 

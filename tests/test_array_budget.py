@@ -3,10 +3,10 @@
 ``polynomials.check_array_budget`` counts a shape in the dtype it will be
 allocated in against ``MAX_ARRAY_BYTES`` and raises ``CapabilityError``
 before anything is allocated.  Form construction, form sums and
-comparisons, Gram forms, norm-power targets, products and sphere division
-all count there, so a request too large for memory is refused, never
-killed.  The product and
-division boundaries are checked in ``test_real_arrays.py`` and
+comparisons, Gram forms, norm-power targets, products, sphere division and
+the permutation search (its padded copy and dense key table) all count
+there, so a request too large for memory is refused, never killed.  The
+product and division boundaries are checked in ``test_real_arrays.py`` and
 ``test_sphere_division.py``.
 """
 
@@ -18,7 +18,8 @@ import pytest
 from ballmaps import CapabilityError, HermitianForm, gram_form, norm_power_form
 from ballmaps import polynomials
 from ballmaps.hermitian import _norm_power_sum
-from ballmaps.polynomials import check_array_budget, degree_monomials, multinomial
+from ballmaps.invariance import _form_search
+from ballmaps.polynomials import TAU_EQ, check_array_budget, degree_monomials, multinomial
 
 from conftest import realize_capped
 
@@ -49,6 +50,13 @@ CONSTRUCTIONS = {
     ),
     "gram_form": (lambda: gram_form(2, [(0, 0), (0, 1), (1, 0)], np.ones((2, 3))), 3 * 3 * 8),
     "norm power": (lambda: norm_power_form(2, 3), 4 * 4 * 8),
+    # the zero-padded copy of the form, one row and column more than its basis
+    "permutation search": (lambda: _form_search(_complex_form(), TAU_EQ), 4 * 4 * 16),
+    # keys 0 and 9 * 10: a dense key table of 92 intp entries
+    "permutation search key table": (
+        lambda: _form_search(HermitianForm(2, [(0, 0), (0, 9)], np.eye(2)), TAU_EQ),
+        92 * np.dtype(np.intp).itemsize,
+    ),
 }
 
 

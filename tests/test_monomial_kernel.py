@@ -4,13 +4,13 @@ The references below are the library's earlier sphere division (a dense
 matrix over the division simplex filled one row at a time through a
 tuple-keyed index), its monomial power loop (each coordinate raised to
 each monomial's own exponent) and the sampler built on it, its scalar
-polynomial evaluation and its per-term evaluation of the invariance system.
-Sphere division must return a bit-identical quotient form and, as its
-residual, the largest entry of the reference remainder; the monomial values
-and the sampler's residual must be bit-identical; the evaluations, whose
-powers are now taken by numpy, must agree to
-1e-12 of the magnitude of their terms, plus the absolute error of products
-that underflow to subnormals.
+polynomial evaluation, its per-term evaluation of the invariance system,
+and a dict of keys for the key index.  Sphere division must return a
+bit-identical quotient form and, as its residual, the largest entry of the
+reference remainder; the monomial values, the sampler's residual and the
+key positions must be identical; the evaluations, whose powers are now
+taken by numpy, must agree to 1e-12 of the magnitude of their terms, plus
+the absolute error of products that underflow to subnormals.
 """
 
 import json
@@ -43,7 +43,7 @@ from ballmaps import (
 import ballmaps
 from ballmaps import invariance
 from ballmaps.maps import CATALOG_NAMES, stacked_coefficients
-from ballmaps.polynomials import grlex_monomials, monomial_values
+from ballmaps.polynomials import MAX_DENSE_KEYS, KeyIndex, grlex_monomials, monomial_values
 
 from conftest import S3_GENERATORS
 
@@ -399,3 +399,30 @@ def test_products_and_division_refuse_key_overflow():
     # the refusal moved to the kernel; it is still a ValueError, importable as before
     assert invariance.CapabilityError is CapabilityError
     assert issubclass(CapabilityError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the one key index
+# ---------------------------------------------------------------------------
+@st.composite
+def key_tables(draw):
+    """Distinct keys up to a top on either side of the dense table's end,
+    and queries among them, between them and above them."""
+    top = draw(st.sampled_from([0, 7, 1000, MAX_DENSE_KEYS - 2, MAX_DENSE_KEYS - 1, 2**62]))
+    keys = draw(st.lists(st.integers(0, top), unique=True, max_size=20))
+    others = draw(st.lists(st.integers(0, 2 * top + 2), max_size=20))
+    return keys, draw(st.permutations(keys + others))
+
+
+@settings(max_examples=100, deadline=None)
+@example(([], [0, 5]))
+@example(([MAX_DENSE_KEYS - 2, 0], [MAX_DENSE_KEYS - 1, MAX_DENSE_KEYS - 2, 2**62]))
+@example(([MAX_DENSE_KEYS - 1, 3], [MAX_DENSE_KEYS - 1, 3, 4, 2**62]))
+@given(key_tables())
+def test_key_index_lookup_equals_a_dict_on_both_paths(table):
+    keys, queries = table
+    index = KeyIndex(np.array(keys, dtype=np.int64))
+    assert (index.dense is not None) == (max(keys, default=-1) + 2 <= MAX_DENSE_KEYS)
+    position = {key: i for i, key in enumerate(keys)}
+    found = index.lookup(np.array(queries, dtype=np.int64))
+    assert found.tolist() == [position.get(q, len(keys)) for q in queries]

@@ -41,7 +41,7 @@ from ballmaps import (
 )
 from ballmaps.invariance import TorusSubgroup, _form_search, strict_permutation_stabilizer
 from ballmaps.maps import CATALOG_NAMES, stacked_coefficients
-from ballmaps.polynomials import TAU_EQ, TAU_ZERO
+from ballmaps.polynomials import MAX_DENSE_KEYS, TAU_EQ, TAU_ZERO
 
 from conftest import Poly, poly_parts, polys_close, random_center, random_unitary
 
@@ -277,6 +277,43 @@ def test_search_memory_stays_within_the_gather_budget():
         tracemalloc.stop()
     assert len(perms) == math.factorial(8)
     assert peak < 32 << 20
+
+
+def test_keys_above_the_dense_table_take_the_sorted_path():
+    # exponents up to 40 in 6 variables: keys up to 40 * 41**5, about 4.6e9;
+    # the swaps (0 1), (2 3) and (4 5) keep the map
+    z = _variables(6)
+    f = polynomial_map(
+        [(z[0] ** 40 + z[1] ** 40).scale(0.5), z[2] * z[3], (z[4] * z[5]) ** 2]
+    )
+    h = form_of(f)
+    assert _form_search(h, TAU_EQ).index.dense is None
+    expected = reference_form_stabilizer(h)
+    assert len(expected) == 8
+    assert search_form_stabilizer(h) == expected
+    assert permutation_stabilizer(f) == expected
+    assert strict_permutation_stabilizer(f) == reference_strict_stabilizer(f) == expected
+
+
+@pytest.mark.parametrize("top, dense", [(31, True), (32, False)])
+def test_the_largest_dense_key_table_stays_within_its_constant(top, dense):
+    # exponents up to 31 in 4 variables: the largest key, 31 * 32**3 =
+    # 1,015,808, is just below MAX_DENSE_KEYS; up to 32 it is 1,149,984
+    z = _variables(4)
+    f = polynomial_map([(z[0] * z[1]).scale(0.5), (z[2] ** top + z[3] ** top).scale(0.5)])
+    h = form_of(f)
+    tracemalloc.start()
+    try:
+        search = _form_search(h, TAU_EQ)
+        perms = search.search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (search.index.dense is not None) == dense
+    if dense:
+        assert len(search.index.dense) <= MAX_DENSE_KEYS
+    assert peak < MAX_DENSE_KEYS * np.dtype(np.intp).itemsize + (1 << 20)
+    assert [tuple(p) for p in perms.tolist()] == reference_form_stabilizer(h)
 
 
 # ---------------------------------------------------------------------------
